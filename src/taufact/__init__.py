@@ -78,10 +78,8 @@ from .properties import (
 )
 from .theorems import (
     TheoremEntry,
-    TheoremReport,
     summarize,
     verify_corpus_entry,
-    verify_theorems,
 )
 from .corpus import CorpusError, default_corpus_spec, generate_corpus
 from .parsing import (

@@ -229,40 +229,43 @@ def _load_corpus(name: str) -> dict:
         return json.load(fh)
 
 
+# The ring a process built last, with its theorem-harness cache:
+# [ring_str, ring, ring_cache], or empty.
+_ring_slot: list = []
+
+
 def _verify_group(payload):
-    """Worker: all relations of one ring, sharing its caches."""
-    ring_str, tau_scope_list, cap = payload
-    ring = build_ring_from_text(ring_str)
-    ring_cache: dict = {}
-    out = []
-    for tau_str, scope_json in tau_scope_list:
-        tau = build_tau_from_text(tau_str, ring)
-        scope = None
-        if scope_json is not None:
-            scope = [ring.element_from_json(e) for e in scope_json]
-        out.extend(
-            e.to_json() for e in verify_corpus_entry(ring, tau, scope, cap, ring_cache)
-        )
-    return out
+    """Worker: one corpus entry (ring, relation).  Consecutive entries of the
+    same ring reuse the ring and its cache from the slot; within one run
+    every entry of a ring carries the same scope and cap."""
+    ring_str, tau_str, scope_json, cap = payload
+    if not _ring_slot or _ring_slot[0] != ring_str:
+        _ring_slot[:] = [ring_str, build_ring_from_text(ring_str), {}]
+    _, ring, ring_cache = _ring_slot
+    tau = build_tau_from_text(tau_str, ring)
+    scope = None
+    if scope_json is not None:
+        scope = [ring.element_from_json(e) for e in scope_json]
+    return [e.to_json() for e in verify_corpus_entry(ring, tau, scope, cap, ring_cache)]
 
 
 def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
-    entries_meta = generate_corpus(corpus_spec)
-    corpus_entries, meta = entries_meta
+    corpus_entries, meta = generate_corpus(corpus_spec)
     cap = cap if cap is not None else meta["cap"]
-    groups: dict = {}
     scopes = corpus_spec.get("scopes", {})
-    for ce in corpus_entries:
-        groups.setdefault(ce.ring_str, []).append((ce.tau_str, scopes.get(ce.ring_str)))
-    payloads = [(ring_str, tau_list, cap) for ring_str, tau_list in groups.items()]
+    payloads = [(ce.ring_str, ce.tau_str, scopes.get(ce.ring_str), cap) for ce in corpus_entries]
     rows: list = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_verify_group, payloads):
-                rows.extend(chunk)
-    else:
-        for payload in payloads:
-            rows.extend(_verify_group(payload))
+    try:
+        if jobs > 1:
+            # one task per entry, handed to whichever worker is free
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                for chunk in pool.map(_verify_group, payloads, chunksize=1):
+                    rows.extend(chunk)
+        else:
+            for payload in payloads:
+                rows.extend(_verify_group(payload))
+    finally:
+        _ring_slot.clear()
     summary: dict = {}
     for r in rows:
         summary[r["outcome"]] = summary.get(r["outcome"], 0) + 1

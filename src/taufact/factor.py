@@ -170,12 +170,13 @@ def validate_factorization(tau: TauRelation, f: Factorization) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # Canonical forms
 
+# Keyed by ring spec, not by the ring, so that the cache keeps no ring alive.
 _rep_cache: dict = {}
 
 
 def _rep_pool(ring: Ring, target) -> tuple:
     """Deterministic pool the canonical class representatives are drawn from."""
-    key = (ring, target)
+    key = (ring.spec, target)
     got = _rep_cache.get(key)
     if got is not None:
         return got
@@ -197,7 +198,7 @@ def _rep_pool(ring: Ring, target) -> tuple:
 
 
 def _factor_key(ring: Ring, target, x, beta: AssociateKind):
-    ck = (ring, target, beta, x)
+    ck = (ring.spec, target, beta, x)
     got = _rep_cache.get(ck)
     if got is not None:
         return got

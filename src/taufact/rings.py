@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -448,11 +449,7 @@ class ModRing(Ring):
     def comaximal(self, a, b) -> bool:
         got = self._comax_cache.get((a, b))
         if got is None:
-            got = any(
-                (a * x + b * y) % self.n == 1
-                for x in range(self.n)
-                for y in range(self.n)
-            )
+            got = math.gcd(a, b, self.n) == 1
             self._comax_cache[(a, b)] = got
         return got
 

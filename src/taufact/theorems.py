@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .factor import PreconditionError, tau_divides
+from .factor import PreconditionError
 from .irreducibles import (
     ALPHA_KINDS_NO_VERY,
     Flag,
@@ -83,23 +83,6 @@ class TheoremEntry:
         if self.note:
             out["note"] = self.note
         return out
-
-
-@dataclass
-class TheoremReport:
-    entries: list
-    summary: dict
-
-    def to_json(self):
-        return {
-            "schema": 1,
-            "entries": [e.to_json() for e in self.entries],
-            "summary": self.summary,
-        }
-
-    @property
-    def violated(self) -> int:
-        return self.summary.get(VIOLATED, 0)
 
 
 def _tristate(v: PropertyVerdict):
@@ -438,26 +421,15 @@ class EntryChecker:
 
     def _factor_class_count_finite(self, use_divides: bool):
         """Conditions: finitely many regular factor classes per element, via
-        either the enumerated factorizations or the divisibility search; the
-        verdict is the finiteness of the computed class set."""
+        either an exhaustive enumeration or a finite divisor set (every factor
+        is a divisor); None at the first element where neither is decided."""
         ring = self.ring
         for a in self._regular_domain():
             try:
                 if use_divides:
-                    reps = []
-                    for d in sorted(ring.divisors(a), key=ring.sort_key):
-                        if ring.is_unit(d) or not ring.is_regular(d):
-                            continue
-                        if any(ring.associated(d, r, AssociateKind.ASSOCIATE) for r in reps):
-                            continue
-                        reps.append(d)
-                    [r for r in reps if tau_divides(ring, self.tau, r, a, cap=self.cap)]
-                else:
-                    if not self.ev_plain.exhaustive(a):
-                        return None, a
-                    values = set()
-                    for f in self.ev_plain.fs(a).items:
-                        values.update(f.factors)
+                    ring.divisors(a)
+                elif not self.ev_plain.exhaustive(a):
+                    return None, a
             except (UnsupportedOperationError, InfiniteSetError):
                 return None, a
         return True, None
@@ -975,17 +947,3 @@ def summarize(entries: list) -> dict:
     for e in entries:
         summary[e.outcome] = summary.get(e.outcome, 0) + 1
     return summary
-
-
-def verify_theorems(corpus, cap: int = 6) -> TheoremReport:
-    """Run every theorem family over (ring, relation, scope) triples.
-
-    Entries for the same ring share that ring's caches; the report lists
-    entries in corpus order and is deterministic.
-    """
-    ring_caches: dict = {}
-    entries: list = []
-    for ring, tau, scope in corpus:
-        cache = ring_caches.setdefault(ring.spec_string(), {})
-        entries.extend(verify_corpus_entry(ring, tau, scope, cap, cache))
-    return TheoremReport(entries=entries, summary=summarize(entries))

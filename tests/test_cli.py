@@ -1,5 +1,9 @@
+import gc
+import itertools
 import json
+import weakref
 
+from taufact import cli
 from taufact.cli import main
 from taufact.corpus import default_corpus_spec, generate_corpus
 
@@ -98,12 +102,22 @@ def test_verify_tiny_corpus(tmp_path, capsys):
     assert report["summary"]["verified"] > 0
 
 
-def test_verify_deterministic_and_parallel_equal(tmp_path, capsys):
+def test_verify_deterministic_and_parallel_equal(tmp_path, capsys, monkeypatch):
+    # Z is scoped and infinite, and each of its relations is a pool unit
+    real_build = cli.build_ring_from_text
+    built = []
+
+    def build_ring(text):
+        ring = real_build(text)
+        built.append(weakref.ref(ring))
+        return ring
+
+    monkeypatch.setattr(cli, "build_ring_from_text", build_ring)
     corpus = {
         "schema": 1,
-        "rings": ["Zn(6)", "Zn(9)", "prod(Zn(2),Zn(3))"],
-        "taus": ["full", "comax"],
-        "scopes": {},
+        "rings": ["Zn(6)", "Zn(9)", "prod(Zn(2),Zn(3))", "Z"],
+        "taus": ["full", "comax", "regcap(full)"],
+        "scopes": {"Z": [2, -3, 4, 6, 12, -30]},
         "cap": 4,
         "budget": 1000,
     }
@@ -113,8 +127,16 @@ def test_verify_deterministic_and_parallel_equal(tmp_path, capsys):
     for jobs in ("1", "2", "1"):
         code, out, _ = run_cli(capsys, "verify", "--corpus", str(path), "--jobs", jobs)
         assert code == 0
+        assert cli._ring_slot == []
         outs.append(out)
+    # the in-process runs leave no ring behind once the slot is emptied
+    gc.collect()
+    assert built and all(ref() is None for ref in built)
     assert outs[0] == outs[1] == outs[2]
+    entries = json.loads(outs[0])["entries"]
+    assert any(r["ring"] == "Z" and r["scoped"] for r in entries)
+    blocks = [key for key, _ in itertools.groupby((r["ring"], r["tau"]) for r in entries)]
+    assert blocks == [(ring, tau) for ring in corpus["rings"] for tau in corpus["taus"]]
 
 
 def test_catalog_roundtrip(tmp_path, capsys):

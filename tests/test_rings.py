@@ -154,6 +154,17 @@ def test_unit_inverse_roundtrip():
             assert ring.mul(u, ring.unit_inverse(u)) == ring.one
 
 
+def test_modring_comaximal_exhaustive():
+    # oracle: (a, b) = Z/n iff 1 - a*x is a multiple of b for some x
+    for n in range(2, 37):
+        ring = build_ring(ModIntSpec(n))
+        multiples = [{b * y % n for y in range(n)} for b in range(n)]
+        for a in range(n):
+            for b in range(n):
+                expected = any((1 - a * x) % n in multiples[b] for x in range(n))
+                assert ring.comaximal(a, b) == expected, (n, a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 30), x=st.integers(0, 200), y=st.integers(0, 200))
 def test_modring_arithmetic_matches_int_mod(n, x, y):
