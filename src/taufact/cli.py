@@ -10,6 +10,7 @@ skipped at cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +46,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and shared by every ``main`` call in
+    the process: building it costs about 20 times a parse, and parsing
+    leaves it unchanged."""
     p = _Parser(prog="taufact", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

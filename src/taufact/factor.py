@@ -249,14 +249,6 @@ def _associate_stable(spec) -> bool:
     return False
 
 
-def _strongly_associate_cached(ring: Ring) -> bool:
-    got = getattr(ring, "_strongly_assoc_flag", None)
-    if got is None:
-        got = ring.is_strongly_associate()
-        ring._strongly_assoc_flag = got
-    return got
-
-
 def _nontrivial_candidates(
     ring: Ring, tau: TauRelation, target, reduce_assoc: bool = False
 ) -> list:
@@ -297,7 +289,7 @@ def _nontrivial_candidates(
     )
     if tau.regular_only:
         cands = [d for d in cands if ring.is_regular(d)]
-    if reduce_assoc and _associate_stable(tau.spec) and _strongly_associate_cached(ring):
+    if reduce_assoc and _associate_stable(tau.spec) and ring.is_strongly_associate():
         reps: list = []
         for d in cands:
             if not any(

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .rings import (
     AssociateKind,
+    InfiniteSetError,
     Ring,
     UnsupportedOperationError,
 )
@@ -269,7 +270,7 @@ def _check_divisive(tau, domain, scoped) -> TauPropertyVerdict:
                 continue
             try:
                 subs = _sharp_divisors(ring, b)
-            except Exception:
+            except InfiniteSetError:
                 skipped += 1
                 continue
             for bp in subs:

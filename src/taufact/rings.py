@@ -360,13 +360,24 @@ class Ring:
             return True
         return self.cofactors(a, b).all_units()
 
-    def is_presimplifiable(self) -> bool:
-        """x = x*y forces x = 0 or y a unit."""
-        raise NotImplementedError
-
     def is_strongly_associate(self) -> bool:
-        """a ~ b forces a = (unit)*b, for every pair."""
-        raise NotImplementedError
+        """a ~ b forces a = (unit)*b, for every pair.
+
+        True for every constructible ring (Anderson & Valdes-Leon, Rocky
+        Mountain J. Math. 26, 1996), so this needs no scan:
+
+        - Z/nZ and F_p[x]/(f) are finite, and a finite commutative ring is a
+          product of local rings.  In a local ring let a = r*b and b = s*a.
+          If r or s is a unit, a and b are unit multiples of each other.
+          Otherwise rs lies in the maximal ideal, so 1 - rs is a unit, and
+          (1 - rs)*a = 0 gives a = 0 = b.
+        - Z is an integral domain: a = r*b, b = s*a with a != 0 give rs = 1.
+        - In a product, (a) = (b) holds component by component, and the
+          pair of component units is a unit.
+
+        ``ring_predicates`` keeps the exhaustive scan as the oracle.
+        """
+        return True
 
     def _scan_presimplifiable(self) -> bool:
         for x in self.elements():
@@ -453,12 +464,6 @@ class ModRing(Ring):
             self._comax_cache[(a, b)] = got
         return got
 
-    def is_presimplifiable(self) -> bool:
-        return self._scan_presimplifiable()
-
-    def is_strongly_associate(self) -> bool:
-        return self._scan_strongly_associate()
-
     def spec_string(self) -> str:
         return f"Zn({self.n})"
 
@@ -541,12 +546,6 @@ class IntegerRing(Ring):
         import math
 
         return math.gcd(a, b) == 1
-
-    def is_presimplifiable(self) -> bool:
-        return True  # integral domain
-
-    def is_strongly_associate(self) -> bool:
-        return True  # integral domain: (a) = (b) forces a = (+-1) b
 
     def spec_string(self) -> str:
         return "Z"
@@ -646,12 +645,6 @@ class PolyQuotRing(Ring):
             self._comax_cache[(a, b)] = got
         return got
 
-    def is_presimplifiable(self) -> bool:
-        return self._scan_presimplifiable()
-
-    def is_strongly_associate(self) -> bool:
-        return self._scan_strongly_associate()
-
     def spec_string(self) -> str:
         return f"GFq({self.p},[{','.join(str(c) for c in self.f)}])"
 
@@ -747,16 +740,6 @@ class ProductRing(Ring):
     def comaximal(self, a, b) -> bool:
         return self.left.comaximal(a[0], b[0]) and self.right.comaximal(a[1], b[1])
 
-    def is_presimplifiable(self) -> bool:
-        # (1,0) = (1,0)*(1,0) with (1,0) nonzero and not a unit
-        return False
-
-    def is_strongly_associate(self) -> bool:
-        if self.is_finite:
-            return self._scan_strongly_associate()
-        # componentwise: pairwise same ideals give componentwise unit multiples
-        return self.left.is_strongly_associate() and self.right.is_strongly_associate()
-
     def spec_string(self) -> str:
         return f"prod({self.left.spec_string()},{self.right.spec_string()})"
 
@@ -798,7 +781,8 @@ def associated(ring: Ring, a, b, kind: AssociateKind) -> bool:
 
 
 def ring_predicates(ring: Ring) -> dict:
-    """Exhaustive presimplifiable / strongly-associate scan (finite rings only)."""
+    """Exhaustive presimplifiable / strongly-associate scan (finite rings
+    only); the oracle that ``Ring.is_strongly_associate`` is tested against."""
     if not ring.is_finite:
         raise UnsupportedOperationError("ring predicates require a finite ring")
     return {

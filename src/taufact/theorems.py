@@ -112,20 +112,12 @@ class EntryChecker:
         self.ev_regcap = Evaluator(ring, tau.regcap(), cap)
         self._verdicts: dict = {}
         self.entries: list = []
-        self._strongly_associate = self._compute_strongly_associate()
         self.refinable = check_tau_property(
             tau, TauProperty.REFINABLE, scope=scope, cap=cap,
             fs_provider=self.ev_plain.fs,
         )
 
     # -- plumbing
-
-    def _compute_strongly_associate(self) -> bool:
-        got = self.ring_cache.get("strongly-associate")
-        if got is None:
-            got = self.ring.is_strongly_associate()
-            self.ring_cache["strongly-associate"] = got
-        return got
 
     def domain(self) -> list:
         if self.scope is not None:
@@ -251,7 +243,7 @@ class EntryChecker:
             except UnsupportedOperationError:
                 skipped += 1
                 continue
-            bad = hierarchy_violations(profile, self._strongly_associate)
+            bad = hierarchy_violations(profile, self.ring.is_strongly_associate())
             if bad:
                 self.emit(
                     theorem,

@@ -84,6 +84,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 1 and "position" in err
 
 
+def test_parser_reused_across_calls(capsys):
+    """One parser serves every in-process call: errors and other commands
+    in between leave a repeated request's output unchanged."""
+    request = (
+        "factorizations", "--ring", "Zn(12)", "--tau", "full", "--element", "0", "--beta", "strong"
+    )
+    first = run_cli(capsys, *request)
+    assert first[0] == 0 and json.loads(first[1])["items"]
+    assert run_cli(capsys, "factorizations", "--ring", "Zn(12)")[0] == 1
+    code, _, err = run_cli(capsys, "classify", "--ring", "Q(3)", "--tau", "full", "--element", "0")
+    assert code == 1 and "unknown ring" in err
+    assert run_cli(capsys, "classify", "--ring", "Zn(6)", "--tau", "full", "--element", "2")[0] == 0
+    assert run_cli(capsys, *request) == first
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_verify_tiny_corpus(tmp_path, capsys):
     corpus = {
         "schema": 1,

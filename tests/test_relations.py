@@ -99,6 +99,23 @@ def test_zero_product_divisive(z6):
     assert v.holds, v.witness
 
 
+def test_divisive_notes_skipped_pairs(zz):
+    # (2, 0) has infinitely many divisors, so every pair ending in it is skipped
+    t = build_tau(FullTau(), zz)
+    v = check_tau_property(t, TauProperty.DIVISIVE, scope=[(2, 0), (3, 5)])
+    assert v.holds and v.scoped
+    assert v.note == "2 pairs skipped (infinite divisor sets)"
+
+
+def test_divisive_propagates_engine_defects(z6, monkeypatch):
+    def broken(a):
+        raise TypeError("engine defect")
+
+    monkeypatch.setattr(z6, "divisors", broken)
+    with pytest.raises(TypeError, match="engine defect"):
+        check_tau_property(build_tau(FullTau(), z6), TauProperty.DIVISIVE)
+
+
 def test_subset_multiplicative_iff_closed(z6):
     # {2, 4} is multiplicatively closed in Z/6; {3, 4} is not (3*4 = 0)
     closed = build_tau(SubsetTau((2, 4)), z6)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,8 @@ from taufact import (
     ProductSpec,
     RingConstructionError,
     build_ring,
+    build_ring_from_text,
+    default_corpus_spec,
     enumerate_elements,
     ring_predicates,
 )
@@ -141,6 +146,31 @@ def test_ring_predicates(z4, z6):
     preds = ring_predicates(z6)
     assert preds["presimplifiable"] is False  # 3 = 3*3 with 3 neither 0 nor a unit
     assert preds["strongly_associate"] is True
+
+
+def test_strongly_associate_closed_form_matches_scan():
+    """The closed form against the exhaustive scan, which shares no code
+    with it, on every finite default-corpus ring and the unit-test rings."""
+    corpus = [build_ring_from_text(s) for s in default_corpus_spec()["rings"]]
+    finite = [r for r in corpus if r.is_finite]
+    assert len(finite) == 51
+    extra = [build_ring_from_text(s) for s in ("GFq(2,[1,0,0,1])", "prod(GFq(2,[0,0,1]),Zn(4))")]
+    for ring in finite + small_finite_rings() + extra:
+        assert ring.is_strongly_associate() == ring_predicates(ring)["strongly_associate"], ring
+
+
+def test_strongly_associate_scan_only_in_oracle():
+    src = Path(__file__).resolve().parent.parent / "src" / "taufact"
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "_scan_strongly_associate":
+                    callers.append((path.name, fn.name))
+    assert sorted(set(callers)) == [("rings.py", "ring_predicates")]
 
 
 def test_ring_predicates_infinite_raises(zint):
