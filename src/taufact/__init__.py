@@ -15,11 +15,7 @@ from .rings import (
     Ring,
     RingConstructionError,
     UnsupportedOperationError,
-    associated,
     build_ring,
-    classify_element,
-    cofactors,
-    divisors,
     enumerate_elements,
     ring_predicates,
 )

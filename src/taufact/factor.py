@@ -33,6 +33,7 @@ from .relations import (
     RegularTau,
     TauRelation,
     ZeroProductTau,
+    _in_sharp,
 )
 
 
@@ -134,10 +135,6 @@ class FactorizationSet:
         return out
 
 
-def _in_sharp(ring: Ring, x) -> bool:
-    return x != ring.zero and not ring.is_unit(x)
-
-
 def validate_factorization(tau: TauRelation, f: Factorization) -> Optional[str]:
     """Re-check every invariant directly from the definitions.
 
@@ -227,17 +224,45 @@ def canonicalize(ring: Ring, f: Factorization, beta: AssociateKind) -> tuple:
 # Enumeration
 
 
+def pump_factor(ring: Ring, tau: TauRelation, factors: tuple, product):
+    """A factor that can be inserted into the factorization any number of
+    times, or None.
+
+    ``x`` qualifies when it relates to itself and to every factor and
+    ``x * product`` is strongly associate to ``product``: the unit slot then
+    absorbs each extra copy, so the factorization has no length bound.
+    """
+    if ring.zero in factors:
+        return None
+    others = set(factors)
+    for x in dict.fromkeys(factors):  # preserves order, dedups
+        if ring.is_unit(x):
+            continue
+        if not tau.holds(x, x):
+            continue
+        if any(not tau.holds(x, y) for y in others):
+            continue
+        if ring.associated(ring.mul(x, product), product, AssociateKind.STRONG):
+            return x
+    return None
+
+
 def default_cap(ring: Ring, tau: TauRelation, target) -> int:
     """max(8, number of associate classes of non-unit divisors + 1)."""
     try:
         divs = [d for d in ring.divisors(target) if not ring.is_unit(d)]
     except InfiniteSetError:
         return 8
+    return max(8, len(_associate_reps(ring, sorted(divs, key=ring.sort_key))) + 1)
+
+
+def _associate_reps(ring: Ring, xs) -> list:
+    """The first member of each associate class among ``xs``, in order."""
     reps: list = []
-    for d in sorted(divs, key=ring.sort_key):
-        if not any(ring.associated(d, r, AssociateKind.ASSOCIATE) for r in reps):
-            reps.append(d)
-    return max(8, len(reps) + 1)
+    for x in xs:
+        if not any(ring.associated(x, r, AssociateKind.ASSOCIATE) for r in reps):
+            reps.append(x)
+    return reps
 
 
 def _associate_stable(spec) -> bool:
@@ -290,13 +315,7 @@ def _nontrivial_candidates(
     if tau.regular_only:
         cands = [d for d in cands if ring.is_regular(d)]
     if reduce_assoc and _associate_stable(tau.spec) and ring.is_strongly_associate():
-        reps: list = []
-        for d in cands:
-            if not any(
-                ring.associated(d, r, AssociateKind.ASSOCIATE) for r in reps
-            ):
-                reps.append(d)
-        cands = reps
+        cands = _associate_reps(ring, cands)
     # a factor needs at least one partner (possibly itself)
     cands = [x for x in cands if any(tau.holds(x, y) for y in cands)]
     tau._cand_cache[(target, reduce_assoc)] = cands
@@ -344,19 +363,9 @@ def enumerate_factorizations(
         if key not in classes:
             classes[key] = f
         if pump is None:
-            for x in dict.fromkeys(factors):  # preserves order, dedups
-                if x == zero or ring.is_unit(x):
-                    continue
-                others = set(factors)
-                if zero in others:
-                    continue
-                if not tau.holds(x, x):
-                    continue
-                if any(not tau.holds(x, y) for y in others):
-                    continue
-                if ring.associated(mul(x, product), product, AssociateKind.STRONG):
-                    pump = PumpWitness(x=x, base=f)
-                    break
+            x = pump_factor(ring, tau, factors, product)
+            if x is not None:
+                pump = PumpWitness(x=x, base=f)
 
     # trivial factorizations, one per distinct factor value, smallest unit first
     for u in sorted(ring.units(), key=ring.sort_key):

@@ -21,13 +21,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .factor import (
     FactorizationSet,
     PreconditionError,
     canonicalize,
     enumerate_factorizations,
+    pump_factor,
     _factor_key,
 )
 from .irreducibles import (
@@ -166,7 +167,7 @@ class Evaluator:
         self._profiles: dict = {}
         self._upools: dict = {}
         self._chain: dict = {}
-        self._alpha_items_cache: dict = {}
+        self._alpha_items: dict = {}
 
     def fs(self, a) -> FactorizationSet:
         got = self._fs.get(a)
@@ -194,10 +195,10 @@ class Evaluator:
     def atom_flag(self, a, alpha: IrreducibleKind) -> Flag:
         return self.profile(a)[alpha]
 
-    def factorization_alpha_status(self, f, alpha: IrreducibleKind) -> Flag:
-        """Whether every factor of f is an alpha-irreducible."""
+    def alpha_status(self, factors, alpha: IrreducibleKind) -> Flag:
+        """Whether every one of ``factors`` is an alpha-irreducible."""
         out = Flag.TRUE
-        for x in set(f.factors):
+        for x in set(factors):
             flag = self.atom_flag(x, alpha)
             if flag == Flag.FALSE:
                 return Flag.FALSE
@@ -215,16 +216,39 @@ class Evaluator:
             self._upools[a] = got
         return got
 
-    def u_alpha_status(self, u: UFactorization, alpha: IrreducibleKind) -> Flag:
-        """Whether every essential divisor of u is an alpha-irreducible."""
-        out = Flag.TRUE
-        for x in set(u.essential):
-            flag = self.atom_flag(x, alpha)
-            if flag == Flag.FALSE:
-                return Flag.FALSE
-            if flag == Flag.UNKNOWN:
-                out = Flag.UNKNOWN
-        return out
+    def alpha_items(self, view: "FactorView", a, alpha: IrreducibleKind) -> tuple:
+        """The pieces of a whose atoms are certainly alpha-irreducible, and
+        whether some other piece might be."""
+        key = (view.name, a, alpha)
+        got = self._alpha_items.get(key)
+        if got is None:
+            certain = []
+            maybe = False
+            for p in view.pieces(self, a):
+                status = self.alpha_status(view.atoms(p), alpha)
+                if status == Flag.TRUE:
+                    certain.append(p)
+                elif status == Flag.UNKNOWN:
+                    maybe = True
+            got = (certain, maybe)
+            self._alpha_items[key] = got
+        return got
+
+    def pumped_atomic(self, view: "FactorView", a, alpha: IrreducibleKind):
+        """A certainly alpha-atomic piece of a with a factor that pumps it, as
+        (piece, factor), or None.
+
+        Only an unbounded enumeration can hold one: it tests every
+        factorization it meets with the same rule until one pumps.
+        """
+        if self.fs(a).unbounded != "yes":
+            return None
+        ring = self.ring
+        for p in self.alpha_items(view, a, alpha)[0]:
+            x = pump_factor(ring, self.tau, p.factors, ring.product(p.factors))
+            if x is not None:
+                return p, x
+        return None
 
     # -- divisibility chains
 
@@ -256,6 +280,50 @@ class Evaluator:
 
 
 # ---------------------------------------------------------------------------
+# Factor views
+
+
+@dataclass(frozen=True)
+class FactorView:
+    """How the element predicates read the factorizations of an element.
+
+    ``pieces(ev, a)`` lists them, ``atoms(p)`` gives the factors of a piece
+    that must be irreducible, and ``key(ring, a, p, beta)`` is its class up
+    to rearrangement and beta-associates.  Every piece also has ``factors``
+    (all of them) and ``trivial`` (one factor in total).
+    """
+
+    name: str
+    pieces: Callable
+    atoms: Callable
+    key: Callable
+
+
+def _split_key(ring: Ring, a, u: UFactorization, beta) -> tuple:
+    ines = tuple(sorted(_factor_key(ring, a, x, beta) for x in u.inessential))
+    ess = tuple(sorted(_factor_key(ring, a, x, beta) for x in u.essential))
+    return (ines, ess)
+
+
+# The lambdas look ``canonicalize`` up when called, so a rebinding of the
+# module name (as perfbench's tracer does) reaches every view call.
+PLAIN_VIEW = FactorView(
+    "plain",
+    pieces=lambda ev, a: ev.fs(a).items,
+    atoms=lambda f: f.factors,
+    key=lambda ring, a, f, beta: canonicalize(ring, f, beta),
+)
+
+# The same properties read through the essential divisors of the splits.
+SPLIT_VIEW = FactorView(
+    "split",
+    pieces=lambda ev, a: ev.u_pool(a),
+    atoms=lambda u: u.essential,
+    key=_split_key,
+)
+
+
+# ---------------------------------------------------------------------------
 # Per-element property outcomes
 
 
@@ -263,32 +331,12 @@ def _beta_class_count(ring, target, xs, beta) -> int:
     return len({_factor_key(ring, target, x, beta) for x in xs})
 
 
-def _pumpable_alpha(ev: Evaluator, f) -> Optional[object]:
-    """A factor that can be inserted into f, keeping validity (hence producing
-    a longer factorization with the same factor set)."""
-    ring, tau = ev.ring, ev.tau
-    if ring.zero in f.factors:
-        return None
-    product = f.product()
-    for x in dict.fromkeys(f.factors):
-        if ring.is_unit(x) or x == ring.zero:
-            continue
-        if not tau.holds(x, x):
-            continue
-        if any(not tau.holds(x, y) for y in set(f.factors)):
-            continue
-        if ring.associated(ring.mul(x, product), product, AssociateKind.STRONG):
-            return x
-    return None
-
-
-def _atomic_element(ev: Evaluator, a, alpha) -> _ElementOutcome:
-    fs = ev.fs(a)
+def _atomic_element(ev: Evaluator, view: FactorView, a, alpha) -> _ElementOutcome:
     saw_unknown = False
-    for f in fs.items:
-        status = ev.factorization_alpha_status(f, alpha)
+    for p in view.pieces(ev, a):
+        status = ev.alpha_status(view.atoms(p), alpha)
         if status == Flag.TRUE:
-            return _ElementOutcome("holds", bound=len(f.factors))
+            return _ElementOutcome("holds", bound=len(view.atoms(p)))
         if status == Flag.UNKNOWN:
             saw_unknown = True
     if ev.exhaustive(a) and not saw_unknown:
@@ -296,6 +344,7 @@ def _atomic_element(ev: Evaluator, a, alpha) -> _ElementOutcome:
     # closure: factors of any factorization, of any length, come from the
     # candidate pool plus the trivial factors; all certainly non-atomic
     # means no atomic factorization can exist
+    fs = ev.fs(a)
     pool = set(fs.candidates)
     pool.update(x for f in fs.items if f.trivial for x in f.factors)
     if all(ev.atom_flag(x, alpha) == Flag.FALSE for x in pool):
@@ -303,53 +352,54 @@ def _atomic_element(ev: Evaluator, a, alpha) -> _ElementOutcome:
     return _ElementOutcome("unknown", note="no certain atomic factorization below cap")
 
 
-def _accp_element(ev: Evaluator, a, regular_chain: bool, u_mode: bool) -> _ElementOutcome:
+def _accp_element(ev: Evaluator, a, regular_chain: bool) -> _ElementOutcome:
     # Essential divisors are factors, so the same poset height bounds the
     # essential-divisor chains of the split variant.
     bound = ev.chain_bound(a, regular_chain)
     return _ElementOutcome("holds", bound=bound)
 
 
-def _bfr_element(ev: Evaluator, a) -> _ElementOutcome:
+def _bfr_element(ev: Evaluator, view: FactorView, a) -> _ElementOutcome:
     fs = ev.fs(a)
     if fs.unbounded == "yes":
         return _ElementOutcome("fails", witness=fs.pump)
     if not ev.exhaustive(a):
         return _ElementOutcome("unknown", note="length bound not established at cap")
-    return _ElementOutcome("holds", bound=fs.max_length)
+    bound = max((len(view.atoms(p)) for p in view.pieces(ev, a)), default=0)
+    return _ElementOutcome("holds", bound=bound)
 
 
-def _ffr_element(ev: Evaluator, a, beta) -> _ElementOutcome:
+def _ffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
     fs = ev.fs(a)
     if fs.unbounded == "yes":
         return _ElementOutcome("fails", witness=fs.pump)
     if not ev.exhaustive(a):
         return _ElementOutcome("unknown", note="class count not established at cap")
     if beta == AssociateKind.VERY_STRONG:
+        # The strong-associate enumeration merges very-strong classes, so
+        # both views count the classes of a very-strong enumeration.
         vs = enumerate_factorizations(ev.ring, ev.tau, a, beta, cap=ev.cap)
         count = len([f for f in vs.items if not f.trivial])
     else:
-        keys = {canonicalize(ev.ring, f, beta) for f in fs.items if not f.trivial}
+        keys = {view.key(ev.ring, a, p, beta) for p in view.pieces(ev, a) if not p.trivial}
         count = len(keys)
     return _ElementOutcome("holds", bound=count)
 
 
-def _wffr_element(ev: Evaluator, a, beta) -> _ElementOutcome:
-    fs = ev.fs(a)
+def _wffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
     values = set()
-    for f in fs.items:
-        if not f.trivial:
-            values.update(f.factors)
+    for p in view.pieces(ev, a):
+        if not p.trivial:
+            values.update(view.atoms(p))
     count = _beta_class_count(ev.ring, a, values, beta)
     note = "" if ev.exhaustive(a) else "count taken at cap"
     return _ElementOutcome("holds", bound=count, note=note)
 
 
-def _idf_element(ev: Evaluator, a, alpha, beta) -> _ElementOutcome:
-    fs = ev.fs(a)
+def _idf_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOutcome:
     values = set()
-    for f in fs.items:
-        values.update(f.factors)
+    for p in view.pieces(ev, a):
+        values.update(view.atoms(p))
     atoms = []
     saw_unknown = False
     for x in values:
@@ -367,160 +417,33 @@ def _idf_element(ev: Evaluator, a, alpha, beta) -> _ElementOutcome:
     return _ElementOutcome("holds", bound=count, note="; ".join(notes))
 
 
-def _alpha_items(ev: Evaluator, a, alpha):
-    got = ev._alpha_items_cache.get((a, alpha))
-    if got is not None:
-        return got
-    certain = []
-    maybe = False
-    for f in ev.fs(a).items:
-        status = ev.factorization_alpha_status(f, alpha)
-        if status == Flag.TRUE:
-            certain.append(f)
-        elif status == Flag.UNKNOWN:
-            maybe = True
-    got = (certain, maybe)
-    ev._alpha_items_cache[(a, alpha)] = got
-    return got
-
-
-def _hfr_element(ev: Evaluator, a, alpha) -> _ElementOutcome:
-    certain, maybe = _alpha_items(ev, a, alpha)
-    lengths = {len(f.factors) for f in certain}
+def _hfr_element(ev: Evaluator, view: FactorView, a, alpha) -> _ElementOutcome:
+    certain, maybe = ev.alpha_items(view, a, alpha)
+    lengths = {len(view.atoms(p)) for p in certain}
     if len(lengths) > 1:
-        ws = sorted(certain, key=lambda f: len(f.factors))
+        ws = sorted(certain, key=lambda p: len(view.atoms(p)))
         return _ElementOutcome("fails", witness={"element": a, "short": ws[0], "long": ws[-1]})
-    if ev.fs(a).unbounded == "yes":
-        for f in certain:
-            x = _pumpable_alpha(ev, f)
-            if x is not None:
-                return _ElementOutcome("fails", witness={"element": a, "base": f, "pump": x})
+    pumped = ev.pumped_atomic(view, a, alpha)
+    if pumped is not None:
+        return _ElementOutcome("fails", witness={"element": a, "base": pumped[0], "pump": pumped[1]})
     if not ev.exhaustive(a) or maybe:
         return _ElementOutcome("unknown", note="atomic lengths not settled at cap")
     return _ElementOutcome("holds", bound=max(lengths) if lengths else 0)
 
 
-def _ufr_element(ev: Evaluator, a, alpha, beta) -> _ElementOutcome:
-    certain, maybe = _alpha_items(ev, a, alpha)
+def _ufr_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOutcome:
+    certain, maybe = ev.alpha_items(view, a, alpha)
     keys = {}
-    for f in certain:
-        keys.setdefault(canonicalize(ev.ring, f, beta), f)
+    for p in certain:
+        keys.setdefault(view.key(ev.ring, a, p, beta), p)
     if len(keys) > 1:
-        reps = sorted(keys.values(), key=lambda f: (len(f.factors), ev.ring.sort_key(f.factors[0])))
+        reps = sorted(keys.values(), key=lambda p: (len(view.atoms(p)), ev.ring.sort_key(view.atoms(p)[0])))
         return _ElementOutcome("fails", witness={"element": a, "first": reps[0], "second": reps[1]})
-    if ev.fs(a).unbounded == "yes":
-        for f in certain:
-            x = _pumpable_alpha(ev, f)
-            if x is not None:
-                return _ElementOutcome("fails", witness={"element": a, "base": f, "pump": x})
+    pumped = ev.pumped_atomic(view, a, alpha)
+    if pumped is not None:
+        return _ElementOutcome("fails", witness={"element": a, "base": pumped[0], "pump": pumped[1]})
     if not ev.exhaustive(a) or maybe:
         return _ElementOutcome("unknown", note="atomic classes not settled at cap")
-    return _ElementOutcome("holds", bound=len(keys))
-
-
-# -- essential-divisor (split) variants
-
-
-def _u_keys(ev: Evaluator, a, u: UFactorization, beta):
-    ring = ev.ring
-    ines = tuple(sorted(_factor_key(ring, a, x, beta) for x in u.inessential))
-    ess = tuple(sorted(_factor_key(ring, a, x, beta) for x in u.essential))
-    return (ines, ess)
-
-
-def _u_atomic_element(ev, a, alpha) -> _ElementOutcome:
-    saw_unknown = False
-    for u in ev.u_pool(a):
-        status = ev.u_alpha_status(u, alpha)
-        if status == Flag.TRUE:
-            return _ElementOutcome("holds", bound=len(u.essential))
-        if status == Flag.UNKNOWN:
-            saw_unknown = True
-    if ev.exhaustive(a) and not saw_unknown:
-        return _ElementOutcome("fails", witness=a)
-    fs = ev.fs(a)
-    pool = set(fs.candidates)
-    pool.update(x for f in fs.items if f.trivial for x in f.factors)
-    if all(ev.atom_flag(x, alpha) == Flag.FALSE for x in pool):
-        return _ElementOutcome("fails", witness=a)
-    return _ElementOutcome("unknown", note="no certain split below cap")
-
-
-def _u_bfr_element(ev, a) -> _ElementOutcome:
-    if not ev.exhaustive(a):
-        return _ElementOutcome("unknown", note="splits not settled at cap")
-    bound = max((len(u.essential) for u in ev.u_pool(a)), default=0)
-    return _ElementOutcome("holds", bound=bound)
-
-
-def _u_ffr_element(ev, a, beta) -> _ElementOutcome:
-    if not ev.exhaustive(a):
-        return _ElementOutcome("unknown", note="splits not settled at cap")
-    keys = {_u_keys(ev, a, u, beta) for u in ev.u_pool(a) if len(u.essential) + len(u.inessential) > 1}
-    return _ElementOutcome("holds", bound=len(keys))
-
-
-def _u_wffr_element(ev, a, beta) -> _ElementOutcome:
-    values = set()
-    for u in ev.u_pool(a):
-        values.update(u.essential)
-    count = _beta_class_count(ev.ring, a, values, beta)
-    note = "" if ev.exhaustive(a) else "count taken at cap"
-    return _ElementOutcome("holds", bound=count, note=note)
-
-
-def _u_idf_element(ev, a, alpha, beta) -> _ElementOutcome:
-    values = set()
-    for u in ev.u_pool(a):
-        values.update(u.essential)
-    atoms = [x for x in values if ev.atom_flag(x, alpha) == Flag.TRUE]
-    saw_unknown = any(ev.atom_flag(x, alpha) == Flag.UNKNOWN for x in values)
-    count = _beta_class_count(ev.ring, a, atoms, beta)
-    notes = []
-    if not ev.exhaustive(a):
-        notes.append("count taken at cap")
-    if saw_unknown:
-        notes.append("some divisor flags unknown")
-    return _ElementOutcome("holds", bound=count, note="; ".join(notes))
-
-
-def _u_hfr_element(ev, a, alpha) -> _ElementOutcome:
-    if not ev.exhaustive(a):
-        return _ElementOutcome("unknown", note="splits not settled at cap")
-    lengths = set()
-    maybe = False
-    witnesses = []
-    for u in ev.u_pool(a):
-        status = ev.u_alpha_status(u, alpha)
-        if status == Flag.TRUE:
-            lengths.add(len(u.essential))
-            witnesses.append(u)
-        elif status == Flag.UNKNOWN:
-            maybe = True
-    if len(lengths) > 1:
-        ws = sorted(witnesses, key=lambda u: len(u.essential))
-        return _ElementOutcome("fails", witness={"element": a, "short": ws[0], "long": ws[-1]})
-    if maybe:
-        return _ElementOutcome("unknown", note="split flags not settled")
-    return _ElementOutcome("holds", bound=max(lengths) if lengths else 0)
-
-
-def _u_ufr_element(ev, a, alpha, beta) -> _ElementOutcome:
-    if not ev.exhaustive(a):
-        return _ElementOutcome("unknown", note="splits not settled at cap")
-    keys = {}
-    maybe = False
-    for u in ev.u_pool(a):
-        status = ev.u_alpha_status(u, alpha)
-        if status == Flag.TRUE:
-            keys.setdefault(tuple(sorted(_factor_key(ev.ring, a, x, beta) for x in u.essential)), u)
-        elif status == Flag.UNKNOWN:
-            maybe = True
-    if len(keys) > 1:
-        reps = sorted(keys.values(), key=lambda u: len(u.essential))
-        return _ElementOutcome("fails", witness={"element": a, "first": reps[0], "second": reps[1]})
-    if maybe:
-        return _ElementOutcome("unknown", note="split flags not settled")
     return _ElementOutcome("holds", bound=len(keys))
 
 
@@ -565,26 +488,26 @@ def check_property(
     domain, scoped = _resolve_domain(ring, prop, scope_elements)
     eff_tau = tau.regcap() if prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U) else tau
     ev = evaluator if evaluator is not None else Evaluator(ring, eff_tau, cap)
-    u_mode = prop.scope == PropScope.REGCAP_U
+    view = SPLIT_VIEW if prop.scope == PropScope.REGCAP_U else PLAIN_VIEW
 
     def element_outcome(a) -> _ElementOutcome:
         k = prop.kind
         if k == PropKind.ATOMIC:
-            return _u_atomic_element(ev, a, prop.alpha) if u_mode else _atomic_element(ev, a, prop.alpha)
+            return _atomic_element(ev, view, a, prop.alpha)
         if k == PropKind.ACCP:
-            return _accp_element(ev, a, prop.scope == PropScope.REGULAR, u_mode)
+            return _accp_element(ev, a, prop.scope == PropScope.REGULAR)
         if k == PropKind.BFR:
-            return _u_bfr_element(ev, a) if u_mode else _bfr_element(ev, a)
+            return _bfr_element(ev, view, a)
         if k == PropKind.FFR:
-            return _u_ffr_element(ev, a, prop.beta) if u_mode else _ffr_element(ev, a, prop.beta)
+            return _ffr_element(ev, view, a, prop.beta)
         if k == PropKind.WFFR:
-            return _u_wffr_element(ev, a, prop.beta) if u_mode else _wffr_element(ev, a, prop.beta)
+            return _wffr_element(ev, view, a, prop.beta)
         if k == PropKind.IDF:
-            return _u_idf_element(ev, a, prop.alpha, prop.beta) if u_mode else _idf_element(ev, a, prop.alpha, prop.beta)
+            return _idf_element(ev, view, a, prop.alpha, prop.beta)
         if k == PropKind.HFR:
-            return _u_hfr_element(ev, a, prop.alpha) if u_mode else _hfr_element(ev, a, prop.alpha)
+            return _hfr_element(ev, view, a, prop.alpha)
         if k == PropKind.UFR:
-            return _u_ufr_element(ev, a, prop.alpha, prop.beta) if u_mode else _ufr_element(ev, a, prop.alpha, prop.beta)
+            return _ufr_element(ev, view, a, prop.alpha, prop.beta)
         raise ValueError(f"unknown property kind {k!r}")
 
     # HFR and UFR also require atomicity of the whole scope
@@ -677,9 +600,9 @@ def elasticity(
     infinite = False
     note = ""
     for a in domain:
-        certain, maybe = _alpha_items(ev, a, IrreducibleKind.IRREDUCIBLE)
+        certain, maybe = ev.alpha_items(PLAIN_VIEW, a, IrreducibleKind.IRREDUCIBLE)
         if not ev.exhaustive(a):
-            if any(_pumpable_alpha(ev, f) for f in certain):
+            if ev.pumped_atomic(PLAIN_VIEW, a, IrreducibleKind.IRREDUCIBLE) is not None:
                 infinite = True
                 per[a] = "infinite"
                 continue

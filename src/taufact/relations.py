@@ -73,6 +73,9 @@ class TauRelation:
         self.ring = ring
         self._cache: dict = {}
         self._cand_cache: dict = {}
+        self._inner_rel = (
+            TauRelation(spec.inner, ring) if isinstance(spec, RegCapTau) else None
+        )
         if isinstance(spec, SubsetTau):
             for e in spec.elements:
                 if not ring.contains(e):
@@ -118,15 +121,8 @@ class TauRelation:
         if isinstance(spec, RegCapTau):
             if not (ring.is_regular(a) and ring.is_regular(b)):
                 return False
-            return self._inner().holds(a, b)
+            return self._inner_rel.holds(a, b)
         raise TauConstructionError(f"unknown tau spec: {spec!r}")
-
-    def _inner(self) -> "TauRelation":
-        inner = getattr(self, "_inner_rel", None)
-        if inner is None:
-            inner = TauRelation(self.spec.inner, self.ring)
-            self._inner_rel = inner
-        return inner
 
     def regcap(self) -> "TauRelation":
         """The restriction of this relation to pairs of regular elements."""

@@ -757,27 +757,11 @@ def build_ring(spec: RingSpec) -> Ring:
     raise RingConstructionError(f"unknown ring spec: {spec!r}")
 
 
-def classify_element(ring: Ring, a) -> ElementClass:
-    return ring.classify(a)
-
-
 def enumerate_elements(ring: Ring) -> list:
     """Every element exactly once, lexicographically on encodings."""
     if not ring.is_finite:
         raise InfiniteSetError("infinite ring")
     return list(ring.elements())
-
-
-def divisors(ring: Ring, a) -> frozenset:
-    return ring.divisors(a)
-
-
-def cofactors(ring: Ring, a, b) -> CofactorSet:
-    return ring.cofactors(a, b)
-
-
-def associated(ring: Ring, a, b, kind: AssociateKind) -> bool:
-    return ring.associated(a, b, kind)
 
 
 def ring_predicates(ring: Ring) -> dict:

@@ -9,7 +9,7 @@ asserted).  Verdicts never promote unknown inputs to universal claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .factor import PreconditionError
@@ -26,8 +26,7 @@ from .properties import (
     PropScope,
     PropertyId,
     PropertyVerdict,
-    _alpha_items,
-    _pumpable_alpha,
+    PLAIN_VIEW,
     check_property,
     _witness_json,
 )
@@ -398,15 +397,14 @@ class EntryChecker:
         """Condition: every regular non-unit has finitely many atomic
         factorizations up to rearrangement and associates."""
         ev = self.ev_plain
+        irr = IrreducibleKind.IRREDUCIBLE
         for a in self._regular_domain():
             try:
-                certain, maybe = _alpha_items(ev, a, IrreducibleKind.IRREDUCIBLE)
+                _, maybe = ev.alpha_items(PLAIN_VIEW, a, irr)
             except UnsupportedOperationError:
                 return None, a
-            if ev.fs(a).unbounded == "yes":
-                for f in certain:
-                    if _pumpable_alpha(ev, f) is not None:
-                        return False, a
+            if ev.pumped_atomic(PLAIN_VIEW, a, irr) is not None:
+                return False, a
             if not ev.exhaustive(a) or maybe:
                 return None, a
         return True, None
@@ -697,60 +695,24 @@ class EntryChecker:
         return got
 
     def family_split_equivalences(self):
+        """Each property read through the splits against its regcap-all twin."""
         theorem = "split-equivalences"
-        cap_ = PropScope.REGCAP
         u = PropScope.REGCAP_U
-        self.equivalence(
-            theorem,
-            "accp",
-            self.verdict(PropertyId(PropKind.ACCP, scope=u)),
-            self.verdict(PropertyId(PropKind.ACCP, scope=cap_)),
-        )
-        self.equivalence(
-            theorem,
-            "bfr",
-            self.verdict(PropertyId(PropKind.BFR, scope=u)),
-            self.verdict(PropertyId(PropKind.BFR, scope=cap_)),
-        )
+        twins = [("accp", PropertyId(PropKind.ACCP, scope=u)), ("bfr", PropertyId(PropKind.BFR, scope=u))]
         for beta in BETAS2:
-            self.equivalence(
-                theorem,
-                f"ffr-{beta.name.lower()}",
-                self.verdict(PropertyId(PropKind.FFR, beta=beta, scope=u)),
-                self.verdict(PropertyId(PropKind.FFR, beta=beta, scope=cap_)),
-            )
-            self.equivalence(
-                theorem,
-                f"wffr-{beta.name.lower()}",
-                self.verdict(PropertyId(PropKind.WFFR, beta=beta, scope=u)),
-                self.verdict(PropertyId(PropKind.WFFR, beta=beta, scope=cap_)),
-            )
+            b = beta.name.lower()
+            twins.append((f"ffr-{b}", PropertyId(PropKind.FFR, beta=beta, scope=u)))
+            twins.append((f"wffr-{b}", PropertyId(PropKind.WFFR, beta=beta, scope=u)))
         for alpha in ALPHA_KINDS_NO_VERY:
-            self.equivalence(
-                theorem,
-                f"atomic-{alpha.value}",
-                self.verdict(PropertyId(PropKind.ATOMIC, alpha=alpha, scope=u)),
-                self.verdict(PropertyId(PropKind.ATOMIC, alpha=alpha, scope=cap_)),
-            )
-            self.equivalence(
-                theorem,
-                f"hfr-{alpha.value}",
-                self.verdict(PropertyId(PropKind.HFR, alpha=alpha, scope=u)),
-                self.verdict(PropertyId(PropKind.HFR, alpha=alpha, scope=cap_)),
-            )
+            twins.append((f"atomic-{alpha.value}", PropertyId(PropKind.ATOMIC, alpha=alpha, scope=u)))
+            twins.append((f"hfr-{alpha.value}", PropertyId(PropKind.HFR, alpha=alpha, scope=u)))
             for beta in BETAS2:
-                self.equivalence(
-                    theorem,
-                    f"ufr-{alpha.value}-{beta.name.lower()}",
-                    self.verdict(PropertyId(PropKind.UFR, alpha=alpha, beta=beta, scope=u)),
-                    self.verdict(PropertyId(PropKind.UFR, alpha=alpha, beta=beta, scope=cap_)),
-                )
-                self.equivalence(
-                    theorem,
-                    f"idf-{alpha.value}-{beta.name.lower()}",
-                    self.verdict(PropertyId(PropKind.IDF, alpha=alpha, beta=beta, scope=u)),
-                    self.verdict(PropertyId(PropKind.IDF, alpha=alpha, beta=beta, scope=cap_)),
-                )
+                b = beta.name.lower()
+                twins.append((f"ufr-{alpha.value}-{b}", PropertyId(PropKind.UFR, alpha=alpha, beta=beta, scope=u)))
+                twins.append((f"idf-{alpha.value}-{b}", PropertyId(PropKind.IDF, alpha=alpha, beta=beta, scope=u)))
+        for instance, prop in twins:
+            twin = replace(prop, scope=PropScope.REGCAP)
+            self.equivalence(theorem, instance, self.verdict(prop), self.verdict(twin))
 
     def family_essential_divisors(self):
         theorem = "essential-divisor-lemma"

@@ -33,6 +33,15 @@ class UFactorization:
     essential: tuple  # nonempty
     target: object
 
+    @property
+    def factors(self) -> tuple:
+        """Both blocks together, in ring order: the factors of ``phi(u)``."""
+        return tuple(sorted(self.inessential + self.essential, key=self.ring.sort_key))
+
+    @property
+    def trivial(self) -> bool:
+        return len(self.inessential) + len(self.essential) == 1
+
     def to_json(self):
         r = self.ring
         return {
@@ -55,6 +64,17 @@ def _ideal_fixed(ring: Ring, x, p) -> bool:
     return not ring.cofactors(p, ring.mul(x, p)).is_empty()
 
 
+def _inessential_index(ring: Ring, essential: tuple) -> Optional[int]:
+    """Position of the first factor of an essential block whose removal
+    leaves the block's ideal unchanged (so it is not essential), or None."""
+    for i, x in enumerate(essential):
+        rest = ring.product(essential[:i] + essential[i + 1 :])
+        if _ideal_fixed(ring, x, rest):
+            return i
+    return None
+
+
+# A separate re-check from the definitions: tests take it as the reference for u_partitions.
 def validate_u_factorization(u: UFactorization) -> Optional[str]:
     ring = u.ring
     if not ring.is_unit(u.unit):
@@ -103,13 +123,7 @@ def u_partitions(ring: Ring, f: Factorization) -> tuple:
         ep = ring.product(u.essential)
         if not all(_ideal_fixed(ring, x, ep) for x in u.inessential):
             continue
-        ok = True
-        for i in range(len(u.essential)):
-            rest = ring.product(u.essential[:i] + u.essential[i + 1 :])
-            if _ideal_fixed(ring, u.essential[i], rest):
-                ok = False
-                break
-        if ok:
+        if _inessential_index(ring, u.essential) is None:
             out.append(u)
     return tuple(out)
 
@@ -120,7 +134,7 @@ def phi(u: UFactorization) -> Factorization:
     return Factorization(
         ring=ring,
         unit=u.unit,
-        factors=tuple(sorted(u.inessential + u.essential, key=ring.sort_key)),
+        factors=u.factors,
         target=u.target,
     )
 
@@ -148,10 +162,7 @@ def phi_inverse(ring: Ring, tau: TauRelation, f: Factorization) -> UFactorizatio
         essential=f.factors,
         target=f.target,
     )
-    for i in range(len(u.essential)):
-        rest = ring.product(u.essential[:i] + u.essential[i + 1 :])
-        if _ideal_fixed(ring, u.essential[i], rest):
-            raise UDomainError(
-                f"factor {ring.format_element(u.essential[i])} is not essential"
-            )
+    i = _inessential_index(ring, u.essential)
+    if i is not None:
+        raise UDomainError(f"factor {ring.format_element(u.essential[i])} is not essential")
     return u

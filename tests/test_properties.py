@@ -179,3 +179,40 @@ def test_restricted_scope_properties_hold_on_squares_of_fields():
             ):
                 v = check_property(ring, tau, PropertyId(kind, scope=scope, **kw))
                 assert v.holds, (q, scope, kind)
+
+
+def test_split_view_agrees_with_plain_view():
+    """Every regular divisor is essential, so the regcap-u scope is the
+    regcap-all scope read through the splits: each catalog property must
+    agree with its twin in outcome and bound, on every finite default ring
+    and relation and on the integers with their default scope."""
+    from dataclasses import replace
+
+    from taufact.cli import _CATALOG_PROPS
+    from taufact.corpus import default_corpus_spec
+    from taufact.parsing import build_ring_from_text, build_tau_from_text
+    from taufact.properties import Evaluator
+
+    spec = default_corpus_spec()
+    pairs = 0
+    for ring_str in spec["rings"]:
+        ring = build_ring_from_text(ring_str)
+        if not ring.is_finite and ring_str != "Z":
+            continue
+        scope = spec["scopes"].get(ring_str)
+        if scope is not None:
+            scope = [ring.element_from_json(e) for e in scope]
+        for tau_str in spec["taus"]:
+            tau = build_tau_from_text(tau_str, ring)
+            ev = Evaluator(ring, tau.regcap(), spec["cap"])
+            for prop in _CATALOG_PROPS:
+                if prop.scope != PropScope.REGCAP_U:
+                    continue
+                split = check_property(ring, tau, prop, scope, spec["cap"], evaluator=ev)
+                twin = replace(prop, scope=PropScope.REGCAP)
+                plain = check_property(ring, tau, twin, scope, spec["cap"], evaluator=ev)
+                assert (split.outcome, split.bound) == (plain.outcome, plain.bound), (
+                    ring_str, tau_str, prop.label(),
+                )
+                pairs += 1
+    assert pairs == 52 * 7 * 8

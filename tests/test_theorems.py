@@ -149,3 +149,23 @@ def test_random_subset_relations_fuzz():
             subset = tuple(sorted(rng.sample(sharp, k), key=ring.sort_key))
             entries, summary = run_entry(spec, SubsetTau(subset), cap=5)
             assert summary["violated"] == 0, (spec, subset)
+
+
+def test_split_equivalences_can_fail(monkeypatch):
+    """The split/plain agreement is checked, not assumed: with the last
+    split of each element dropped, the family reports violations."""
+    from taufact.properties import Evaluator
+
+    scope = [a for a in range(-30, 31) if abs(a) > 1]
+
+    def violated():
+        entries, _ = run_entry(IntegersSpec(), FullTau(), scope=scope, cap=6)
+        return [
+            e for e in entries
+            if e.theorem == "split-equivalences" and e.outcome == "violated"
+        ]
+
+    assert violated() == []
+    u_pool = Evaluator.u_pool
+    monkeypatch.setattr(Evaluator, "u_pool", lambda self, a: u_pool(self, a)[:-1])
+    assert violated()
