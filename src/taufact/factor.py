@@ -113,10 +113,6 @@ class FactorizationSet:
             self.classes[k] for k in sorted(self.classes, key=lambda k: (len(k), k))
         )
 
-    @property
-    def nontrivial_items(self) -> tuple:
-        return tuple(f for f in self.items if not f.trivial)
-
     def to_json(self):
         out = {
             "target": self.ring.element_to_json(self.target),
@@ -167,57 +163,13 @@ def validate_factorization(tau: TauRelation, f: Factorization) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # Canonical forms
 
-# Keyed by ring spec, not by the ring, so that the cache keeps no ring alive.
-_rep_cache: dict = {}
-
-
-def _rep_pool(ring: Ring, target) -> tuple:
-    """Deterministic pool the canonical class representatives are drawn from."""
-    key = (ring.spec, target)
-    got = _rep_cache.get(key)
-    if got is not None:
-        return got
-    try:
-        pool = sorted(
-            (d for d in ring.divisors(target) if not ring.is_unit(d)),
-            key=ring.sort_key,
-        )
-    except InfiniteSetError:
-        # Only trivial factorizations are enumerable here; their factors are
-        # the unit multiples of the target.
-        pool = sorted(
-            {ring.mul(ring.unit_inverse(u), target) for u in ring.units()},
-            key=ring.sort_key,
-        )
-    got = tuple(pool)
-    _rep_cache[key] = got
-    return got
-
-
-def _factor_key(ring: Ring, target, x, beta: AssociateKind):
-    ck = (ring.spec, target, beta, x)
-    got = _rep_cache.get(ck)
-    if got is not None:
-        return got
-    pool = _rep_pool(ring, target)
-    if beta == AssociateKind.VERY_STRONG and not ring.associated(x, x, beta):
-        # not self-related: the element is its own class, tagged by identity
-        got = (1, ring.sort_key(x))
-    else:
-        reps = [y for y in pool if ring.associated(x, y, beta)]
-        if not reps:
-            reps = [x]
-        got = (0, min(ring.sort_key(y) for y in reps))
-    _rep_cache[ck] = got
-    return got
-
 
 def canonicalize(ring: Ring, f: Factorization, beta: AssociateKind) -> tuple:
     """Key equal for two factorizations iff their factor multisets match
 
     bijectively with beta-associated factors (rearrangement and unit variation
     quotiented away)."""
-    return tuple(sorted(_factor_key(ring, f.target, x, beta) for x in f.factors))
+    return tuple(sorted(ring.associate_key(x, beta) for x in f.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +202,19 @@ def pump_factor(ring: Ring, tau: TauRelation, factors: tuple, product):
 def default_cap(ring: Ring, tau: TauRelation, target) -> int:
     """max(8, number of associate classes of non-unit divisors + 1)."""
     try:
-        divs = [d for d in ring.divisors(target) if not ring.is_unit(d)]
+        divs = ring.divisors(target)
     except InfiniteSetError:
         return 8
-    return max(8, len(_associate_reps(ring, sorted(divs, key=ring.sort_key))) + 1)
+    keys = {ring.associate_key(d, AssociateKind.ASSOCIATE) for d in divs if not ring.is_unit(d)}
+    return max(8, len(keys) + 1)
 
 
 def _associate_reps(ring: Ring, xs) -> list:
     """The first member of each associate class among ``xs``, in order."""
-    reps: list = []
+    reps: dict = {}
     for x in xs:
-        if not any(ring.associated(x, r, AssociateKind.ASSOCIATE) for r in reps):
-            reps.append(x)
-    return reps
+        reps.setdefault(ring.associate_key(x, AssociateKind.ASSOCIATE), x)
+    return list(reps.values())
 
 
 def _associate_stable(spec) -> bool:
@@ -412,12 +364,8 @@ def enumerate_factorizations(
                     if u is not None:
                         consider(tuple(chosen), prod2, u)
                 if len(chosen) < cap:
-                    # keep candidates >= x that relate to x (self only if x rel x)
-                    pool2 = [
-                        y
-                        for y in pool[idx:]
-                        if tau.holds(x, y) and (y != x or tau.holds(x, x))
-                    ]
+                    # keep candidates >= x that relate to x (x itself only if x rel x)
+                    pool2 = [y for y in pool[idx:] if tau.holds(x, y)]
                     if pool2 and not extend(pool2, chosen, prod2):
                         chosen.pop()
                         return False
@@ -486,14 +434,12 @@ def tau_divides(ring: Ring, tau: TauRelation, b, a, cap: Optional[int] = None) -
                     continue
             elif prod2 not in divisor_set:
                 continue
-            pool2 = [
-                y for y in pool[idx:] if tau.holds(x, y) and (y != x or tau.holds(x, x))
-            ]
+            pool2 = [y for y in pool[idx:] if tau.holds(x, y)]
             if search(pool2, size + 1, prod2):
                 return True
         return False
 
-    pool0 = [y for y in candidates if tau.holds(b, y) and (y != b or tau.holds(b, b))]
+    pool0 = [y for y in candidates if tau.holds(b, y)]
     return search(pool0, 1, b)
 
 

@@ -29,7 +29,6 @@ from .factor import (
     canonicalize,
     enumerate_factorizations,
     pump_factor,
-    _factor_key,
 )
 from .irreducibles import (
     Flag,
@@ -288,7 +287,7 @@ class FactorView:
     """How the element predicates read the factorizations of an element.
 
     ``pieces(ev, a)`` lists them, ``atoms(p)`` gives the factors of a piece
-    that must be irreducible, and ``key(ring, a, p, beta)`` is its class up
+    that must be irreducible, and ``key(ring, p, beta)`` is its class up
     to rearrangement and beta-associates.  Every piece also has ``factors``
     (all of them) and ``trivial`` (one factor in total).
     """
@@ -299,9 +298,9 @@ class FactorView:
     key: Callable
 
 
-def _split_key(ring: Ring, a, u: UFactorization, beta) -> tuple:
-    ines = tuple(sorted(_factor_key(ring, a, x, beta) for x in u.inessential))
-    ess = tuple(sorted(_factor_key(ring, a, x, beta) for x in u.essential))
+def _split_key(ring: Ring, u: UFactorization, beta) -> tuple:
+    ines = tuple(sorted(ring.associate_key(x, beta) for x in u.inessential))
+    ess = tuple(sorted(ring.associate_key(x, beta) for x in u.essential))
     return (ines, ess)
 
 
@@ -311,7 +310,7 @@ PLAIN_VIEW = FactorView(
     "plain",
     pieces=lambda ev, a: ev.fs(a).items,
     atoms=lambda f: f.factors,
-    key=lambda ring, a, f, beta: canonicalize(ring, f, beta),
+    key=lambda ring, f, beta: canonicalize(ring, f, beta),
 )
 
 # The same properties read through the essential divisors of the splits.
@@ -327,8 +326,8 @@ SPLIT_VIEW = FactorView(
 # Per-element property outcomes
 
 
-def _beta_class_count(ring, target, xs, beta) -> int:
-    return len({_factor_key(ring, target, x, beta) for x in xs})
+def _beta_class_count(ring, xs, beta) -> int:
+    return len({ring.associate_key(x, beta) for x in xs})
 
 
 def _atomic_element(ev: Evaluator, view: FactorView, a, alpha) -> _ElementOutcome:
@@ -381,7 +380,7 @@ def _ffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
         vs = enumerate_factorizations(ev.ring, ev.tau, a, beta, cap=ev.cap)
         count = len([f for f in vs.items if not f.trivial])
     else:
-        keys = {view.key(ev.ring, a, p, beta) for p in view.pieces(ev, a) if not p.trivial}
+        keys = {view.key(ev.ring, p, beta) for p in view.pieces(ev, a) if not p.trivial}
         count = len(keys)
     return _ElementOutcome("holds", bound=count)
 
@@ -391,7 +390,7 @@ def _wffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
     for p in view.pieces(ev, a):
         if not p.trivial:
             values.update(view.atoms(p))
-    count = _beta_class_count(ev.ring, a, values, beta)
+    count = _beta_class_count(ev.ring, values, beta)
     note = "" if ev.exhaustive(a) else "count taken at cap"
     return _ElementOutcome("holds", bound=count, note=note)
 
@@ -408,7 +407,7 @@ def _idf_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOut
             atoms.append(x)
         elif flag == Flag.UNKNOWN:
             saw_unknown = True
-    count = _beta_class_count(ev.ring, a, atoms, beta)
+    count = _beta_class_count(ev.ring, atoms, beta)
     notes = []
     if not ev.exhaustive(a):
         notes.append("count taken at cap")
@@ -435,7 +434,7 @@ def _ufr_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOut
     certain, maybe = ev.alpha_items(view, a, alpha)
     keys = {}
     for p in certain:
-        keys.setdefault(view.key(ev.ring, a, p, beta), p)
+        keys.setdefault(view.key(ev.ring, p, beta), p)
     if len(keys) > 1:
         reps = sorted(keys.values(), key=lambda p: (len(view.atoms(p)), ev.ring.sort_key(view.atoms(p)[0])))
         return _ElementOutcome("fails", witness={"element": a, "first": reps[0], "second": reps[1]})
@@ -486,8 +485,10 @@ def check_property(
     (and flagged as such) on infinite ones."""
     cap = cap if cap is not None else DEFAULT_PROPERTY_CAP
     domain, scoped = _resolve_domain(ring, prop, scope_elements)
-    eff_tau = tau.regcap() if prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U) else tau
-    ev = evaluator if evaluator is not None else Evaluator(ring, eff_tau, cap)
+    ev = evaluator
+    if ev is None:
+        regcap = prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U)
+        ev = Evaluator(ring, tau.regcap() if regcap else tau, cap)
     view = SPLIT_VIEW if prop.scope == PropScope.REGCAP_U else PLAIN_VIEW
 
     def element_outcome(a) -> _ElementOutcome:

@@ -206,6 +206,7 @@ class Ring:
         self._classify_cache: dict = {}
         self._cofactor_cache: dict = {}
         self._assoc_cache: dict = {}
+        self._assoc_key_cache: dict = {}
 
     # -- arithmetic (overridden per construction)
 
@@ -359,6 +360,27 @@ class Ring:
         if a == self.zero and b == self.zero:
             return True
         return self.cofactors(a, b).all_units()
+
+    def associate_key(self, x, kind: AssociateKind) -> tuple:
+        """Class key of x: the least ``sort_key`` over its kind-associates.
+
+        The ring is strongly associate (``is_strongly_associate``), so the
+        associates of x are exactly its unit multiples, and the key is
+        ``(0, min sort_key(u*x))`` over the units u.  Under VERY_STRONG an x
+        that is not very-strongly associate to itself is its own class,
+        ``(1, sort_key(x))``.  One that is relates very strongly to every
+        unit multiple y = u*x, so its class is the whole orbit: if x = r*y
+        then x = (r*u)*x, so r*u and with it r is a unit.
+        """
+        key = (x, kind)
+        got = self._assoc_key_cache.get(key)
+        if got is None:
+            if kind == AssociateKind.VERY_STRONG and not self.associated(x, x, kind):
+                got = (1, self.sort_key(x))
+            else:
+                got = (0, min(self.sort_key(self.mul(u, x)) for u in self.units()))
+            self._assoc_key_cache[key] = got
+        return got
 
     def is_strongly_associate(self) -> bool:
         """a ~ b forces a = (unit)*b, for every pair.

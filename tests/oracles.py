@@ -1,19 +1,38 @@
 """Independent brute-force oracles the engine is checked against.
 
 These deliberately avoid the engine's divisor-restricted search: candidate
-factors are all nonzero non-units, multisets are generated by itertools, and
-class equality is decided by explicit bijective matching.
+factors are all nonzero non-units, multisets are generated by itertools,
+class keys come from a scan of the whole ring rather than the unit orbit,
+and class equality is decided by explicit bijective matching.
 """
 
 import itertools
 
-from taufact import AssociateKind, Factorization, canonicalize
-from taufact.factor import _factor_key
+from taufact import AssociateKind
+
+
+def oracle_class_key(ring, x, beta, pool=None):
+    """The least ``sort_key`` over every y in ``pool`` (default: the whole
+    ring) with x beta-associated to y; an x not very-strongly associate to
+    itself is its own class.  The pool must hold every associate of x."""
+    if beta == AssociateKind.VERY_STRONG and not ring.associated(x, x, beta):
+        return (1, ring.sort_key(x))
+    scan = ring.elements() if pool is None else pool
+    return (0, min(ring.sort_key(y) for y in scan if ring.associated(x, y, beta)))
+
+
+def _key_table(ring, beta):
+    return {x: oracle_class_key(ring, x, beta) for x in ring.elements()}
+
+
+def _multiset_key(keys, factors):
+    return tuple(sorted(keys[x] for x in factors))
 
 
 def oracle_factorization_classes(ring, tau, cap, beta):
     """Map each non-unit to its set of canonical factorization keys, by
     enumerating every factor multiset over the nonzero non-units."""
+    keys = _key_table(ring, beta)
     sharp = ring.nonzero_nonunits()
     units = ring.units()
     unit_multiples = {
@@ -22,9 +41,7 @@ def oracle_factorization_classes(ring, tau, cap, beta):
     out = {a: set() for a in ring.nonunits()}
     for a in ring.nonunits():
         for u in units:
-            x = ring.mul(ring.unit_inverse(u), a)
-            f = Factorization(ring=ring, unit=u, factors=(x,), target=a)
-            out[a].add(canonicalize(ring, f, beta))
+            out[a].add(_multiset_key(keys, (ring.mul(ring.unit_inverse(u), a),)))
     for k in range(2, cap + 1):
         for combo in itertools.combinations_with_replacement(sharp, k):
             ok = True
@@ -40,9 +57,7 @@ def oracle_factorization_classes(ring, tau, cap, beta):
             prod = ring.product(combo)
             for a in ring.nonunits():
                 if prod in unit_multiples[a]:
-                    u = ring.cofactors(a, prod).pick_unit()
-                    f = Factorization(ring=ring, unit=u, factors=combo, target=a)
-                    out[a].add(canonicalize(ring, f, beta))
+                    out[a].add(_multiset_key(keys, combo))
     return out
 
 
@@ -115,27 +130,18 @@ def oracle_classes_fast(ring, tau, cap, beta):
         for u in units:
             by_unit_multiple.setdefault(idx[ring.mul(ring.unit_inverse(u), elems[a])], []).append(a)
     out = {elems[a]: set() for a in nonunits}
+    keys = _key_table(ring, beta)
     for a in nonunits:
         target = elems[a]
         for u in units:
-            x = ring.mul(ring.unit_inverse(u), target)
-            out[target].add((_factor_key(ring, target, x, beta),))
+            out[target].add((keys[ring.mul(ring.unit_inverse(u), target)],))
     one = idx[ring.one]
-    key_cache = [dict() for _ in elems]  # target index -> factor index -> key
+    index_keys = [keys[e] for e in elems]
 
     def record(chosen, prod):
+        key = tuple(sorted(index_keys[i] for i in chosen))
         for a in by_unit_multiple.get(prod, ()):
-            target = elems[a]
-            kc = key_cache[a]
-            keys = []
-            for i in chosen:
-                k = kc.get(i)
-                if k is None:
-                    k = _factor_key(ring, target, elems[i], beta)
-                    kc[i] = k
-                keys.append(k)
-            keys.sort()
-            out[target].add(tuple(keys))
+            out[elems[a]].add(key)
 
     full_pool = frozenset(sharp)
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import sys
 import weakref
 
 from taufact import cli
@@ -45,6 +46,36 @@ def test_ufact_command(capsys):
     assert payload["splits"] == [
         {"unit": 1, "inessential": [], "essential": [2], "target": 2}
     ]
+
+
+def test_requests_grow_no_module_container(capsys):
+    """A stream of requests keeps no memory in the taufact modules: no dict,
+    list or set bound at module level grows while mixed requests run."""
+    mods = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "taufact"]
+
+    def sizes():
+        return {
+            (m.__name__, attr): len(val)
+            for m in mods
+            for attr, val in vars(m).items()
+            if not attr.startswith("__") and isinstance(val, (dict, list, set))
+        }
+
+    before = sizes()
+    requests = [
+        ("factorizations", "Zn(12)", "full", "4"),
+        ("classify", "prod(Z,Z)", "comax", "(6,4)"),
+        ("ufact", "Z", "full", "12"),
+        ("factorizations", "GFq(2,[0,0,1])", "zero", "[0,1]"),
+        ("ufact", "prod(Z,Z)", "full", "(2,3)"),
+        ("classify", "Zn(12)", "full", "6"),
+        ("factorizations", "Z", "regcap(full)", "-18"),
+        ("ufact", "GFq(2,[0,0,1])", "full", "[0,1]"),
+    ]
+    for cmd, ring, tau, element in requests:
+        code, _, err = run_cli(capsys, cmd, "--ring", ring, "--tau", tau, "--element", element)
+        assert code == 0, err
+    assert before and sizes() == before
 
 
 def test_properties_command(capsys):

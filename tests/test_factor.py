@@ -9,12 +9,15 @@ from taufact import (
     EmptyTau,
     Factorization,
     FullTau,
+    ModIntSpec,
     PreconditionError,
     RegCapTau,
     RegularTau,
     Rejection,
+    Ring,
     UnsupportedOperationError,
     ZeroProductTau,
+    build_ring,
     build_tau,
     canonicalize,
     enumerate_factorizations,
@@ -23,7 +26,7 @@ from taufact import (
     validate_factorization,
 )
 from conftest import small_finite_rings
-from oracles import matching_equivalent, oracle_factorization_classes
+from oracles import matching_equivalent, oracle_classes_fast, oracle_factorization_classes
 
 A, S, V = AssociateKind.ASSOCIATE, AssociateKind.STRONG, AssociateKind.VERY_STRONG
 
@@ -108,21 +111,34 @@ def test_emitted_factorizations_validate():
                     assert set(f.factors) <= set(ring.divisors(a))
 
 
-def test_oracle_agreement_small_rings():
-    # the acceptance suite runs the big corpus; keep a quick slice here
-    for ring in small_finite_rings()[:6]:
-        for spec in (FullTau(), ZeroProductTau(), ComaximalTau()):
+def _oracle_mismatches(rings, specs, cap, oracle) -> list:
+    """(ring, relation, beta, target) wherever the engine's canonical class
+    keys differ from the oracle's."""
+    out = []
+    for ring in rings:
+        for spec in specs:
             tau = build_tau(spec, ring)
             for beta in (A, S, V):
-                oracle = oracle_factorization_classes(ring, tau, 3, beta)
+                expected = oracle(ring, tau, cap, beta)
                 for a in ring.nonunits():
-                    fs = enumerate_factorizations(ring, tau, a, beta, cap=3)
-                    assert set(fs.classes.keys()) == oracle[a], (
-                        ring.spec_string(),
-                        spec,
-                        a,
-                        beta,
-                    )
+                    fs = enumerate_factorizations(ring, tau, a, beta, cap=cap)
+                    if set(fs.classes.keys()) != expected[a]:
+                        out.append((ring.spec_string(), spec, beta, a))
+    return out
+
+
+def test_oracle_agreement_small_rings():
+    # the acceptance suite runs the big corpus; keep a quick slice here
+    specs = (FullTau(), ZeroProductTau(), ComaximalTau())
+    assert _oracle_mismatches(small_finite_rings()[:6], specs, 3, oracle_factorization_classes) == []
+
+
+def test_oracles_see_a_wrong_class_key(monkeypatch):
+    """A class key that ignores associates disagrees with both oracles, so
+    their comparison can fail."""
+    monkeypatch.setattr(Ring, "associate_key", lambda ring, x, kind: (0, ring.sort_key(x)))
+    for oracle in (oracle_factorization_classes, oracle_classes_fast):
+        assert _oracle_mismatches([build_ring(ModIntSpec(6))], (FullTau(),), 3, oracle)
 
 
 def test_pump_witness_constructs_longer_factorization(z6):
@@ -165,8 +181,6 @@ def test_tau_divides_matches_enumeration():
         for spec in (FullTau(), ZeroProductTau(), ComaximalTau()):
             tau = build_tau(spec, ring)
             for a in ring.nonunits():
-                from oracles import oracle_factorization_classes  # noqa: F401
-
                 fs = enumerate_factorizations(ring, tau, a, V, cap=4)
                 present = set()
                 for f in fs.items:
@@ -305,7 +319,6 @@ def test_random_subset_oracle_fuzz():
     import random
 
     from taufact import SubsetTau
-    from oracles import oracle_classes_fast
 
     rng = random.Random(99)
     for ring in small_finite_rings()[:6]:

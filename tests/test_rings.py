@@ -20,6 +20,7 @@ from taufact import (
     ring_predicates,
 )
 from conftest import small_finite_rings
+from oracles import oracle_class_key
 
 A, S, V = AssociateKind.ASSOCIATE, AssociateKind.STRONG, AssociateKind.VERY_STRONG
 
@@ -157,6 +158,33 @@ def test_strongly_associate_closed_form_matches_scan():
     extra = [build_ring_from_text(s) for s in ("GFq(2,[1,0,0,1])", "prod(GFq(2,[0,0,1]),Zn(4))")]
     for ring in finite + small_finite_rings() + extra:
         assert ring.is_strongly_associate() == ring_predicates(ring)["strongly_associate"], ring
+
+
+def test_associate_key_matches_scan():
+    """The unit-orbit key equals the oracle's least associate found by a scan,
+    for every element and kind: over the whole ring when it is finite, over
+    the divisors on the scoped infinite default-corpus rings, and over a box
+    holding every unit multiple where a zero coordinate makes the divisor set
+    infinite."""
+    spec = default_corpus_spec()
+    corpus = [build_ring_from_text(s) for s in spec["rings"]]
+    finite = [r for r in corpus if r.is_finite]
+    assert len(finite) == 51
+    for ring in finite + small_finite_rings():
+        for x in ring.elements():
+            for kind in (A, S, V):
+                assert ring.associate_key(x, kind) == oracle_class_key(ring, x, kind), (ring, x, kind)
+    for text in ("Z", "prod(Z,Z)"):
+        ring = build_ring_from_text(text)
+        scope = [ring.element_from_json(e) for e in spec["scopes"][text]]
+        for x in scope:
+            try:
+                pool = ring.divisors(x)
+            except InfiniteSetError:
+                a, b = (abs(c) for c in x)
+                pool = [(i, j) for i in range(-a, a + 1) for j in range(-b, b + 1)]
+            for kind in (A, S, V):
+                assert ring.associate_key(x, kind) == oracle_class_key(ring, x, kind, pool), (ring, x, kind)
 
 
 def test_strongly_associate_scan_only_in_oracle():
