@@ -30,7 +30,7 @@ from .properties import (
 )
 from .relations import TauConstructionError
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
-from .theorems import verify_corpus_entry
+from .theorems import entry_relations, verify_corpus_entries
 
 BETA_NAMES = {
     "associate": AssociateKind.ASSOCIATE,
@@ -234,43 +234,78 @@ def _load_corpus(name: str) -> dict:
         return json.load(fh)
 
 
-# The ring a process built last, with its theorem-harness cache:
-# [ring_str, ring, ring_cache], or empty.
+# The ring a process built last, with the relation contexts of its entries:
+# [(ring_str, scope_json, cap), ring, contexts], or empty.
 _ring_slot: list = []
 
 
 def _verify_group(payload):
-    """Worker: one corpus entry (ring, relation).  Consecutive entries of the
-    same ring reuse the ring and its cache from the slot; within one run
-    every entry of a ring carries the same scope and cap."""
-    ring_str, tau_str, scope_json, cap = payload
-    if not _ring_slot or _ring_slot[0] != ring_str:
-        _ring_slot[:] = [ring_str, build_ring_from_text(ring_str), {}]
-    _, ring, ring_cache = _ring_slot
-    tau = build_tau_from_text(tau_str, ring)
+    """Worker: one pool unit, (ring, relations, scope, cap), whose relations
+    are the entries of one ring that share relation contexts.  Returns the
+    rows of each entry.  The ring and its contexts stay in the slot while
+    the next unit names the same ring, scope and cap."""
+    ring_str, tau_strs, scope_json, cap = payload
+    key = (ring_str, scope_json, cap)
+    if not _ring_slot or _ring_slot[0] != key:
+        _ring_slot[:] = [key, build_ring_from_text(ring_str), {}]
+    _, ring, contexts = _ring_slot
     scope = None
     if scope_json is not None:
         scope = [ring.element_from_json(e) for e in scope_json]
-    return [e.to_json() for e in verify_corpus_entry(ring, tau, scope, cap, ring_cache)]
+    taus = [build_tau_from_text(t, ring) for t in tau_strs]
+    return [
+        [e.to_json() for e in rows]
+        for rows in verify_corpus_entries(ring, taus, scope, cap, contexts)
+    ]
+
+
+def _pool_units(corpus_entries) -> list:
+    """Entry indices per pool unit: for each ring, the connected groups of
+    entries whose plain or restricted normal relations overlap, in the
+    order of their first entry."""
+    root = list(range(len(corpus_entries)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    first: dict = {}  # (ring, normal spec) -> first entry reading it
+    for i, ce in enumerate(corpus_entries):
+        for spec in entry_relations(ce.tau.spec):
+            j = find(first.setdefault((ce.ring_str, spec), i))
+            k = find(i)
+            root[max(j, k)] = min(j, k)
+    units: dict = {}
+    for i in range(len(corpus_entries)):
+        units.setdefault(find(i), []).append(i)
+    return list(units.values())
 
 
 def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
     corpus_entries, meta = generate_corpus(corpus_spec)
     cap = cap if cap is not None else meta["cap"]
     scopes = corpus_spec.get("scopes", {})
-    payloads = [(ce.ring_str, ce.tau_str, scopes.get(ce.ring_str), cap) for ce in corpus_entries]
-    rows: list = []
+    units = _pool_units(corpus_entries)
+    payloads = []
+    for unit in units:
+        ring_str = corpus_entries[unit[0]].ring_str
+        tau_strs = tuple(corpus_entries[i].tau_str for i in unit)
+        payloads.append((ring_str, tau_strs, scopes.get(ring_str), cap))
     try:
         if jobs > 1:
-            # one task per entry, handed to whichever worker is free
+            # one task per unit, handed to whichever worker is free
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for chunk in pool.map(_verify_group, payloads, chunksize=1):
-                    rows.extend(chunk)
+                results = list(pool.map(_verify_group, payloads, chunksize=1))
         else:
-            for payload in payloads:
-                rows.extend(_verify_group(payload))
+            results = [_verify_group(payload) for payload in payloads]
     finally:
         _ring_slot.clear()
+    per_entry: list = [None] * len(corpus_entries)
+    for unit, chunks in zip(units, results):
+        for i, chunk in zip(unit, chunks):
+            per_entry[i] = chunk
+    rows = [r for chunk in per_entry for r in chunk]
     summary: dict = {}
     for r in rows:
         summary[r["outcome"]] = summary.get(r["outcome"], 0) + 1

@@ -103,15 +103,15 @@ class FactorizationSet:
     budget_exhausted: bool = False
     note: str = ""
 
+    def __post_init__(self):
+        # the class representatives, shorter first, then by canonical key
+        self.items: tuple = tuple(
+            self.classes[k] for k in sorted(self.classes, key=lambda k: (len(k), k))
+        )
+
     @property
     def complete(self) -> bool:
         return not self.budget_exhausted and self.unbounded != "unknown"
-
-    @property
-    def items(self) -> tuple:
-        return tuple(
-            self.classes[k] for k in sorted(self.classes, key=lambda k: (len(k), k))
-        )
 
     def to_json(self):
         out = {

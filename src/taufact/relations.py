@@ -161,6 +161,26 @@ def build_tau(spec: TauSpec, ring: Ring) -> TauRelation:
     return TauRelation(spec, ring)
 
 
+def normal_spec(spec: TauSpec) -> TauSpec:
+    """One spec per relation the engine cannot tell apart.
+
+    ``regcap(full)`` and ``regcap(regular)`` become ``regular``, and
+    ``regcap(regcap(X))`` becomes ``regcap(X)``: each pair holds on the same
+    pairs, is ``regular_only`` and is associate-stable alike.  Nothing else
+    is rewritten.  ``regcap(empty)`` holds nowhere, as ``empty`` does, but it
+    is ``regular_only`` and ``empty`` is not, and the engine and the harness
+    branch on that; ``regcap(zero)`` likewise.
+    """
+    if not isinstance(spec, RegCapTau):
+        return spec
+    inner = normal_spec(spec.inner)
+    if isinstance(inner, (FullTau, RegularTau)):
+        return RegularTau()
+    if isinstance(inner, RegCapTau):
+        return inner
+    return RegCapTau(inner)
+
+
 class TauProperty(enum.Enum):
     MULTIPLICATIVE = "multiplicative"
     DIVISIVE = "divisive"

@@ -370,16 +370,15 @@ class Ring:
         that is not very-strongly associate to itself is its own class,
         ``(1, sort_key(x))``.  One that is relates very strongly to every
         unit multiple y = u*x, so its class is the whole orbit: if x = r*y
-        then x = (r*u)*x, so r*u and with it r is a unit.
+        then x = (r*u)*x, so r*u and with it r is a unit.  So every kind
+        shares one orbit key per x, memoized once.
         """
-        key = (x, kind)
-        got = self._assoc_key_cache.get(key)
+        if kind == AssociateKind.VERY_STRONG and not self.associated(x, x, kind):
+            return (1, self.sort_key(x))
+        got = self._assoc_key_cache.get(x)
         if got is None:
-            if kind == AssociateKind.VERY_STRONG and not self.associated(x, x, kind):
-                got = (1, self.sort_key(x))
-            else:
-                got = (0, min(self.sort_key(self.mul(u, x)) for u in self.units()))
-            self._assoc_key_cache[key] = got
+            got = (0, min(self.sort_key(self.mul(u, x)) for u in self.units()))
+            self._assoc_key_cache[x] = got
         return got
 
     def is_strongly_associate(self) -> bool:

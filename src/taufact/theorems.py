@@ -31,11 +31,15 @@ from .properties import (
     _witness_json,
 )
 from .relations import (
+    FullTau,
+    RegCapTau,
     RegularTau,
     TauProperty,
+    TauPropertyVerdict,
     TauRelation,
     build_tau,
     check_tau_property,
+    normal_spec,
 )
 from .rings import (
     AssociateKind,
@@ -92,12 +96,60 @@ def _tristate(v: PropertyVerdict):
     return None
 
 
-class EntryChecker:
-    """Runs every theorem family for one corpus entry."""
+def entry_relations(spec) -> tuple:
+    """The normal relations whose contexts an entry for ``spec`` reads: its
+    own and its restriction to regular pairs.  Its baseline rows also read
+    the ``regular`` and ``full`` contexts, whichever entry they belong to."""
+    return normal_spec(spec), normal_spec(RegCapTau(spec))
 
-    def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, ring_cache: dict):
+
+class RelationContext:
+    """The harness's work on one (ring, normal relation): the relation with
+    its pair caches, its evaluator, the property verdicts and the
+    refinability verdict.
+
+    Every corpus entry whose plain or restricted side normalizes to this
+    relation reads the same context.  A verdict depends only on the
+    evaluator, the property, the scope and the cap, so one context serves
+    one ring at one scope and cap.
+    """
+
+    def __init__(self, ring: Ring, spec, scope, cap: int):
+        self.tau = build_tau(spec, ring)
+        self.ev = Evaluator(ring, self.tau, cap)
+        self.scope = scope
+        self.cap = cap
+        self._verdicts: dict = {}
+        self._refinable: Optional[TauPropertyVerdict] = None
+
+    def verdict(self, prop: PropertyId) -> PropertyVerdict:
+        got = self._verdicts.get(prop)
+        if got is None:
+            got = check_property(
+                self.ev.ring, self.tau, prop, self.scope, self.cap, evaluator=self.ev
+            )
+            self._verdicts[prop] = got
+        return got
+
+    def refinable(self) -> TauPropertyVerdict:
+        if self._refinable is None:
+            self._refinable = check_tau_property(
+                self.tau, TauProperty.REFINABLE, scope=self.scope, cap=self.cap,
+                fs_provider=self.ev.fs,
+            )
+        return self._refinable
+
+
+class EntryChecker:
+    """Runs every theorem family for one corpus entry.
+
+    ``contexts`` maps normal relation specs to the ``RelationContext``s of
+    one ring, scope and cap; the checker adds the ones it needs.
+    """
+
+    def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict):
         self.ring = ring
-        self.tau = tau
+        self.label = tau.spec_string()
         if scope is not None:
             scope = sorted(
                 {a for a in scope if not ring.is_unit(a) and (ring.is_finite or a != ring.zero)},
@@ -106,17 +158,25 @@ class EntryChecker:
         self.scope = scope  # None for finite rings, else a sorted element list
         self.cap = cap
         self.scoped = scope is not None and not ring.is_finite
-        self.ring_cache = ring_cache
-        self.ev_plain = Evaluator(ring, tau, cap)
-        self.ev_regcap = Evaluator(ring, tau.regcap(), cap)
-        self._verdicts: dict = {}
+        self.contexts = contexts
+        plain, restricted = entry_relations(tau.spec)
+        self.plain = self._context(plain)
+        self.restricted = self._context(restricted)
+        self.tau = self.plain.tau
+        self.ev_plain = self.plain.ev
+        self.ev_regcap = self.restricted.ev
         self.entries: list = []
-        self.refinable = check_tau_property(
-            tau, TauProperty.REFINABLE, scope=scope, cap=cap,
-            fs_provider=self.ev_plain.fs,
-        )
+        self.refinable = self.plain.refinable()
 
     # -- plumbing
+
+    def _context(self, spec) -> RelationContext:
+        """The context of a relation spec in normal form."""
+        got = self.contexts.get(spec)
+        if got is None:
+            got = RelationContext(self.ring, spec, self.scope, self.cap)
+            self.contexts[spec] = got
+        return got
 
     def domain(self) -> list:
         if self.scope is not None:
@@ -124,24 +184,15 @@ class EntryChecker:
         return self.ring.nonunits()
 
     def verdict(self, prop: PropertyId) -> PropertyVerdict:
-        got = self._verdicts.get(prop)
-        if got is None:
-            ev = (
-                self.ev_regcap
-                if prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U)
-                else self.ev_plain
-            )
-            got = check_property(
-                self.ring, self.tau, prop, self.scope, self.cap, evaluator=ev
-            )
-            self._verdicts[prop] = got
-        return got
+        if prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U):
+            return self.restricted.verdict(prop)
+        return self.plain.verdict(prop)
 
     def emit(self, theorem, instance, outcome, witness=None, note=""):
         self.entries.append(
             TheoremEntry(
                 ring=self.ring.spec_string(),
-                tau=self.tau.spec_string(),
+                tau=self.label,
                 theorem=theorem,
                 instance=instance,
                 outcome=outcome,
@@ -675,24 +726,18 @@ class EntryChecker:
             )
 
     def _baseline_verdicts(self) -> dict:
-        got = self.ring_cache.get("regular-baseline")
-        if got is None:
-            rtau = build_tau(RegularTau(), self.ring)
-            ev = Evaluator(self.ring, rtau, self.cap)
-            def v(prop):
-                return check_property(self.ring, rtau, prop, self.scope, self.cap, evaluator=ev)
-            got = {
-                "bfr": v(PropertyId(PropKind.BFR, scope=PropScope.REGULAR)),
-                "ffr": v(PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=PropScope.REGULAR)),
-                "wffr": v(PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=PropScope.REGULAR)),
-                "accp": v(PropertyId(PropKind.ACCP, scope=PropScope.REGULAR)),
-                "hfr": v(PropertyId(PropKind.HFR, alpha=IrreducibleKind.IRREDUCIBLE, scope=PropScope.REGULAR)),
-                "ufr": v(
-                    PropertyId(PropKind.UFR, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=PropScope.REGULAR)
-                ),
-            }
-            self.ring_cache["regular-baseline"] = got
-        return got
+        ctx = self._context(RegularTau())
+        reg = PropScope.REGULAR
+        return {
+            "bfr": ctx.verdict(PropertyId(PropKind.BFR, scope=reg)),
+            "ffr": ctx.verdict(PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=reg)),
+            "wffr": ctx.verdict(PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=reg)),
+            "accp": ctx.verdict(PropertyId(PropKind.ACCP, scope=reg)),
+            "hfr": ctx.verdict(PropertyId(PropKind.HFR, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg)),
+            "ufr": ctx.verdict(
+                PropertyId(PropKind.UFR, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=reg)
+            ),
+        }
 
     def family_split_equivalences(self):
         """Each property read through the splits against its regcap-all twin."""
@@ -814,21 +859,10 @@ class EntryChecker:
                 self.implication(theorem, f"flag-hfr=>ffr-{al}-{bl}", hfr, ffr, gated=True, informational=True)
 
     def _full_relation_accp(self) -> Optional[PropertyVerdict]:
-        got = self.ring_cache.get("full-accp", False)
-        if got is False:
-            from .relations import FullTau
-
-            ftau = build_tau(FullTau(), self.ring)
-            ev = Evaluator(self.ring, ftau, self.cap)
-            try:
-                got = check_property(
-                    self.ring, ftau, PropertyId(PropKind.ACCP, scope=PropScope.PLAIN),
-                    self.scope, self.cap, evaluator=ev,
-                )
-            except (UnsupportedOperationError, PreconditionError):
-                got = None
-            self.ring_cache["full-accp"] = got
-        return got
+        try:
+            return self._context(FullTau()).verdict(PropertyId(PropKind.ACCP, scope=PropScope.PLAIN))
+        except (UnsupportedOperationError, PreconditionError):
+            return None
 
     def family_regular_arrow_diagram(self):
         theorem = "regular-factorization-arrows"
@@ -891,9 +925,26 @@ def _combine_and(a: PropertyVerdict, b: PropertyVerdict) -> PropertyVerdict:
     return out
 
 
-def verify_corpus_entry(ring: Ring, tau: TauRelation, scope, cap: int, ring_cache: dict) -> list:
-    checker = EntryChecker(ring, tau, scope, cap, ring_cache)
+def verify_corpus_entry(ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict) -> list:
+    checker = EntryChecker(ring, tau, scope, cap, contexts)
     return checker.run()
+
+
+def verify_corpus_entries(ring: Ring, taus, scope, cap: int, contexts: dict) -> list:
+    """The rows of each entry of one ring.  Rows depend on the relation
+    only through its normal form and the ``tau`` label, so an entry whose
+    normal relation an earlier one had gets that entry's rows, relabelled."""
+    by_spec: dict = {}
+    out = []
+    for tau in taus:
+        spec = normal_spec(tau.spec)
+        rows = by_spec.get(spec)
+        if rows is None:
+            rows = by_spec[spec] = verify_corpus_entry(ring, tau, scope, cap, contexts)
+        else:
+            rows = [replace(e, tau=tau.spec_string()) for e in rows]
+        out.append(rows)
+    return out
 
 
 def summarize(entries: list) -> dict:

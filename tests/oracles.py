@@ -85,8 +85,6 @@ def oracle_atomic(ring, tau, a, cap):
     """Does a have a factorization whose factors all admit only
     factorizations with an associate of themselves?  (Irreducible flavor,
     decided entirely from the oracle enumeration.)"""
-    classes = oracle_factorization_classes(ring, tau, cap, AssociateKind.ASSOCIATE)
-
     def raw_factorizations(target):
         sharp = ring.nonzero_nonunits()
         units = ring.units()

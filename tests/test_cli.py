@@ -4,7 +4,7 @@ import json
 import sys
 import weakref
 
-from taufact import cli
+from taufact import cli, theorems
 from taufact.cli import main
 from taufact.corpus import default_corpus_spec, generate_corpus
 
@@ -150,20 +150,27 @@ def test_verify_tiny_corpus(tmp_path, capsys):
 
 
 def test_verify_deterministic_and_parallel_equal(tmp_path, capsys, monkeypatch):
-    # Z is scoped and infinite, and each of its relations is a pool unit
+    # Z is scoped and infinite; Zn(6) is listed twice and comax named twice,
+    # so units merge entries that are not next to each other in the corpus
     real_build = cli.build_ring_from_text
-    built = []
+    built, contexts = [], []
 
     def build_ring(text):
         ring = real_build(text)
         built.append(weakref.ref(ring))
         return ring
 
+    class Context(theorems.RelationContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(weakref.ref(self))
+
     monkeypatch.setattr(cli, "build_ring_from_text", build_ring)
+    monkeypatch.setattr(theorems, "RelationContext", Context)
     corpus = {
         "schema": 1,
-        "rings": ["Zn(6)", "Zn(9)", "prod(Zn(2),Zn(3))", "Z"],
-        "taus": ["full", "comax", "regcap(full)"],
+        "rings": ["Zn(6)", "Zn(9)", "prod(Zn(2),Zn(3))", "Z", "Zn(6)"],
+        "taus": ["full", "comax", "regcap(full)", "regular", "comax"],
         "scopes": {"Z": [2, -3, 4, 6, 12, -30]},
         "cap": 4,
         "budget": 1000,
@@ -176,14 +183,22 @@ def test_verify_deterministic_and_parallel_equal(tmp_path, capsys, monkeypatch):
         assert code == 0
         assert cli._ring_slot == []
         outs.append(out)
-    # the in-process runs leave no ring behind once the slot is emptied
+    # the in-process runs leave no ring or relation context behind once
+    # the slot is emptied
     gc.collect()
     assert built and all(ref() is None for ref in built)
+    assert contexts and all(ref() is None for ref in contexts)
     assert outs[0] == outs[1] == outs[2]
     entries = json.loads(outs[0])["entries"]
     assert any(r["ring"] == "Z" and r["scoped"] for r in entries)
     blocks = [key for key, _ in itertools.groupby((r["ring"], r["tau"]) for r in entries)]
     assert blocks == [(ring, tau) for ring in corpus["rings"] for tau in corpus["taus"]]
+    # a repeated ring or relation reports the same rows at each place
+    by_block = {}
+    for key, rows in itertools.groupby(entries, key=lambda r: (r["ring"], r["tau"])):
+        by_block.setdefault(key, []).append(list(rows))
+    assert by_block[("Zn(6)", "comax")][0] == by_block[("Zn(6)", "comax")][-1]
+    assert len(by_block[("Zn(6)", "comax")]) == 4
 
 
 def test_catalog_roundtrip(tmp_path, capsys):

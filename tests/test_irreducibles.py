@@ -18,7 +18,6 @@ from taufact import (
     tau_r_atom,
 )
 from conftest import small_finite_rings
-from oracles import oracle_atomic
 
 I, S, M, U, V = (
     IrreducibleKind.IRREDUCIBLE,

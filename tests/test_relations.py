@@ -15,6 +15,8 @@ from taufact import (
     build_tau,
     check_tau_property,
 )
+from taufact.factor import _associate_stable
+from taufact.relations import normal_spec
 from conftest import small_finite_rings
 
 ALL_SPECS = (
@@ -175,3 +177,22 @@ def test_associate_preserving(z6):
     s = build_tau(SubsetTau((2, 3)), z6)
     v = check_tau_property(s, TauProperty.ASSOCIATE_PRESERVING, kind=AssociateKind.ASSOCIATE)
     assert not v.holds  # 2 ~ 4 but 4 is outside the subset
+
+
+def test_normal_spec_keeps_what_the_engine_branches_on():
+    """The normal form merges only specs that hold on the same pairs and
+    agree on ``regular_only`` and associate stability."""
+    rc = RegCapTau
+    assert normal_spec(rc(FullTau())) == RegularTau()
+    assert normal_spec(rc(RegularTau())) == RegularTau()
+    assert normal_spec(rc(rc(rc(FullTau())))) == RegularTau()
+    assert normal_spec(rc(rc(ComaximalTau()))) == rc(ComaximalTau())
+    for kept in (rc(EmptyTau()), rc(ZeroProductTau()), rc(ComaximalTau()), EmptyTau(), FullTau()):
+        assert normal_spec(kept) == kept
+    for ring in small_finite_rings():
+        sharp = ring.nonzero_nonunits()
+        for spec in ALL_SPECS + (rc(EmptyTau()), rc(ZeroProductTau()), rc(rc(ComaximalTau()))):
+            tau, norm = build_tau(spec, ring), build_tau(normal_spec(spec), ring)
+            assert norm.regular_only == tau.regular_only
+            assert _associate_stable(norm.spec) == _associate_stable(tau.spec)
+            assert all(tau.holds(a, b) == norm.holds(a, b) for a in sharp for b in sharp)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from taufact import cli, theorems
 from taufact import (
     ComaximalTau,
     FullTau,
@@ -15,7 +16,9 @@ from taufact import (
     summarize,
     verify_corpus_entry,
 )
-from taufact.relations import format_tau_spec
+from taufact.corpus import DEFAULT_TAUS, default_corpus_spec, generate_corpus
+from taufact.parsing import build_ring_from_text, build_tau_from_text
+from taufact.relations import EmptyTau, format_tau_spec, normal_spec
 
 from taufact import PolyQuotSpec
 
@@ -169,3 +172,65 @@ def test_split_equivalences_can_fail(monkeypatch):
     u_pool = Evaluator.u_pool
     monkeypatch.setattr(Evaluator, "u_pool", lambda self, a: u_pool(self, a)[:-1])
     assert violated()
+
+
+def _direct_rows(corpus, monkeypatch):
+    """Each entry on a fresh ring, with a fresh checker and no shared
+    context, and with relation specs used as written."""
+    entries, meta = generate_corpus(corpus)
+    rows = []
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "normal_spec", lambda spec: spec)
+        for ce in entries:
+            ring = build_ring_from_text(ce.ring_str)
+            tau = build_tau_from_text(ce.tau_str, ring)
+            rows += [e.to_json() for e in verify_corpus_entry(ring, tau, ce.scope, meta["cap"], {})]
+    return rows
+
+
+def _finite_default_corpus():
+    spec = default_corpus_spec()
+    spec["rings"] = [r for r in spec["rings"] if r not in spec["scopes"]]
+    spec["scopes"] = {}
+    return spec
+
+
+def _scoped_corpus(taus=DEFAULT_TAUS):
+    zz = [[a, b] for a in range(-6, 7) for b in range(-6, 7) if a and b]
+    zz += [[a, 0] for a in range(1, 5)] + [[0, b] for b in range(1, 5)]
+    return {
+        "schema": 1,
+        "rings": ["Z", "prod(Z,Z)"],
+        "taus": list(taus),
+        "scopes": {"Z": [a for a in range(-60, 61) if abs(a) > 1], "prod(Z,Z)": zz},
+        "cap": 6,
+    }
+
+
+@pytest.mark.parametrize("corpus", [_finite_default_corpus(), _scoped_corpus()], ids=["finite-default", "scoped"])
+def test_shared_contexts_match_direct_rows(corpus, monkeypatch):
+    """Rows from relation contexts shared across entries, and copied
+    between entries with one normal relation, equal rows computed per entry
+    on its own."""
+    assert cli.run_verification(corpus)["entries"] == _direct_rows(corpus, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "wrong,corpus",
+    [
+        (RegCapTau(ComaximalTau()), {"schema": 1, "rings": ["Zn(6)"], "taus": ["regcap(comax)"], "cap": 5}),
+        (RegCapTau(EmptyTau()), _scoped_corpus(["empty", "regcap(empty)"])),
+    ],
+    ids=["regcap-comax", "regcap-empty"],
+)
+def test_shared_rows_see_a_wrong_normal_form(wrong, corpus, monkeypatch):
+    """A normal form that drops a regcap the engine can see (here
+    ``regular_only``) makes the shared rows differ from the direct ones."""
+    direct = _direct_rows(corpus, monkeypatch)
+    assert cli.run_verification(corpus)["entries"] == direct
+
+    def normal(spec):
+        return wrong.inner if spec == wrong else normal_spec(spec)
+
+    monkeypatch.setattr(theorems, "normal_spec", normal)
+    assert cli.run_verification(corpus)["entries"] != direct
