@@ -100,7 +100,6 @@ class FactorizationSet:
     max_length: int
     unbounded: str  # "no" | "yes" | "unknown"
     pump: Optional[PumpWitness]
-    budget_exhausted: bool = False
     note: str = ""
 
     def __post_init__(self):
@@ -111,7 +110,12 @@ class FactorizationSet:
 
     @property
     def complete(self) -> bool:
-        return not self.budget_exhausted and self.unbounded != "unknown"
+        return self.unbounded != "unknown"
+
+    @property
+    def exhaustive(self) -> bool:
+        """No factorization reached the cap and none pumps, so all are listed."""
+        return self.unbounded == "no"
 
     def to_json(self):
         out = {
@@ -280,13 +284,8 @@ def enumerate_factorizations(
     target,
     beta: AssociateKind = AssociateKind.ASSOCIATE,
     cap: Optional[int] = None,
-    budget: Optional[int] = None,
 ) -> FactorizationSet:
-    """All factorizations of ``target`` with length 1..cap, canonicalized.
-
-    ``budget`` caps the number of search nodes; exceeding it is reported via
-    ``budget_exhausted`` (the result is then incomplete).
-    """
+    """All factorizations of ``target`` with length 1..cap, canonicalized."""
     cls = ring.classify(target)
     if cls == ElementClass.UNIT:
         raise PreconditionError("target must be a non-unit")
@@ -328,7 +327,6 @@ def enumerate_factorizations(
     candidates = _nontrivial_candidates(
         ring, tau, target, reduce_assoc=beta != AssociateKind.VERY_STRONG
     )
-    budget_exhausted = False
 
     if candidates:
         unit_cof: dict = {}
@@ -341,16 +339,10 @@ def enumerate_factorizations(
             return got
 
         divisor_set = set(ring.divisors(target))
-        nodes = 0
 
         # depth-first over nondecreasing candidate index sequences
-        def extend(pool: list, chosen: list, product) -> bool:
-            nonlocal nodes, budget_exhausted
+        def extend(pool: list, chosen: list, product) -> None:
             for idx, x in enumerate(pool):
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    budget_exhausted = True
-                    return False
                 prod2 = mul(product, x)
                 # every partial product divides the target (0 divides only 0)
                 if prod2 == zero:
@@ -366,11 +358,9 @@ def enumerate_factorizations(
                 if len(chosen) < cap:
                     # keep candidates >= x that relate to x (x itself only if x rel x)
                     pool2 = [y for y in pool[idx:] if tau.holds(x, y)]
-                    if pool2 and not extend(pool2, chosen, prod2):
-                        chosen.pop()
-                        return False
+                    if pool2:
+                        extend(pool2, chosen, prod2)
                 chosen.pop()
-            return True
 
         extend(candidates, [], ring.one)
 
@@ -392,7 +382,6 @@ def enumerate_factorizations(
         max_length=max_length,
         unbounded=unbounded,
         pump=pump,
-        budget_exhausted=budget_exhausted,
     )
 
 

@@ -85,7 +85,6 @@ def classify(
         raise PreconditionError("irreducibility is defined for non-units only")
     if fs is None:
         fs = enumerate_factorizations(ring, tau, a, AssociateKind.STRONG, cap=cap)
-    exhaustive = fs.unbounded == "no" and not fs.budget_exhausted
     items = fs.items
 
     assoc = lambda x: ring.associated(a, x, AssociateKind.ASSOCIATE)
@@ -95,7 +94,7 @@ def classify(
         for f in items:
             if not satisfies(f):
                 return Flag.FALSE
-        if exhaustive:
+        if fs.exhaustive:
             return Flag.TRUE
         if all(closure_rel(d) for d in fs.candidates):
             # every possible factor of any factorization is related to a
@@ -116,7 +115,7 @@ def classify(
 
     if any(not f.trivial for f in items) or fs.unbounded == "yes":
         unref = Flag.FALSE
-    elif exhaustive:
+    elif fs.exhaustive:
         unref = Flag.TRUE
     else:
         unref = Flag.UNKNOWN
@@ -177,7 +176,7 @@ def tau_r_atom(
         raise PreconditionError("expected a regular non-unit")
     if fs is None:
         fs = enumerate_factorizations(ring, tau, a, AssociateKind.STRONG, cap=cap)
-    if not (fs.unbounded == "no" and not fs.budget_exhausted):
+    if not fs.exhaustive:
         raise UnsupportedOperationError(
             "factorization set of a regular element did not enumerate completely"
         )

@@ -181,8 +181,7 @@ class Evaluator:
         return got
 
     def exhaustive(self, a) -> bool:
-        fs = self.fs(a)
-        return fs.unbounded == "no" and not fs.budget_exhausted
+        return self.fs(a).exhaustive
 
     def profile(self, a):
         got = self._profiles.get(a)

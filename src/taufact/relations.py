@@ -238,10 +238,18 @@ def check_tau_property(
     if prop == TauProperty.ASSOCIATE_PRESERVING:
         return _check_associate_preserving(tau, kind, domain, scoped)
     if prop == TauProperty.REFINABLE:
-        return _check_refinable(tau, domain, scoped, cap, fs_provider)
-    if prop == TauProperty.COMBINABLE:
-        return _check_combinable(tau, domain, scoped, cap, fs_provider)
-    raise ValueError(f"unknown relation property: {prop!r}")
+        check = _check_refinable
+    elif prop == TauProperty.COMBINABLE:
+        check = _check_combinable
+    else:
+        raise ValueError(f"unknown relation property: {prop!r}")
+    cap = cap if cap is not None else 4
+    if fs_provider is None:
+        # Local import: the engine depends on this module for relation types.
+        from .factor import enumerate_factorizations
+
+        fs_provider = lambda a: enumerate_factorizations(ring, tau, a, cap=cap)
+    return check(tau, domain, scoped, cap, fs_provider)
 
 
 def _in_sharp(ring: Ring, x) -> bool:
@@ -322,20 +330,11 @@ def _check_associate_preserving(tau, kind, domain, scoped) -> TauPropertyVerdict
     )
 
 
-def _iter_factorization_sets(tau, domain, cap, fs_provider=None):
-    # Local import: the engine depends on this module for relation types.
-    from .factor import enumerate_factorizations
-
+def _iter_factorization_sets(tau, domain, fs):
     ring = tau.ring
-    targets = list(domain)
-    if ring.is_finite:
-        targets = list(ring.nonunits())
-    for a in targets:
+    for a in ring.nonunits() if ring.is_finite else domain:
         try:
-            if fs_provider is not None:
-                yield a, fs_provider(a)
-            else:
-                yield a, enumerate_factorizations(ring, tau, a, cap=cap)
+            yield fs(a)
         except UnsupportedOperationError:
             continue
 
@@ -353,111 +352,63 @@ def _position_pairs(items):
     return pairs
 
 
-def _refinement_blocks(tau, x, cap, cache, fs_provider=None):
+def _refinement_blocks(tau, x, fs):
     """Factor multisets that can replace one position holding x: the factor
     lists of x's factorizations, with trivial ones expanded over all units."""
-    got = cache.get(x, False)
-    if got is not False:
-        return got
-    from .factor import enumerate_factorizations
-
     ring = tau.ring
     try:
-        if fs_provider is not None:
-            fs = fs_provider(x)
-        else:
-            fs = enumerate_factorizations(ring, tau, x, cap=cap)
+        items = fs(x).items
     except UnsupportedOperationError:
-        cache[x] = None
         return None
-    blocks = [f.factors for f in fs.items if not f.trivial]
+    blocks = [f.factors for f in items if not f.trivial]
     for u in ring.units():
         blocks.append((ring.mul(ring.unit_inverse(u), x),))
-    got = sorted(set(blocks))
-    cache[x] = got
-    return got
+    return sorted(set(blocks))
 
 
-def _check_refinable(tau, domain, scoped, cap, fs_provider=None) -> TauPropertyVerdict:
+def _check_refinable(tau, domain, scoped, cap, fs) -> TauPropertyVerdict:
     """A refinement replaces every position by a factorization of it; its new
     pair conditions decompose over pairs of original positions, so it is
-    enough to check all cross pairs of replacement blocks.
+    enough to check the cross pairs of the replacement blocks of every two
+    co-occurring positions.
 
     Block factors are nonzero non-units by construction, so compatibility
-    only depends on the relation, checked via adjacency bitmasks over the
-    value universe.
+    only depends on the relation, and only those cross pairs are asked.
     """
     ring = tau.ring
-    cap = cap if cap is not None else 4
-    blocks_cache: dict = {}
     pairs = set()
-    for a, fs in _iter_factorization_sets(tau, domain, cap, fs_provider):
-        pairs.update(_position_pairs(fs.items))
+    for got in _iter_factorization_sets(tau, domain, fs):
+        pairs.update(_position_pairs(got.items))
     pairs = sorted(pairs)
-    block_sets: dict = {}  # value -> list of distinct factor-value frozensets
+    block_sets = {}  # value -> list of distinct factor-value frozensets
+    for v in dict.fromkeys(v for pair in pairs for v in pair):
+        blocks = _refinement_blocks(tau, v, fs)
+        block_sets[v] = None if blocks is None else sorted({frozenset(b) for b in blocks})
     for x, y in pairs:
-        for v in (x, y):
-            if v not in block_sets:
-                blocks = _refinement_blocks(tau, v, cap, blocks_cache, fs_provider)
-                block_sets[v] = (
-                    None if blocks is None else sorted({frozenset(b) for b in blocks})
-                )
-    universe = sorted(
-        {u for bs in block_sets.values() if bs for b in bs for u in b},
-        key=ring.sort_key,
-    )
-    index = {u: i for i, u in enumerate(universe)}
-    adj = []
-    for u in universe:
-        m = 0
-        for v in universe:
-            if tau.holds(u, v):
-                m |= 1 << index[v]
-        adj.append(m)
-
-    def mask(bs):
-        m = 0
-        for u in bs:
-            m |= 1 << index[u]
-        return m
-
-    def capmask(bs):
-        m = (1 << len(universe)) - 1
-        for u in bs:
-            m &= adj[index[u]]
-        return m
-
-    masked = {
-        v: None if bss is None else [(bs, mask(bs), capmask(bs)) for bs in bss]
-        for v, bss in block_sets.items()
-    }
-    for x, y in pairs:
-        gx, gy = masked[x], masked[y]
+        gx, gy = block_sets[x], block_sets[y]
         if gx is None or gy is None:
             continue
-        for g, gm, gcap in gx:
-            for h, hm, _ in gy:
-                if hm & ~gcap:
-                    u = next(a for a in g for b in h if not tau.holds(a, b))
-                    v = next(b for b in h if not tau.holds(u, b))
+        for g in gx:
+            for h in gy:
+                bad = next(((u, v) for u in g for v in h if not tau.holds(u, v)), None)
+                if bad is not None:
                     return TauPropertyVerdict(
                         TauProperty.REFINABLE,
                         "fails",
-                        witness=((x, sorted(g, key=ring.sort_key)), (y, sorted(h, key=ring.sort_key)), (u, v)),
+                        witness=((x, sorted(g, key=ring.sort_key)), (y, sorted(h, key=ring.sort_key)), bad),
                         cap=cap,
                         scoped=scoped,
                     )
     return TauPropertyVerdict(TauProperty.REFINABLE, "holds", cap=cap, scoped=scoped)
 
 
-def _check_combinable(tau, domain, scoped, cap, fs_provider=None) -> TauPropertyVerdict:
+def _check_combinable(tau, domain, scoped, cap, fs) -> TauPropertyVerdict:
     """Merging two positions of a factorization must leave a factorization;
     only the merged value's pairs with the remaining positions are new."""
     ring = tau.ring
-    cap = cap if cap is not None else 4
     seen = set()
-    for a, fs in _iter_factorization_sets(tau, domain, cap, fs_provider):
-        for f in fs.items:
+    for got in _iter_factorization_sets(tau, domain, fs):
+        for f in got.items:
             n = len(f.factors)
             if n < 2:
                 continue

@@ -288,15 +288,15 @@ class Ring:
 
     def _classify(self, a) -> ElementClass:
         # Finite rings: decide by scan.  Infinite constructions override.
+        # A finite ring has no regular non-units: if a is not a unit, x -> a*x
+        # misses 1, so on a finite set it is not one-to-one either, and
+        # a*b = a*c with b != c gives a*(b - c) = 0.
         if a == self.zero:
             return ElementClass.ZERO
         for b in self.elements():
             if self.mul(a, b) == self.one:
                 return ElementClass.UNIT
-        for b in self.elements():
-            if b != self.zero and self.mul(a, b) == self.zero:
-                return ElementClass.ZERO_DIVISOR
-        return ElementClass.REGULAR_NON_UNIT
+        return ElementClass.ZERO_DIVISOR
 
     def nonunits(self) -> list:
         """All non-units (0 included) in deterministic order; finite rings only."""

@@ -160,3 +160,55 @@ def oracle_classes_fast(ring, tau, cap, beta):
 
     rec(sharp, [], one)
     return out
+
+
+def _pairwise_related(tau, factors):
+    return all(
+        tau.holds(factors[i], factors[j])
+        for i in range(len(factors))
+        for j in range(i + 1, len(factors))
+    )
+
+
+def oracle_refinable(ring, tau, cap):
+    """Refinability from the definition, by brute force over R#.
+
+    A factorization with two or more positions is any pairwise-related
+    multiset over the nonzero non-units of length 2..cap.  A position
+    holding x may be replaced by a factorization of x: a trivial variant
+    ``(u^-1 x,)`` for a unit u, or a pairwise-related multiset of length
+    2..cap whose product is a unit multiple of x.  The relation is refinable
+    when replacing any two positions of any factorization leaves a
+    pairwise-related multiset.  Returns ``(holds, replacements)``, the
+    second mapping each x in R# to its replacement multisets, so that a
+    caller can check a witness against the definition."""
+    sharp = ring.nonzero_nonunits()
+    units = ring.units()
+    multisets = [
+        combo
+        for k in range(2, cap + 1)
+        for combo in itertools.combinations_with_replacement(sharp, k)
+        if _pairwise_related(tau, combo)
+    ]
+    by_product = {}
+    for combo in multisets:
+        by_product.setdefault(ring.product(combo), []).append(combo)
+    replacements = {}
+    for x in sharp:
+        orbit = {ring.mul(ring.unit_inverse(u), x) for u in units}
+        replacements[x] = [(y,) for y in orbit] + [
+            combo for y in orbit for combo in by_product.get(y, ())
+        ]
+    seen = set()
+    for f in multisets:
+        for i, j in itertools.combinations(range(len(f)), 2):
+            rest = f[:i] + f[i + 1 : j] + f[j + 1 :]
+            for g in replacements[f[i]]:
+                for h in replacements[f[j]]:
+                    refined = tuple(sorted(rest + g + h, key=ring.sort_key))
+                    if refined in seen:
+                        continue
+                    seen.add(refined)
+                    if not _pairwise_related(tau, refined):
+                        return False, replacements
+    return True, replacements

@@ -308,13 +308,6 @@ def test_bounded_verdicts_are_actually_bounded():
                 assert again.max_length == fs.max_length
 
 
-def test_budget_valve(z8):
-    tau = build_tau(FullTau(), z8)
-    fs = enumerate_factorizations(z8, tau, 0, A, cap=6, budget=3)
-    assert fs.budget_exhausted
-    assert not fs.complete
-
-
 def test_random_subset_oracle_fuzz():
     import random
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from taufact import (
@@ -12,12 +14,16 @@ from taufact import (
     TauProperty,
     UnsupportedOperationError,
     ZeroProductTau,
+    build_ring_from_text,
     build_tau,
     check_tau_property,
 )
+from taufact import relations
 from taufact.factor import _associate_stable
+from taufact.properties import Evaluator
 from taufact.relations import normal_spec
 from conftest import small_finite_rings
+from oracles import oracle_refinable
 
 ALL_SPECS = (
     FullTau(),
@@ -196,3 +202,87 @@ def test_normal_spec_keeps_what_the_engine_branches_on():
             assert norm.regular_only == tau.regular_only
             assert _associate_stable(norm.spec) == _associate_stable(tau.spec)
             assert all(tau.holds(a, b) == norm.holds(a, b) for a in sharp for b in sharp)
+
+
+def _refinable_cases():
+    """Every small finite ring under the default relations and four seeded
+    subset relations."""
+    rng = random.Random(20261018)
+    for ring in small_finite_rings():
+        sharp = ring.nonzero_nonunits()
+        specs = list(ALL_SPECS)
+        for _ in range(4 if sharp else 0):
+            k = rng.randint(1, len(sharp))
+            specs.append(SubsetTau(tuple(sorted(rng.sample(sharp, k), key=ring.sort_key))))
+        for spec in specs:
+            yield ring, spec
+
+
+def _refinable_mismatches():
+    out = []
+    for ring, spec in _refinable_cases():
+        holds, replacements = oracle_refinable(ring, build_tau(spec, ring), 3)
+        tau = build_tau(spec, ring)
+        v = check_tau_property(tau, TauProperty.REFINABLE, cap=3)
+        if v.holds != holds:
+            out.append((ring.spec_string(), spec))
+        elif not v.holds:
+            # the witness is a refinement the definition rejects
+            (x, g), (y, h), (u, w) = v.witness
+            assert tau.holds(x, y), (ring.spec_string(), spec, v.witness)
+            assert any(set(r) == set(g) for r in replacements[x]), v.witness
+            assert any(set(r) == set(h) for r in replacements[y]), v.witness
+            assert u in g and w in h and not tau.holds(u, w), v.witness
+    return out
+
+
+def test_refinable_matches_definition_oracle():
+    assert _refinable_mismatches() == []
+
+
+def test_refinable_oracle_sees_dropped_unit_blocks(monkeypatch):
+    """Without the trivial unit-variant blocks the engine misses refinements
+    the definition rejects, and the oracle comparison says so."""
+    engine = relations._refinement_blocks
+
+    def nontrivial_only(tau, x, fs):
+        return [b for b in engine(tau, x, fs) or () if len(b) > 1]
+
+    monkeypatch.setattr(relations, "_refinement_blocks", nontrivial_only)
+    assert _refinable_mismatches()
+
+
+@pytest.mark.parametrize(
+    "ring_str, scope",
+    [
+        ("prod(Zn(4),Zn(6))", None),
+        ("prod(Z,Z)", [(a, b) for a in range(2, 9) for b in (-6, -3, 2, 5, 6)]),
+    ],
+)
+def test_refinable_asks_only_block_cross_pairs(ring_str, scope, monkeypatch):
+    """The relation under test is asked only about pairs (u, v) with u in a
+    block of x and v in a block of y for co-occurring positions x, y.
+    Enumerations come from a twin relation, so they ask the twin."""
+    ring = build_ring_from_text(ring_str)
+    ev = Evaluator(ring, build_tau(ComaximalTau(), ring))
+    tau = build_tau(ComaximalTau(), ring)
+    asked = []
+    engine_holds = tau._holds
+    monkeypatch.setattr(tau, "_holds", lambda a, b: asked.append((a, b)) or engine_holds(a, b))
+    check_tau_property(tau, TauProperty.REFINABLE, scope=scope, fs_provider=ev.fs)
+
+    targets = ring.nonunits() if ring.is_finite else [a for a in scope if not ring.is_unit(a)]
+    together = set()
+    for a in targets:
+        for f in ev.fs(a).items:
+            together.update(
+                (x, y) for i, x in enumerate(f.factors) for y in f.factors[i + 1 :]
+            )
+    support = {}
+    for x in {x for pair in together for x in pair}:
+        support[x] = {ring.mul(ring.unit_inverse(u), x) for u in ring.units()}
+        support[x].update(v for f in ev.fs(x).items for v in f.factors)
+    allowed = {(u, v) for x, y in together for u in support[x] for v in support[y]}
+    assert asked
+    outside = [p for p in asked if p not in allowed and p[::-1] not in allowed]
+    assert outside == [], f"{len(outside)} of {len(asked)} pairs asked outside the block cross pairs"
