@@ -261,8 +261,8 @@ def _verify_group(payload):
 
 def _pool_units(corpus_entries) -> list:
     """Entry indices per pool unit: for each ring, the connected groups of
-    entries whose plain or restricted normal relations overlap, in the
-    order of their first entry."""
+    entries whose plain or restricted context specs overlap, in the order
+    of their first entry."""
     root = list(range(len(corpus_entries)))
 
     def find(i):
@@ -270,9 +270,9 @@ def _pool_units(corpus_entries) -> list:
             i = root[i]
         return i
 
-    first: dict = {}  # (ring, normal spec) -> first entry reading it
+    first: dict = {}  # (ring, context spec) -> first entry reading it
     for i, ce in enumerate(corpus_entries):
-        for spec in entry_relations(ce.tau.spec):
+        for spec in entry_relations(ce.tau.spec, ce.ring):
             j = find(first.setdefault((ce.ring_str, spec), i))
             k = find(i)
             root[max(j, k)] = min(j, k)

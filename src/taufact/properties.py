@@ -167,6 +167,7 @@ class Evaluator:
         self._upools: dict = {}
         self._chain: dict = {}
         self._alpha_items: dict = {}
+        self._atomic: dict = {}
 
     def fs(self, a) -> FactorizationSet:
         got = self._fs.get(a)
@@ -230,6 +231,15 @@ class Evaluator:
                     maybe = True
             got = (certain, maybe)
             self._alpha_items[key] = got
+        return got
+
+    def atomic(self, view: "FactorView", a, alpha: IrreducibleKind) -> "_ElementOutcome":
+        """Whether a has an alpha-atomic piece in ``view``, decided once."""
+        key = (view.name, a, alpha)
+        got = self._atomic.get(key)
+        if got is None:
+            got = _atomic_element(self, view, a, alpha)
+            self._atomic[key] = got
         return got
 
     def pumped_atomic(self, view: "FactorView", a, alpha: IrreducibleKind):
@@ -493,7 +503,7 @@ def check_property(
     def element_outcome(a) -> _ElementOutcome:
         k = prop.kind
         if k == PropKind.ATOMIC:
-            return _atomic_element(ev, view, a, prop.alpha)
+            return ev.atomic(view, a, prop.alpha)
         if k == PropKind.ACCP:
             return _accp_element(ev, a, prop.scope == PropScope.REGULAR)
         if k == PropKind.BFR:
@@ -510,47 +520,49 @@ def check_property(
             return _ufr_element(ev, view, a, prop.alpha, prop.beta)
         raise ValueError(f"unknown property kind {k!r}")
 
-    # HFR and UFR also require atomicity of the whole scope
+    def aggregate(prop_id, outcome, atomic_unknown=False) -> PropertyVerdict:
+        bound = 0
+        unknown_note = ""
+        skipped = 0
+        for a in domain:
+            try:
+                out = outcome(a)
+            except UnsupportedOperationError as exc:
+                skipped += 1
+                unknown_note = f"element {ring.format_element(a)} skipped: {exc}"
+                continue
+            if out.status == "fails":
+                return PropertyVerdict(
+                    prop_id, "fails",
+                    witness=out.witness if out.witness is not None else a,
+                    cap=cap, scoped=scoped, note=out.note,
+                )
+            if out.status == "unknown":
+                unknown_note = out.note or unknown_note
+                skipped += 1
+            elif out.bound is not None:
+                bound = max(bound, out.bound)
+        if skipped or atomic_unknown:
+            note = unknown_note or "atomicity unknown at cap"
+            if skipped:
+                note += f" ({skipped} elements undecided)"
+            return PropertyVerdict(prop_id, "unknown", cap=cap, scoped=scoped, note=note)
+        note = "vacuous: empty scope" if not domain else ""
+        return PropertyVerdict(prop_id, "holds", bound=bound, cap=cap, scoped=scoped, note=note)
+
+    # HFR and UFR also require atomicity of the whole scope, read from the
+    # evaluator's atomic outcomes
+    atomic_unknown = False
     if prop.kind in (PropKind.HFR, PropKind.UFR):
         atomic_id = PropertyId(PropKind.ATOMIC, alpha=prop.alpha, scope=prop.scope)
-        atomic = check_property(ring, tau, atomic_id, scope_elements, cap, evaluator=ev)
+        atomic = aggregate(atomic_id, lambda a: ev.atomic(view, a, prop.alpha))
         if atomic.outcome == "fails":
             return PropertyVerdict(
                 prop, "fails", witness=atomic.witness, cap=cap, scoped=scoped,
                 note="not atomic for this flavor",
             )
         atomic_unknown = atomic.outcome == "unknown"
-    else:
-        atomic_unknown = False
-
-    bound = 0
-    unknown_note = ""
-    skipped = 0
-    for a in domain:
-        try:
-            out = element_outcome(a)
-        except UnsupportedOperationError as exc:
-            skipped += 1
-            unknown_note = f"element {ring.format_element(a)} skipped: {exc}"
-            continue
-        if out.status == "fails":
-            return PropertyVerdict(
-                prop, "fails",
-                witness=out.witness if out.witness is not None else a,
-                cap=cap, scoped=scoped, note=out.note,
-            )
-        if out.status == "unknown":
-            unknown_note = out.note or unknown_note
-            skipped += 1
-        elif out.bound is not None:
-            bound = max(bound, out.bound)
-    if skipped or atomic_unknown:
-        note = unknown_note or "atomicity unknown at cap"
-        if skipped:
-            note += f" ({skipped} elements undecided)"
-        return PropertyVerdict(prop, "unknown", cap=cap, scoped=scoped, note=note)
-    note = "vacuous: empty scope" if not domain else ""
-    return PropertyVerdict(prop, "holds", bound=bound, cap=cap, scoped=scoped, note=note)
+    return aggregate(prop, element_outcome, atomic_unknown)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,9 @@ def check_tau_property(
 
     ``kind`` only applies to ASSOCIATE_PRESERVING.  Refinable and combinable
     quantify over enumerated factorizations up to ``cap``; the verdict records
-    the cap used.
+    the largest cap of the enumerations it read (``fs_provider`` may choose
+    its own, as ``Evaluator.fs`` does on an infinite ring), or ``cap`` when
+    it read none.
     """
     ring = tau.ring
     if scope is None:
@@ -249,7 +251,16 @@ def check_tau_property(
         from .factor import enumerate_factorizations
 
         fs_provider = lambda a: enumerate_factorizations(ring, tau, a, cap=cap)
-    return check(tau, domain, scoped, cap, fs_provider)
+    read = []  # the caps of the enumerations the check reads
+
+    def fs(a):
+        got = fs_provider(a)
+        read.append(got.cap)
+        return got
+
+    verdict = check(tau, domain, scoped, fs)
+    verdict.cap = max(read, default=cap)
+    return verdict
 
 
 def _in_sharp(ring: Ring, x) -> bool:
@@ -366,7 +377,7 @@ def _refinement_blocks(tau, x, fs):
     return sorted(set(blocks))
 
 
-def _check_refinable(tau, domain, scoped, cap, fs) -> TauPropertyVerdict:
+def _check_refinable(tau, domain, scoped, fs) -> TauPropertyVerdict:
     """A refinement replaces every position by a factorization of it; its new
     pair conditions decompose over pairs of original positions, so it is
     enough to check the cross pairs of the replacement blocks of every two
@@ -396,13 +407,12 @@ def _check_refinable(tau, domain, scoped, cap, fs) -> TauPropertyVerdict:
                         TauProperty.REFINABLE,
                         "fails",
                         witness=((x, sorted(g, key=ring.sort_key)), (y, sorted(h, key=ring.sort_key)), bad),
-                        cap=cap,
                         scoped=scoped,
                     )
-    return TauPropertyVerdict(TauProperty.REFINABLE, "holds", cap=cap, scoped=scoped)
+    return TauPropertyVerdict(TauProperty.REFINABLE, "holds", scoped=scoped)
 
 
-def _check_combinable(tau, domain, scoped, cap, fs) -> TauPropertyVerdict:
+def _check_combinable(tau, domain, scoped, fs) -> TauPropertyVerdict:
     """Merging two positions of a factorization must leave a factorization;
     only the merged value's pairs with the remaining positions are new."""
     ring = tau.ring
@@ -437,7 +447,6 @@ def _check_combinable(tau, domain, scoped, cap, fs) -> TauPropertyVerdict:
                             TauProperty.COMBINABLE,
                             "fails",
                             witness=(f, (x, y), bad),
-                            cap=cap,
                             scoped=scoped,
                         )
-    return TauPropertyVerdict(TauProperty.COMBINABLE, "holds", cap=cap, scoped=scoped)
+    return TauPropertyVerdict(TauProperty.COMBINABLE, "holds", scoped=scoped)

@@ -202,6 +202,7 @@ class Ring:
     def __init__(self):
         self._divisor_cache: dict = {}
         self._unit_cache: list | None = None
+        self._nonunit_cache: list | None = None
         self._unit_inverse_cache: dict = {}
         self._classify_cache: dict = {}
         self._cofactor_cache: dict = {}
@@ -287,7 +288,7 @@ class Ring:
         return got
 
     def _classify(self, a) -> ElementClass:
-        # Finite rings: decide by scan.  Infinite constructions override.
+        # Decide by a unit scan; constructions with a closed form override.
         # A finite ring has no regular non-units: if a is not a unit, x -> a*x
         # misses 1, so on a finite set it is not one-to-one either, and
         # a*b = a*c with b != c gives a*(b - c) = 0.
@@ -299,10 +300,13 @@ class Ring:
         return ElementClass.ZERO_DIVISOR
 
     def nonunits(self) -> list:
-        """All non-units (0 included) in deterministic order; finite rings only."""
-        return sorted(
-            (a for a in self.elements() if not self.is_unit(a)), key=self.sort_key
-        )
+        """All non-units (0 included) in deterministic order; finite rings
+        only.  Built once per ring and shared: callers must not mutate it."""
+        if self._nonunit_cache is None:
+            self._nonunit_cache = sorted(
+                (a for a in self.elements() if not self.is_unit(a)), key=self.sort_key
+            )
+        return self._nonunit_cache
 
     def nonzero_nonunits(self) -> list:
         """R# in deterministic order; finite rings only."""
@@ -472,6 +476,15 @@ class ModRing(Ring):
         if not isinstance(data, int) or not 0 <= data < self.n:
             raise ValueError(f"not a residue mod {self.n}: {data!r}")
         return data
+
+    def _classify(self, a) -> ElementClass:
+        # a is a unit iff gcd(a, n) = 1; every other non-zero residue is a
+        # zero divisor, as in any finite ring (see Ring._classify).
+        if a == 0:
+            return ElementClass.ZERO
+        if math.gcd(a, self.n) == 1:
+            return ElementClass.UNIT
+        return ElementClass.ZERO_DIVISOR
 
     def _cofactors(self, a, b) -> CofactorSet:
         if a == 0 and b == 0:
@@ -658,11 +671,9 @@ class PolyQuotRing(Ring):
     def comaximal(self, a, b) -> bool:
         got = self._comax_cache.get((a, b))
         if got is None:
-            got = any(
-                self.add(self.mul(a, x), self.mul(b, y)) == self.one
-                for x in self.elements()
-                for y in self.elements()
-            )
+            # a*x + b*y = 1 for some y iff 1 - a*x lies in the ideal bR
+            b_ideal = {self.mul(b, y) for y in self.elements()}
+            got = any(self.sub(self.one, self.mul(a, x)) in b_ideal for x in self.elements())
             self._comax_cache[(a, b)] = got
         return got
 

@@ -96,11 +96,31 @@ def _tristate(v: PropertyVerdict):
     return None
 
 
-def entry_relations(spec) -> tuple:
-    """The normal relations whose contexts an entry for ``spec`` reads: its
-    own and its restriction to regular pairs.  Its baseline rows also read
-    the ``regular`` and ``full`` contexts, whichever entry they belong to."""
-    return normal_spec(spec), normal_spec(RegCapTau(spec))
+def context_spec(spec, ring: Ring):
+    """One spec per relation the engine can tell apart on ``ring``: the
+    normal form (``relations.normal_spec``), and on a finite ring
+    ``regular`` for every regular-only relation.
+
+    A non-unit of a finite ring is a zero divisor (see ``Ring._classify``),
+    so R# has no regular element and a regular-only relation holds on no
+    pair of R#, whatever it restricts.  The engine tells such relations
+    apart nowhere else: every target is a non-unit, so not regular, and
+    ``_nontrivial_candidates`` returns [] for it before it reaches
+    ``_associate_stable``; ``_tau_subset_of_regular`` returns True for every
+    regular-only relation.
+    """
+    spec = normal_spec(spec)
+    if ring.is_finite and isinstance(spec, RegCapTau):
+        return RegularTau()  # the regular-only specs besides ``regular``
+    return spec
+
+
+def entry_relations(spec, ring: Ring) -> tuple:
+    """The context specs an entry for ``spec`` on ``ring`` reads: its
+    relation's and its restriction's to regular pairs.  Its baseline rows
+    also read the ``regular`` and ``full`` contexts, whichever entry they
+    belong to."""
+    return context_spec(spec, ring), context_spec(RegCapTau(spec), ring)
 
 
 class RelationContext:
@@ -143,8 +163,9 @@ class RelationContext:
 class EntryChecker:
     """Runs every theorem family for one corpus entry.
 
-    ``contexts`` maps normal relation specs to the ``RelationContext``s of
-    one ring, scope and cap; the checker adds the ones it needs.
+    ``contexts`` maps context specs (``context_spec``) to the
+    ``RelationContext``s of one ring, scope and cap; the checker adds the
+    ones it needs.
     """
 
     def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict):
@@ -159,9 +180,7 @@ class EntryChecker:
         self.cap = cap
         self.scoped = scope is not None and not ring.is_finite
         self.contexts = contexts
-        plain, restricted = entry_relations(tau.spec)
-        self.plain = self._context(plain)
-        self.restricted = self._context(restricted)
+        self.plain, self.restricted = map(self._context, entry_relations(tau.spec, ring))
         self.tau = self.plain.tau
         self.ev_plain = self.plain.ev
         self.ev_regcap = self.restricted.ev
@@ -171,7 +190,8 @@ class EntryChecker:
     # -- plumbing
 
     def _context(self, spec) -> RelationContext:
-        """The context of a relation spec in normal form."""
+        """The context of a relation spec."""
+        spec = context_spec(spec, self.ring)
         got = self.contexts.get(spec)
         if got is None:
             got = RelationContext(self.ring, spec, self.scope, self.cap)
@@ -932,12 +952,12 @@ def verify_corpus_entry(ring: Ring, tau: TauRelation, scope, cap: int, contexts:
 
 def verify_corpus_entries(ring: Ring, taus, scope, cap: int, contexts: dict) -> list:
     """The rows of each entry of one ring.  Rows depend on the relation
-    only through its normal form and the ``tau`` label, so an entry whose
-    normal relation an earlier one had gets that entry's rows, relabelled."""
+    only through its context spec and the ``tau`` label, so an entry whose
+    context spec an earlier one had gets that entry's rows, relabelled."""
     by_spec: dict = {}
     out = []
     for tau in taus:
-        spec = normal_spec(tau.spec)
+        spec = context_spec(tau.spec, ring)
         rows = by_spec.get(spec)
         if rows is None:
             rows = by_spec[spec] = verify_corpus_entry(ring, tau, scope, cap, contexts)

@@ -5,6 +5,7 @@ corpus scopes only.  Stated time budgets are printed with each line and
 asserted with slack for slower machines.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -318,14 +319,21 @@ def test_criterion_09_classical_integers(capsys):
     assert ok
 
 
+# sha256 of the default-corpus report as ``taufact verify --out`` writes it
+GOLDEN_SHA256 = "d56db7e8b7a3688ee291d677e7bfff31350a719a0924e4ceb34cc93327bd4328"
+
+
 def test_criterion_10_determinism(default_reports, capsys):
     """Two runs of the full default-corpus verification produce
-    byte-identical reports, with zero violations."""
+    byte-identical reports, equal to the golden report, with zero
+    violations."""
     report, first, second, elapsed = default_reports
-    ok = first == second and report["summary"]["violated"] == 0
+    digest = hashlib.sha256((first + "\n").encode()).hexdigest()
+    ok = first == second and digest == GOLDEN_SHA256 and report["summary"]["violated"] == 0
     _line(
         capsys, "10 determinism", ok, elapsed,
         detail=f"{len(report['entries'])} entries, summary {report['summary']}",
     )
     assert first == second
+    assert digest == GOLDEN_SHA256
     assert report["summary"]["violated"] == 0

@@ -16,6 +16,10 @@ from taufact import (
     check_property,
     elasticity,
 )
+from taufact import properties
+from taufact.corpus import DEFAULT_TAUS
+from taufact.parsing import build_ring_from_text, build_tau_from_text
+from taufact.properties import Evaluator
 from conftest import small_finite_rings
 from oracles import oracle_atomic
 
@@ -216,3 +220,50 @@ def test_split_view_agrees_with_plain_view():
                 )
                 pairs += 1
     assert pairs == 52 * 7 * 8
+
+
+class _Unmemoized(Evaluator):
+    """An evaluator whose atomic memo is cleared before every call."""
+
+    def atomic(self, view, a, alpha):
+        self._atomic.clear()
+        return super().atomic(view, a, alpha)
+
+
+def _atomic_reading_props():
+    for scope in PropScope:
+        for alpha in IrreducibleKind:
+            yield PropertyId(PropKind.ATOMIC, alpha=alpha, scope=scope)
+            yield PropertyId(PropKind.HFR, alpha=alpha, scope=scope)
+            yield PropertyId(PropKind.UFR, alpha=alpha, beta=A, scope=scope)
+
+
+def test_memoized_atomic_outcomes_match_unmemoized(monkeypatch):
+    """Every verdict that reads atomic outcomes (ATOMIC, and the atomicity
+    prerequisite of HFR and UFR) is the same from one evaluator's memo as
+    from a fresh evaluator that decides each outcome anew."""
+    calls = []
+    engine = properties._atomic_element
+    monkeypatch.setattr(
+        properties, "_atomic_element", lambda *args: calls.append(1) or engine(*args)
+    )
+    z = build_ring_from_text("Z")
+    cases = [(ring, None, 4) for ring in small_finite_rings()]
+    cases.append((z, [a for a in range(-30, 31) if abs(a) > 1], 6))
+    memo_calls = plain_calls = 0
+    for ring, scope, cap in cases:
+        for text in DEFAULT_TAUS:
+            tau = build_tau_from_text(text, ring)
+            sides = {False: tau, True: tau.regcap()}
+            memo = {k: Evaluator(ring, t, cap) for k, t in sides.items()}
+            for prop in _atomic_reading_props():
+                regcap = prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U)
+                del calls[:]
+                got = check_property(ring, tau, prop, scope, cap, evaluator=memo[regcap])
+                memo_calls += len(calls)
+                del calls[:]
+                fresh = _Unmemoized(ring, sides[regcap], cap)
+                want = check_property(ring, tau, prop, scope, cap, evaluator=fresh)
+                plain_calls += len(calls)
+                assert got == want, (ring.spec_string(), text, prop.label())
+    assert memo_calls < plain_calls

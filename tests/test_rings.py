@@ -237,6 +237,62 @@ def test_modring_comaximal_exhaustive():
                 assert ring.comaximal(a, b) == expected, (n, a, b)
 
 
+def test_modring_classify_closed_form():
+    # oracle: a unit has an inverse among the residues; a finite ring has
+    # no regular non-units, so every other non-zero residue divides zero
+    for n in range(2, 37):
+        ring = build_ring(ModIntSpec(n))
+        for a in range(n):
+            if a == 0:
+                expected = ElementClass.ZERO
+            elif any(a * x % n == 1 for x in range(n)):
+                expected = ElementClass.UNIT
+            else:
+                expected = ElementClass.ZERO_DIVISOR
+            assert ring.classify(a) == expected, (n, a)
+
+
+def test_polyquot_comaximal_matches_double_scan():
+    """The ideal test ``1 - a*x in bR`` against the scan over all (x, y)."""
+    rings = [r for r in small_finite_rings() if isinstance(r.spec, PolyQuotSpec)]
+    rings += [
+        build_ring_from_text(s)
+        for s in default_corpus_spec()["rings"] + ["prod(GFq(2,[0,0,1]),Zn(4))"]
+        if s.startswith(("GFq", "prod(GFq"))
+    ]
+    assert len({r.spec_string() for r in rings}) == 4
+    for ring in rings:
+        elems = list(ring.elements())
+        for a in elems:
+            for b in elems:
+                expected = any(
+                    ring.add(ring.mul(a, x), ring.mul(b, y)) == ring.one
+                    for x in elems
+                    for y in elems
+                )
+                assert ring.comaximal(a, b) == expected, (ring.spec_string(), a, b)
+
+
+def test_nonunits_built_once_and_left_intact():
+    """``nonunits`` hands out one list per ring, and a verify run over the
+    ring leaves it equal to a fresh scan."""
+    from taufact import build_tau_from_text
+    from taufact.corpus import DEFAULT_TAUS
+    from taufact.theorems import verify_corpus_entries
+
+    for text in ("Zn(12)", "prod(Zn(2),Zn(4))", "GFq(2,[0,0,1])"):
+        ring = build_ring_from_text(text)
+        got = ring.nonunits()
+        assert ring.nonunits() is got
+        taus = [build_tau_from_text(t, ring) for t in DEFAULT_TAUS]
+        verify_corpus_entries(ring, taus, None, 4, {})
+        assert ring.nonunits() is got
+        assert got == sorted(
+            (a for a in ring.elements() if _scan_class(ring, a) != ElementClass.UNIT),
+            key=ring.sort_key,
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 30), x=st.integers(0, 200), y=st.integers(0, 200))
 def test_modring_arithmetic_matches_int_mod(n, x, y):

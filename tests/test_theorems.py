@@ -18,7 +18,10 @@ from taufact import (
 )
 from taufact.corpus import DEFAULT_TAUS, default_corpus_spec, generate_corpus
 from taufact.parsing import build_ring_from_text, build_tau_from_text
-from taufact.relations import EmptyTau, format_tau_spec, normal_spec
+from taufact.factor import _nontrivial_candidates
+from taufact.relations import EmptyTau, RegularTau, SubsetTau, format_tau_spec, normal_spec
+from taufact.theorems import RelationContext, context_spec
+from conftest import small_finite_rings
 
 from taufact import PolyQuotSpec
 
@@ -176,11 +179,13 @@ def test_split_equivalences_can_fail(monkeypatch):
 
 def _direct_rows(corpus, monkeypatch):
     """Each entry on a fresh ring, with a fresh checker and no shared
-    context, and with relation specs used as written."""
+    context, and with relation specs used as written: neither the normal
+    form nor the finite-ring context key applies."""
     entries, meta = generate_corpus(corpus)
     rows = []
     with monkeypatch.context() as m:
         m.setattr(theorems, "normal_spec", lambda spec: spec)
+        m.setattr(theorems, "context_spec", lambda spec, ring: spec)
         for ce in entries:
             ring = build_ring_from_text(ce.ring_str)
             tau = build_tau_from_text(ce.tau_str, ring)
@@ -234,3 +239,60 @@ def test_shared_rows_see_a_wrong_normal_form(wrong, corpus, monkeypatch):
 
     monkeypatch.setattr(theorems, "normal_spec", normal)
     assert cli.run_verification(corpus)["entries"] != direct
+
+
+def test_context_spec_merges_regular_only_relations_on_finite_rings():
+    """On a finite ring every regular-only relation gets the ``regular``
+    context, and the facts the docstring's proof rests on hold: such a
+    relation relates no pair of R#, and no non-unit has a nontrivial
+    candidate under it.  Infinite rings keep the normal form."""
+    specs = [FullTau(), EmptyTau(), ZeroProductTau(), ComaximalTau(), RegularTau()]
+    specs += [RegCapTau(s) for s in specs] + [RegCapTau(RegCapTau(ComaximalTau()))]
+    for ring in small_finite_rings():
+        sharp = ring.nonzero_nonunits()
+        # regcap(subset) is the one regular-only spec that is not associate-stable
+        subsets = [RegCapTau(SubsetTau(tuple(sharp[:2])))] if sharp else []
+        for spec in specs + subsets:
+            tau = build_tau(spec, ring)
+            key = context_spec(spec, ring)
+            assert (key == RegularTau()) == tau.regular_only, (ring.spec_string(), spec)
+            if tau.regular_only:
+                assert not any(tau.holds(a, b) for a in sharp for b in sharp)
+                assert all(_nontrivial_candidates(ring, tau, a) == [] for a in ring.nonunits())
+            else:
+                assert key == normal_spec(spec)
+    for text in ("Z", "prod(Z,Z)"):
+        ring = build_ring_from_text(text)
+        for spec in specs:
+            assert context_spec(spec, ring) == normal_spec(spec)
+
+
+def test_shared_rows_see_a_context_key_that_fires_on_infinite_rings(monkeypatch):
+    """A context key that also merges regular-only relations on an infinite
+    ring puts ``regcap(empty)`` in the ``regular`` context on scoped
+    ``prod(Z,Z)``, and the shared rows then differ from the direct ones."""
+    corpus = _scoped_corpus(["regcap(empty)"])
+    corpus["rings"] = ["prod(Z,Z)"]
+    direct = _direct_rows(corpus, monkeypatch)
+    assert cli.run_verification(corpus)["entries"] == direct
+
+    def everywhere(spec, ring):
+        spec = normal_spec(spec)
+        return RegularTau() if isinstance(spec, RegCapTau) else spec
+
+    monkeypatch.setattr(theorems, "context_spec", everywhere)
+    assert cli.run_verification(corpus)["entries"] != direct
+
+
+def test_refinable_verdict_records_the_caps_it_read():
+    """On an infinite ring the evaluator enumerates at the per-element
+    default cap, and the refinability verdict records the largest cap it
+    read, not the corpus cap."""
+    ring = build_ring_from_text("prod(Z,Z)")
+    scope = [(a, b) for a in (2, 4, 6, 12) for b in (-3, 2, 9)] + [(2, 0), (0, 3)]
+    ctx = RelationContext(ring, ComaximalTau(), scope, 6)
+    read = []
+    fs = ctx.ev.fs
+    ctx.ev.fs = lambda a: read.append(fs(a).cap) or fs(a)
+    verdict = ctx.refinable()
+    assert read and verdict.cap == max(read) > 6
