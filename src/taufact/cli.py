@@ -14,23 +14,16 @@ import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .corpus import CorpusError, default_corpus_spec, generate_corpus
 from .factor import PreconditionError, enumerate_factorizations
-from .irreducibles import IrreducibleKind, classify
+from .irreducibles import classify
 from .parsing import ParseError, build_ring_from_text, build_tau_from_text, parse_element
-from .properties import (
-    DEFAULT_PROPERTY_CAP,
-    Evaluator,
-    PropKind,
-    PropScope,
-    PropertyId,
-    check_property,
-    elasticity,
-)
-from .relations import TauConstructionError
+from .properties import DEFAULT_PROPERTY_CAP, REGULAR_PROPS, Evaluator, PropScope, elasticity
+from .relations import RegCapTau, TauConstructionError
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
-from .theorems import entry_relations, verify_corpus_entries
+from .theorems import context_spec, verify_corpus_entries
 
 BETA_NAMES = {
     "associate": AssociateKind.ASSOCIATE,
@@ -166,35 +159,25 @@ def cmd_ufact(args) -> int:
     return 0
 
 
+# The regular-scope properties in every scope, scope by scope.
 _CATALOG_PROPS = tuple(
-    PropertyId(kind, alpha=alpha, beta=beta, scope=scope)
-    for scope in (PropScope.PLAIN, PropScope.REGULAR, PropScope.REGCAP, PropScope.REGCAP_U)
-    for kind, alpha, beta in (
-        (PropKind.ATOMIC, IrreducibleKind.IRREDUCIBLE, None),
-        (PropKind.ACCP, None, None),
-        (PropKind.BFR, None, None),
-        (PropKind.FFR, None, AssociateKind.ASSOCIATE),
-        (PropKind.WFFR, None, AssociateKind.ASSOCIATE),
-        (PropKind.IDF, IrreducibleKind.IRREDUCIBLE, AssociateKind.ASSOCIATE),
-        (PropKind.HFR, IrreducibleKind.IRREDUCIBLE, None),
-        (PropKind.UFR, IrreducibleKind.IRREDUCIBLE, AssociateKind.ASSOCIATE),
-    )
+    replace(prop, scope=scope) for scope in PropScope for prop in REGULAR_PROPS.values()
 )
 
 
 def _property_vector(ring, tau, scope, cap):
-    ev_plain = Evaluator(ring, tau, cap or DEFAULT_PROPERTY_CAP)
-    ev_regcap = Evaluator(ring, tau.regcap(), cap or DEFAULT_PROPERTY_CAP)
+    cap = cap or DEFAULT_PROPERTY_CAP
+    plain = Evaluator(ring, tau, cap, scope)
+    restricted = Evaluator(ring, tau.regcap(), cap, scope)
     out = []
     for prop in _CATALOG_PROPS:
-        ev = ev_regcap if prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U) else ev_plain
         try:
-            v = check_property(ring, tau, prop, scope, cap, evaluator=ev)
+            v = (restricted if prop.scope.restricted else plain).verdict(prop)
             out.append(v.to_json(ring))
         except (UnsupportedOperationError, PreconditionError) as exc:
             out.append({"property": prop.label(), "outcome": "unsupported", "note": str(exc)})
     try:
-        el = elasticity(ring, tau, scope, cap, evaluator=ev_plain)
+        el = elasticity(ring, tau, scope, cap, evaluator=plain)
         elas = el.to_json(ring)
     except (UnsupportedOperationError, PreconditionError) as exc:
         elas = {"value": "unsupported", "note": str(exc)}
@@ -234,16 +217,16 @@ def _load_corpus(name: str) -> dict:
         return json.load(fh)
 
 
-# The ring a process built last, with the relation contexts of its entries:
-# [(ring_str, scope_json, cap), ring, contexts], or empty.
+# The ring a process built last, with the evaluators of its entries keyed by
+# context spec: [(ring_str, scope_json, cap), ring, contexts], or empty.
 _ring_slot: list = []
 
 
 def _verify_group(payload):
     """Worker: one pool unit, (ring, relations, scope, cap), whose relations
-    are the entries of one ring that share relation contexts.  Returns the
-    rows of each entry.  The ring and its contexts stay in the slot while
-    the next unit names the same ring, scope and cap."""
+    are the entries of one ring that share evaluators.  Returns the rows of
+    each entry.  The ring and its evaluators stay in the slot while the
+    next unit names the same ring, scope and cap."""
     ring_str, tau_strs, scope_json, cap = payload
     key = (ring_str, scope_json, cap)
     if not _ring_slot or _ring_slot[0] != key:
@@ -260,25 +243,20 @@ def _verify_group(payload):
 
 
 def _pool_units(corpus_entries) -> list:
-    """Entry indices per pool unit: for each ring, the connected groups of
-    entries whose plain or restricted context specs overlap, in the order
-    of their first entry."""
-    root = list(range(len(corpus_entries)))
+    """Entry indices per pool unit: the entries of one ring with one
+    restricted context spec (``context_spec(RegCapTau(spec), ring)``), in
+    the order of their first entry.
 
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-
-    first: dict = {}  # (ring, context spec) -> first entry reading it
-    for i, ce in enumerate(corpus_entries):
-        for spec in entry_relations(ce.tau.spec, ce.ring):
-            j = find(first.setdefault((ce.ring_str, spec), i))
-            k = find(i)
-            root[max(j, k)] = min(j, k)
+    These are the connected groups of entries whose plain or restricted
+    context specs overlap.  The restricted spec depends only on the plain
+    spec.  A plain spec that equals another entry's restricted spec is
+    regular-only, so it is its own restriction.  So two entries that
+    overlap have equal restricted specs, and entries with equal restricted
+    specs overlap.
+    """
     units: dict = {}
-    for i in range(len(corpus_entries)):
-        units.setdefault(find(i), []).append(i)
+    for i, ce in enumerate(corpus_entries):
+        units.setdefault((ce.ring_str, context_spec(RegCapTau(ce.tau.spec), ce.ring)), []).append(i)
     return list(units.values())
 
 

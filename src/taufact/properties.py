@@ -41,7 +41,7 @@ from .rings import (
     Ring,
     UnsupportedOperationError,
 )
-from .relations import TauRelation
+from .relations import TauProperty, TauPropertyVerdict, TauRelation, check_tau_property
 from .ufact import UFactorization, u_partitions
 
 
@@ -61,6 +61,12 @@ class PropScope(enum.Enum):
     REGULAR = "regular-elements"
     REGCAP = "regcap-all"
     REGCAP_U = "regcap-u"
+
+    @property
+    def restricted(self) -> bool:
+        """Whether the scope reads the relation's restriction to regular
+        pairs rather than the relation itself."""
+        return self in (PropScope.REGCAP, PropScope.REGCAP_U)
 
 
 _TAKES_ALPHA = {PropKind.ATOMIC, PropKind.IDF, PropKind.HFR, PropKind.UFR}
@@ -88,6 +94,27 @@ class PropertyId:
             bits.append(self.beta.name.lower())
         bits.append(self.scope.value)
         return "/".join(bits)
+
+
+_IRR, _ASSOC = IrreducibleKind.IRREDUCIBLE, AssociateKind.ASSOCIATE
+
+# The regular-scope properties (Anderson & Valdes-Leon 1996) the harness
+# compares across relations, with irreducible atoms and plain associates: on
+# regular elements the associate and irreducible notions coincide, so one
+# choice stands for all.
+REGULAR_PROPS = {
+    name: PropertyId(kind, alpha=alpha, beta=beta, scope=PropScope.REGULAR)
+    for name, kind, alpha, beta in (
+        ("atomic", PropKind.ATOMIC, _IRR, None),
+        ("accp", PropKind.ACCP, None, None),
+        ("bfr", PropKind.BFR, None, None),
+        ("ffr", PropKind.FFR, None, _ASSOC),
+        ("wffr", PropKind.WFFR, None, _ASSOC),
+        ("idf", PropKind.IDF, _IRR, _ASSOC),
+        ("hfr", PropKind.HFR, _IRR, None),
+        ("ufr", PropKind.UFR, _IRR, _ASSOC),
+    )
+}
 
 
 @dataclass
@@ -156,18 +183,47 @@ class _ElementOutcome:
 
 
 class Evaluator:
-    """Shared per-(ring, relation) caches for property and theorem checks."""
+    """The work on one (ring, relation) at one element scope and cap: the
+    enumerations, irreducibility profiles, splits and per-element outcomes,
+    and the property and refinability verdicts built from them.
 
-    def __init__(self, ring: Ring, tau: TauRelation, cap: int = DEFAULT_PROPERTY_CAP):
+    A verdict depends only on the relation, the property, the scope and the
+    cap, so every reader of one relation on one ring, scope and cap (the
+    corpus entries whose plain or restricted side has its context spec, the
+    baseline rows, the property vector) shares one evaluator.
+    """
+
+    def __init__(self, ring: Ring, tau: TauRelation, cap: int = DEFAULT_PROPERTY_CAP, scope=None):
         self.ring = ring
         self.tau = tau
         self.cap = cap
+        self.scope = scope
         self._fs: dict = {}
         self._profiles: dict = {}
         self._upools: dict = {}
         self._chain: dict = {}
         self._alpha_items: dict = {}
         self._atomic: dict = {}
+        self._verdicts: dict = {}
+        self._refinable: Optional[TauPropertyVerdict] = None
+
+    def verdict(self, prop: PropertyId) -> PropertyVerdict:
+        """``check_property`` over the evaluator's scope, decided once."""
+        got = self._verdicts.get(prop)
+        if got is None:
+            got = check_property(self.ring, self.tau, prop, self.scope, self.cap, evaluator=self)
+            self._verdicts[prop] = got
+        return got
+
+    def refinable(self) -> TauPropertyVerdict:
+        """Whether the relation is refinable over the scope, decided once
+        from the evaluator's enumerations."""
+        if self._refinable is None:
+            self._refinable = check_tau_property(
+                self.tau, TauProperty.REFINABLE, scope=self.scope, cap=self.cap,
+                fs_provider=self.fs,
+            )
+        return self._refinable
 
     def fs(self, a) -> FactorizationSet:
         got = self._fs.get(a)
@@ -385,8 +441,9 @@ def _ffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
         return _ElementOutcome("unknown", note="class count not established at cap")
     if beta == AssociateKind.VERY_STRONG:
         # The strong-associate enumeration merges very-strong classes, so
-        # both views count the classes of a very-strong enumeration.
-        vs = enumerate_factorizations(ev.ring, ev.tau, a, beta, cap=ev.cap)
+        # both views count the classes of a very-strong enumeration, taken
+        # at the cap the strong one ran at.
+        vs = enumerate_factorizations(ev.ring, ev.tau, a, beta, cap=fs.cap)
         count = len([f for f in vs.items if not f.trivial])
     else:
         keys = {view.key(ev.ring, p, beta) for p in view.pieces(ev, a) if not p.trivial}
@@ -496,8 +553,7 @@ def check_property(
     domain, scoped = _resolve_domain(ring, prop, scope_elements)
     ev = evaluator
     if ev is None:
-        regcap = prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U)
-        ev = Evaluator(ring, tau.regcap() if regcap else tau, cap)
+        ev = Evaluator(ring, tau.regcap() if prop.scope.restricted else tau, cap)
     view = SPLIT_VIEW if prop.scope == PropScope.REGCAP_U else PLAIN_VIEW
 
     def element_outcome(a) -> _ElementOutcome:
@@ -603,8 +659,7 @@ def elasticity(
     """Per-element ratio of longest to shortest atomic factorization length
     over the regular non-units, and its supremum."""
     cap = cap if cap is not None else DEFAULT_PROPERTY_CAP
-    prop = PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=PropScope.REGULAR)
-    domain, scoped = _resolve_domain(ring, prop, scope_elements)
+    domain, scoped = _resolve_domain(ring, REGULAR_PROPS["atomic"], scope_elements)
     if not domain:
         return Elasticity("undefined-empty-scope", {}, cap, scoped)
     ev = evaluator if evaluator is not None else Evaluator(ring, tau, cap)

@@ -577,8 +577,6 @@ class IntegerRing(Ring):
         return abs(a) == abs(b)
 
     def comaximal(self, a, b) -> bool:
-        import math
-
         return math.gcd(a, b) == 1
 
     def spec_string(self) -> str:

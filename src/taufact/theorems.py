@@ -21,30 +21,28 @@ from .irreducibles import (
     tau_r_atom,
 )
 from .properties import (
+    REGULAR_PROPS,
     Evaluator,
     PropKind,
     PropScope,
     PropertyId,
     PropertyVerdict,
     PLAIN_VIEW,
-    check_property,
     _witness_json,
 )
 from .relations import (
     FullTau,
     RegCapTau,
     RegularTau,
-    TauProperty,
-    TauPropertyVerdict,
     TauRelation,
     build_tau,
-    check_tau_property,
     normal_spec,
 )
 from .rings import (
     AssociateKind,
     ElementClass,
     InfiniteSetError,
+    IntegerRing,
     Ring,
     UnsupportedOperationError,
 )
@@ -115,57 +113,14 @@ def context_spec(spec, ring: Ring):
     return spec
 
 
-def entry_relations(spec, ring: Ring) -> tuple:
-    """The context specs an entry for ``spec`` on ``ring`` reads: its
-    relation's and its restriction's to regular pairs.  Its baseline rows
-    also read the ``regular`` and ``full`` contexts, whichever entry they
-    belong to."""
-    return context_spec(spec, ring), context_spec(RegCapTau(spec), ring)
-
-
-class RelationContext:
-    """The harness's work on one (ring, normal relation): the relation with
-    its pair caches, its evaluator, the property verdicts and the
-    refinability verdict.
-
-    Every corpus entry whose plain or restricted side normalizes to this
-    relation reads the same context.  A verdict depends only on the
-    evaluator, the property, the scope and the cap, so one context serves
-    one ring at one scope and cap.
-    """
-
-    def __init__(self, ring: Ring, spec, scope, cap: int):
-        self.tau = build_tau(spec, ring)
-        self.ev = Evaluator(ring, self.tau, cap)
-        self.scope = scope
-        self.cap = cap
-        self._verdicts: dict = {}
-        self._refinable: Optional[TauPropertyVerdict] = None
-
-    def verdict(self, prop: PropertyId) -> PropertyVerdict:
-        got = self._verdicts.get(prop)
-        if got is None:
-            got = check_property(
-                self.ev.ring, self.tau, prop, self.scope, self.cap, evaluator=self.ev
-            )
-            self._verdicts[prop] = got
-        return got
-
-    def refinable(self) -> TauPropertyVerdict:
-        if self._refinable is None:
-            self._refinable = check_tau_property(
-                self.tau, TauProperty.REFINABLE, scope=self.scope, cap=self.cap,
-                fs_provider=self.ev.fs,
-            )
-        return self._refinable
-
-
 class EntryChecker:
     """Runs every theorem family for one corpus entry.
 
-    ``contexts`` maps context specs (``context_spec``) to the
-    ``RelationContext``s of one ring, scope and cap; the checker adds the
-    ones it needs.
+    ``contexts`` maps context specs (``context_spec``) to the evaluators of
+    one ring, scope and cap; the checker adds the ones it needs.  An entry
+    reads its relation's evaluator (``plain``), its restriction's to regular
+    pairs (``restricted``), and for the baseline rows the ``regular`` and
+    ``full`` ones.
     """
 
     def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict):
@@ -180,21 +135,19 @@ class EntryChecker:
         self.cap = cap
         self.scoped = scope is not None and not ring.is_finite
         self.contexts = contexts
-        self.plain, self.restricted = map(self._context, entry_relations(tau.spec, ring))
-        self.tau = self.plain.tau
-        self.ev_plain = self.plain.ev
-        self.ev_regcap = self.restricted.ev
+        self.plain = self._context(tau.spec)
+        self.restricted = self._context(RegCapTau(tau.spec))
         self.entries: list = []
         self.refinable = self.plain.refinable()
 
     # -- plumbing
 
-    def _context(self, spec) -> RelationContext:
-        """The context of a relation spec."""
+    def _context(self, spec) -> Evaluator:
+        """The evaluator of a relation spec."""
         spec = context_spec(spec, self.ring)
         got = self.contexts.get(spec)
         if got is None:
-            got = RelationContext(self.ring, spec, self.scope, self.cap)
+            got = Evaluator(self.ring, build_tau(spec, self.ring), self.cap, self.scope)
             self.contexts[spec] = got
         return got
 
@@ -204,9 +157,11 @@ class EntryChecker:
         return self.ring.nonunits()
 
     def verdict(self, prop: PropertyId) -> PropertyVerdict:
-        if prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U):
-            return self.restricted.verdict(prop)
-        return self.plain.verdict(prop)
+        return (self.restricted if prop.scope.restricted else self.plain).verdict(prop)
+
+    def regular(self, name: str) -> PropertyVerdict:
+        """The verdict of ``REGULAR_PROPS[name]`` under the entry's relation."""
+        return self.plain.verdict(REGULAR_PROPS[name])
 
     def emit(self, theorem, instance, outcome, witness=None, note=""):
         self.entries.append(
@@ -309,7 +264,7 @@ class EntryChecker:
         checked = skipped = 0
         for a in self.domain():
             try:
-                profile = self.ev_plain.profile(a)
+                profile = self.plain.profile(a)
             except UnsupportedOperationError:
                 skipped += 1
                 continue
@@ -366,7 +321,7 @@ class EntryChecker:
             return
         for a in dom:
             try:
-                res = tau_r_atom(self.ring, self.tau, a, fs=self.ev_plain.fs(a))
+                res = tau_r_atom(self.ring, self.plain.tau, a, fs=self.plain.fs(a))
             except UnsupportedOperationError:
                 self.emit(theorem, "conditions", SKIPPED, note=f"element {self.ring.format_element(a)} incomplete")
                 return
@@ -388,11 +343,11 @@ class EntryChecker:
             return
         for a in dom:
             try:
-                res = tau_r_atom(self.ring, self.tau, a, fs=self.ev_plain.fs(a))
+                res = tau_r_atom(self.ring, self.plain.tau, a, fs=self.plain.fs(a))
             except UnsupportedOperationError:
                 self.emit(theorem, "conditions", SKIPPED, note=f"element {self.ring.format_element(a)} incomplete")
                 return
-            profile = self.ev_regcap.profile(a)
+            profile = self.restricted.profile(a)
             bits = [res.is_atom]
             undecided = False
             for kind in (
@@ -437,7 +392,7 @@ class EntryChecker:
             IrreducibleKind.UNREFINABLE,
         )
         for a in dom:
-            profile = self.ev_regcap.profile(a)
+            profile = self.restricted.profile(a)
             for kind in need:
                 if profile[kind] != Flag.TRUE:
                     self.emit(
@@ -455,9 +410,7 @@ class EntryChecker:
 
     def family_ring_atomicity_five_way(self):
         theorem = "ring-atomicity-five-way"
-        lhs = self.verdict(
-            PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=PropScope.REGULAR)
-        )
+        lhs = self.regular("atomic")
         for alpha in ALPHA_KINDS_NO_VERY:
             rhs = self.verdict(PropertyId(PropKind.ATOMIC, alpha=alpha, scope=PropScope.REGCAP))
             self.equivalence(theorem, f"regular-atomic<=>restricted-{alpha.value}", lhs, rhs)
@@ -467,7 +420,7 @@ class EntryChecker:
     def _atomic_class_finiteness(self):
         """Condition: every regular non-unit has finitely many atomic
         factorizations up to rearrangement and associates."""
-        ev = self.ev_plain
+        ev = self.plain
         irr = IrreducibleKind.IRREDUCIBLE
         for a in self._regular_domain():
             try:
@@ -489,7 +442,7 @@ class EntryChecker:
             try:
                 if use_divides:
                     ring.divisors(a)
-                elif not self.ev_plain.exhaustive(a):
+                elif not self.plain.exhaustive(a):
                     return None, a
             except (UnsupportedOperationError, InfiniteSetError):
                 return None, a
@@ -500,20 +453,10 @@ class EntryChecker:
         if not self.refinable.holds:
             self.emit(theorem, "conditions", INAPPLICABLE, note="relation not refinable")
             return
-        c1 = _tristate(
-            self.verdict(PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=PropScope.REGULAR))
-        )
-        c2 = _tristate(
-            self.verdict(PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=PropScope.REGULAR))
-        )
-        atomic = _tristate(
-            self.verdict(PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=PropScope.REGULAR))
-        )
-        idf = _tristate(
-            self.verdict(
-                PropertyId(PropKind.IDF, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=PropScope.REGULAR)
-            )
-        )
+        c1 = _tristate(self.regular("ffr"))
+        c2 = _tristate(self.regular("wffr"))
+        atomic = _tristate(self.regular("atomic"))
+        idf = _tristate(self.regular("idf"))
         c3 = None if atomic is None or idf is None else (atomic and idf)
         fin, bad = self._atomic_class_finiteness()
         c4 = None if atomic is None or fin is None else (atomic and fin)
@@ -538,25 +481,20 @@ class EntryChecker:
 
     def family_regular_vs_restricted(self):
         theorem = "regular-vs-restricted-properties"
-        reg = PropScope.REGULAR
         cap_ = PropScope.REGCAP
-        acc_l = self.verdict(PropertyId(PropKind.ACCP, scope=reg))
-        acc_r = self.verdict(PropertyId(PropKind.ACCP, scope=cap_))
-        self.equivalence(theorem, "accp", acc_l, acc_r)
-        ufr_l = self.verdict(
-            PropertyId(PropKind.UFR, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=reg)
-        )
-        hfr_l = self.verdict(PropertyId(PropKind.HFR, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg))
-        bfr_l = self.verdict(PropertyId(PropKind.BFR, scope=reg))
-        idf_l = self.verdict(
-            PropertyId(PropKind.IDF, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=reg)
-        )
-        atomic_l = self.verdict(
-            PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg)
-        )
-        wffr_l = self.verdict(PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=reg))
-        ffr_l = self.verdict(PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=reg))
-        self.equivalence(theorem, "bfr", bfr_l, self.verdict(PropertyId(PropKind.BFR, scope=cap_)))
+
+        def regcap(name):
+            return self.verdict(replace(REGULAR_PROPS[name], scope=cap_))
+
+        self.equivalence(theorem, "accp", self.regular("accp"), regcap("accp"))
+        ufr_l = self.regular("ufr")
+        hfr_l = self.regular("hfr")
+        bfr_l = self.regular("bfr")
+        idf_l = self.regular("idf")
+        atomic_l = self.regular("atomic")
+        wffr_l = self.regular("wffr")
+        ffr_l = self.regular("ffr")
+        self.equivalence(theorem, "bfr", bfr_l, regcap("bfr"))
         for beta in BETAS2:
             self.equivalence(
                 theorem,
@@ -602,47 +540,21 @@ class EntryChecker:
                     rhs_conj,
                 )
         # refinable consequence: (6) <=> (7) <=> (8) on the restricted side
-        wffr_r = self.verdict(PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=cap_))
-        ffr_r = self.verdict(PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=cap_))
-        conj_r = _combine_and(
-            self.verdict(PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=cap_)),
-            self.verdict(
-                PropertyId(PropKind.IDF, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=cap_)
-            ),
-        )
-        self.equivalence(theorem, "refinable-wffr<=>ffr", wffr_r, ffr_r, gated=True)
+        wffr_r = regcap("wffr")
+        conj_r = _combine_and(regcap("atomic"), regcap("idf"))
+        self.equivalence(theorem, "refinable-wffr<=>ffr", wffr_r, regcap("ffr"), gated=True)
         self.equivalence(theorem, "refinable-wffr<=>atomic-idf", wffr_r, conj_r, gated=True)
         # excluded parameter cells: computed, never asserted
         very = IrreducibleKind.VERY_STRONG
         rhs_very = self.verdict(PropertyId(PropKind.ATOMIC, alpha=very, scope=cap_))
         self.equivalence(
-            theorem,
-            "informational-atomic-very-strong",
-            self.verdict(PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg)),
-            rhs_very,
-            informational=True,
+            theorem, "informational-atomic-very-strong", atomic_l, rhs_very, informational=True
         )
 
     def family_plain_implies_regular(self):
         theorem = "plain-implies-regular-properties"
-        reg = PropScope.REGULAR
         plain = PropScope.PLAIN
-        targets = {
-            "ufr": self.verdict(
-                PropertyId(PropKind.UFR, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=reg)
-            ),
-            "hfr": self.verdict(PropertyId(PropKind.HFR, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg)),
-            "ffr": self.verdict(PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=reg)),
-            "wffr": self.verdict(PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=reg)),
-            "idf": self.verdict(
-                PropertyId(PropKind.IDF, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=reg)
-            ),
-            "bfr": self.verdict(PropertyId(PropKind.BFR, scope=reg)),
-            "accp": self.verdict(PropertyId(PropKind.ACCP, scope=reg)),
-            "atomic": self.verdict(
-                PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg)
-            ),
-        }
+        targets = {name: self.regular(name) for name in REGULAR_PROPS}
         self.implication(
             theorem, "bfr", self.verdict(PropertyId(PropKind.BFR, scope=plain)), targets["bfr"]
         )
@@ -690,20 +602,21 @@ class EntryChecker:
             )
 
     def _tau_subset_of_regular(self) -> Optional[bool]:
-        if self.tau.regular_only:
+        tau = self.plain.tau
+        if tau.regular_only:
             return True
         ring = self.ring
         if ring.is_finite:
             sharp = ring.nonzero_nonunits()
             for a in sharp:
                 for b in sharp:
-                    if self.tau.holds(a, b) and not (
-                        ring.is_regular(a) and ring.is_regular(b)
-                    ):
+                    if tau.holds(a, b) and not (ring.is_regular(a) and ring.is_regular(b)):
                         return False
             return True
-        # structurally: a domain has only regular nonzero elements
-        if not _has_zero_divisors(ring):
+        # Z is a domain, so its nonzero elements are regular; the other
+        # infinite rings are products, where two nonzero components
+        # annihilate each other
+        if isinstance(ring, IntegerRing):
             return True
         return None  # cannot certify
 
@@ -717,46 +630,24 @@ class EntryChecker:
             self.emit(theorem, "hypothesis", INAPPLICABLE, note="relation relates zero divisors")
             return
         base = self._baseline_verdicts()
-        pairs = (
-            ("bfr", PropertyId(PropKind.BFR, scope=PropScope.REGULAR)),
-            ("ffr", PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=PropScope.REGULAR)),
-            ("wffr", PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=PropScope.REGULAR)),
-            ("accp", PropertyId(PropKind.ACCP, scope=PropScope.REGULAR)),
-        )
-        for name, prop in pairs:
-            self.implication(theorem, name, base[name], self.verdict(prop))
+        for name in ("bfr", "ffr", "wffr", "accp"):
+            self.implication(theorem, name, base[name], self.regular(name))
         # corollary: the baseline finite-factorization rings satisfy the chain
         # condition, and are atomic when the relation is refinable
         for name in ("ufr", "ffr", "hfr", "bfr"):
             self.implication(theorem, f"corollary-{name}-accp", base[name], base["accp"])
+            self.implication(theorem, f"corollary-{name}-tau-accp", base[name], self.regular("accp"))
             self.implication(
-                theorem,
-                f"corollary-{name}-tau-accp",
-                base[name],
-                self.verdict(PropertyId(PropKind.ACCP, scope=PropScope.REGULAR)),
-            )
-            self.implication(
-                theorem,
-                f"corollary-{name}-atomic",
-                base[name],
-                self.verdict(
-                    PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=PropScope.REGULAR)
-                ),
-                gated=True,
+                theorem, f"corollary-{name}-atomic", base[name], self.regular("atomic"), gated=True
             )
 
     def _baseline_verdicts(self) -> dict:
-        ctx = self._context(RegularTau())
-        reg = PropScope.REGULAR
+        """The properties of the ``regular`` relation that the baseline rows
+        read."""
+        ev = self._context(RegularTau())
         return {
-            "bfr": ctx.verdict(PropertyId(PropKind.BFR, scope=reg)),
-            "ffr": ctx.verdict(PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=reg)),
-            "wffr": ctx.verdict(PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=reg)),
-            "accp": ctx.verdict(PropertyId(PropKind.ACCP, scope=reg)),
-            "hfr": ctx.verdict(PropertyId(PropKind.HFR, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg)),
-            "ufr": ctx.verdict(
-                PropertyId(PropKind.UFR, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=reg)
-            ),
+            name: ev.verdict(REGULAR_PROPS[name])
+            for name in ("bfr", "ffr", "wffr", "accp", "hfr", "ufr")
         }
 
     def family_split_equivalences(self):
@@ -784,10 +675,10 @@ class EntryChecker:
         ring = self.ring
         checked = 0
         for a in self.domain():
-            if not self.ev_regcap.exhaustive(a):
+            if not self.restricted.exhaustive(a):
                 self.emit(theorem, "empty-inessential", SKIPPED, note=f"element {ring.format_element(a)} incomplete")
                 return
-            for uf in self.ev_regcap.u_pool(a):
+            for uf in self.restricted.u_pool(a):
                 if uf.inessential:
                     self.emit(
                         theorem,
@@ -796,13 +687,13 @@ class EntryChecker:
                         witness=uf.to_json(),
                     )
                     return
-                back = phi_inverse(ring, self.ev_regcap.tau, phi(uf))
+                back = phi_inverse(ring, self.restricted.tau, phi(uf))
                 if back != uf:
                     self.emit(theorem, "round-trip", VIOLATED, witness=uf.to_json())
                     return
-            for f in self.ev_regcap.fs(a).items:
+            for f in self.restricted.fs(a).items:
                 try:
-                    uf = phi_inverse(ring, self.ev_regcap.tau, f)
+                    uf = phi_inverse(ring, self.restricted.tau, f)
                 except UDomainError as exc:
                     self.emit(theorem, "round-trip", VIOLATED, witness=f.to_json(), note=str(exc))
                     return
@@ -821,12 +712,12 @@ class EntryChecker:
             return
         for a in dom:
             try:
-                plain_fs = self.ev_plain.fs(a)
+                plain_fs = self.plain.fs(a)
             except UnsupportedOperationError:
                 self.emit(theorem, "classes", SKIPPED, note="plain enumeration unsupported")
                 return
-            reg_fs = self.ev_regcap.fs(a)
-            if not (self.ev_plain.exhaustive(a) and self.ev_regcap.exhaustive(a)):
+            reg_fs = self.restricted.fs(a)
+            if not (self.plain.exhaustive(a) and self.restricted.exhaustive(a)):
                 self.emit(theorem, "classes", SKIPPED, note="incomplete enumeration")
                 return
             plain_keys = {k for k, f in plain_fs.classes.items() if not f.trivial}
@@ -886,20 +777,8 @@ class EntryChecker:
 
     def family_regular_arrow_diagram(self):
         theorem = "regular-factorization-arrows"
-        reg = PropScope.REGULAR
-        ufr = self.verdict(
-            PropertyId(PropKind.UFR, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=reg)
-        )
-        hfr = self.verdict(PropertyId(PropKind.HFR, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg))
-        ffr = self.verdict(PropertyId(PropKind.FFR, beta=AssociateKind.ASSOCIATE, scope=reg))
-        wffr = self.verdict(PropertyId(PropKind.WFFR, beta=AssociateKind.ASSOCIATE, scope=reg))
-        bfr = self.verdict(PropertyId(PropKind.BFR, scope=reg))
-        accp = self.verdict(PropertyId(PropKind.ACCP, scope=reg))
-        atomic = self.verdict(
-            PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=reg)
-        )
-        idf = self.verdict(
-            PropertyId(PropKind.IDF, alpha=IrreducibleKind.IRREDUCIBLE, beta=AssociateKind.ASSOCIATE, scope=reg)
+        ufr, hfr, ffr, wffr, bfr, accp, atomic, idf = map(
+            self.regular, ("ufr", "hfr", "ffr", "wffr", "bfr", "accp", "atomic", "idf")
         )
         accp_plain = self.verdict(PropertyId(PropKind.ACCP, scope=PropScope.PLAIN))
         self.implication(theorem, "ufr=>hfr", ufr, hfr)
@@ -912,20 +791,6 @@ class EntryChecker:
         self.equivalence(theorem, "ffr<=>wffr", ffr, wffr, gated=True)
         self.equivalence(theorem, "wffr<=>atomic-idf", wffr, _combine_and(atomic, idf), gated=True)
         self.implication(theorem, "atomic-idf=>idf", _combine_and(atomic, idf), idf)
-
-
-def _has_zero_divisors(ring: Ring) -> bool:
-    if ring.is_finite:
-        return any(
-            ring.classify(a) == ElementClass.ZERO_DIVISOR for a in ring.elements()
-        )
-    from .rings import IntegerRing, ProductRing
-
-    if isinstance(ring, IntegerRing):
-        return False
-    if isinstance(ring, ProductRing):
-        return True  # two nonzero components annihilate each other
-    return True
 
 
 def _combine_and(a: PropertyVerdict, b: PropertyVerdict) -> PropertyVerdict:

@@ -1,12 +1,16 @@
 import gc
 import itertools
 import json
+import random
 import sys
 import weakref
 
 from taufact import cli, theorems
 from taufact.cli import main
-from taufact.corpus import default_corpus_spec, generate_corpus
+from taufact.corpus import DEFAULT_TAUS, CorpusEntry, default_corpus_spec, generate_corpus
+from taufact.parsing import build_ring_from_text, parse_tau_spec
+from taufact.relations import RegCapTau, SubsetTau, build_tau
+from taufact.theorems import context_spec
 
 
 def run_cli(capsys, *argv):
@@ -160,13 +164,13 @@ def test_verify_deterministic_and_parallel_equal(tmp_path, capsys, monkeypatch):
         built.append(weakref.ref(ring))
         return ring
 
-    class Context(theorems.RelationContext):
+    class Context(theorems.Evaluator):
         def __init__(self, *args):
             super().__init__(*args)
             contexts.append(weakref.ref(self))
 
     monkeypatch.setattr(cli, "build_ring_from_text", build_ring)
-    monkeypatch.setattr(theorems, "RelationContext", Context)
+    monkeypatch.setattr(theorems, "Evaluator", Context)
     corpus = {
         "schema": 1,
         "rings": ["Zn(6)", "Zn(9)", "prod(Zn(2),Zn(3))", "Z", "Zn(6)"],
@@ -199,6 +203,70 @@ def test_verify_deterministic_and_parallel_equal(tmp_path, capsys, monkeypatch):
         by_block.setdefault(key, []).append(list(rows))
     assert by_block[("Zn(6)", "comax")][0] == by_block[("Zn(6)", "comax")][-1]
     assert len(by_block[("Zn(6)", "comax")]) == 4
+
+
+def _seeded_entries(seed):
+    """Ring-major corpus entries on a few finite and scoped infinite rings
+    (a ring may come back later in the list), each with a seeded draw of
+    default, doubly restricted, subset and restricted subset relations."""
+    rng = random.Random(seed)
+    rings = rng.sample(["Zn(4)", "Zn(6)", "prod(Zn(2),Zn(3))", "GFq(2,[1,1,1])", "Z", "prod(Z,Z)"], 3)
+    rings.append(rng.choice(rings))
+    entries = []
+    for ring_str in rings:
+        ring = build_ring_from_text(ring_str)
+        if ring.is_finite:
+            scope, sharp = None, ring.nonzero_nonunits()
+        else:
+            scope = [6, -4, 9, 12] if ring_str == "Z" else [(2, 3), (4, -6), (9, 1), (2, 0), (0, 3)]
+            sharp = scope
+        specs = [parse_tau_spec(t, ring) for t in DEFAULT_TAUS]
+        specs += [RegCapTau(s) for s in specs]
+        if sharp:
+            subset = SubsetTau(tuple(rng.sample(sharp, min(2, len(sharp)))))
+            specs += [subset, RegCapTau(subset)]
+        for spec in rng.sample(specs, rng.randint(2, 6)):
+            tau = build_tau(spec, ring)
+            entries.append(CorpusEntry(ring_str, tau.spec_string(), scope, ring, tau))
+    return entries
+
+
+def _overlap_components(entries):
+    """The connected groups of entries of one ring whose plain or restricted
+    context specs overlap, in order of their first entry."""
+    specs = [
+        {context_spec(ce.tau.spec, ce.ring), context_spec(RegCapTau(ce.tau.spec), ce.ring)}
+        for ce in entries
+    ]
+    seen, units = set(), []
+    for i in range(len(entries)):
+        if i in seen:
+            continue
+        unit, todo = {i}, [i]
+        while todo:
+            j = todo.pop()
+            for k, ce in enumerate(entries):
+                if k not in unit and ce.ring_str == entries[j].ring_str and specs[j] & specs[k]:
+                    unit.add(k)
+                    todo.append(k)
+        seen |= unit
+        units.append(sorted(unit))
+    return units
+
+
+def test_pool_units_are_the_overlap_components():
+    """Keying pool units by the restricted context spec gives the connected
+    groups of overlapping entries; keying them by the plain spec would not."""
+    plain_keyed_differs = False
+    for seed in range(40):
+        entries = _seeded_entries(seed)
+        want = _overlap_components(entries)
+        assert cli._pool_units(entries) == want, seed
+        by_plain: dict = {}
+        for i, ce in enumerate(entries):
+            by_plain.setdefault((ce.ring_str, context_spec(ce.tau.spec, ce.ring)), []).append(i)
+        plain_keyed_differs |= list(by_plain.values()) != want
+    assert plain_keyed_differs
 
 
 def test_catalog_roundtrip(tmp_path, capsys):

@@ -267,3 +267,20 @@ def test_memoized_atomic_outcomes_match_unmemoized(monkeypatch):
                 plain_calls += len(calls)
                 assert got == want, (ring.spec_string(), text, prop.label())
     assert memo_calls < plain_calls
+
+
+@pytest.mark.parametrize("tau_text", ["full", "comax"])
+def test_very_strong_ffr_bound_equals_strong_in_a_domain(tau_text):
+    """In Z the strong and very-strong associate classes coincide, so both
+    FFR bounds must agree; the very-strong enumeration must run at the cap
+    the strong one ran at, not at the evaluator's corpus cap."""
+    ring = build_ring_from_text("Z")
+    tau = build_tau_from_text(tau_text, ring)
+    for scope in ([128], [384], [512], [12, 30, 96, 128, 384, 512, 720]):
+        for sc in (PropScope.PLAIN, PropScope.REGCAP, PropScope.REGCAP_U):
+            strong, very = (
+                check_property(ring, tau, PropertyId(PropKind.FFR, beta=beta, scope=sc), scope)
+                for beta in (AssociateKind.STRONG, AssociateKind.VERY_STRONG)
+            )
+            assert strong.holds and very.holds, (scope, sc)
+            assert very.bound == strong.bound, (scope, sc)

@@ -20,7 +20,8 @@ from taufact.corpus import DEFAULT_TAUS, default_corpus_spec, generate_corpus
 from taufact.parsing import build_ring_from_text, build_tau_from_text
 from taufact.factor import _nontrivial_candidates
 from taufact.relations import EmptyTau, RegularTau, SubsetTau, format_tau_spec, normal_spec
-from taufact.theorems import RelationContext, context_spec
+from taufact.properties import Evaluator
+from taufact.theorems import context_spec
 from conftest import small_finite_rings
 
 from taufact import PolyQuotSpec
@@ -160,8 +161,6 @@ def test_random_subset_relations_fuzz():
 def test_split_equivalences_can_fail(monkeypatch):
     """The split/plain agreement is checked, not assumed: with the last
     split of each element dropped, the family reports violations."""
-    from taufact.properties import Evaluator
-
     scope = [a for a in range(-30, 31) if abs(a) > 1]
 
     def violated():
@@ -290,9 +289,9 @@ def test_refinable_verdict_records_the_caps_it_read():
     read, not the corpus cap."""
     ring = build_ring_from_text("prod(Z,Z)")
     scope = [(a, b) for a in (2, 4, 6, 12) for b in (-3, 2, 9)] + [(2, 0), (0, 3)]
-    ctx = RelationContext(ring, ComaximalTau(), scope, 6)
+    ev = Evaluator(ring, build_tau(ComaximalTau(), ring), 6, scope)
     read = []
-    fs = ctx.ev.fs
-    ctx.ev.fs = lambda a: read.append(fs(a).cap) or fs(a)
-    verdict = ctx.refinable()
+    fs = ev.fs
+    ev.fs = lambda a: read.append(fs(a).cap) or fs(a)
+    verdict = ev.refinable()
     assert read and verdict.cap == max(read) > 6
