@@ -23,7 +23,7 @@ from .parsing import ParseError, build_ring_from_text, build_tau_from_text, pars
 from .properties import DEFAULT_PROPERTY_CAP, REGULAR_PROPS, Evaluator, PropScope, elasticity
 from .relations import RegCapTau, TauConstructionError
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
-from .theorems import context_spec, verify_corpus_entries
+from .theorems import context_spec, summarize, verify_corpus_entries
 
 BETA_NAMES = {
     "associate": AssociateKind.ASSOCIATE,
@@ -284,17 +284,12 @@ def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
         for i, chunk in zip(unit, chunks):
             per_entry[i] = chunk
     rows = [r for chunk in per_entry for r in chunk]
-    summary: dict = {}
-    for r in rows:
-        summary[r["outcome"]] = summary.get(r["outcome"], 0) + 1
-    for key in ("verified", "inapplicable", "violated", "skipped", "informational"):
-        summary.setdefault(key, 0)
     return {
         "schema": 1,
         "corpus": meta,
         "cap": cap,
         "entries": rows,
-        "summary": {k: summary[k] for k in sorted(summary)},
+        "summary": summarize(r["outcome"] for r in rows),
     }
 
 

@@ -62,9 +62,6 @@ class IrreducibilityProfile:
     def __getitem__(self, kind: IrreducibleKind) -> Flag:
         return self.flags[kind]
 
-    def decided(self, kind: IrreducibleKind) -> bool:
-        return self.flags[kind] != Flag.UNKNOWN
-
     def to_json(self, ring: Ring):
         return {
             "element": ring.element_to_json(self.element),

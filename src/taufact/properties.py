@@ -131,10 +131,6 @@ class PropertyVerdict:
     def holds(self) -> bool:
         return self.outcome == "holds"
 
-    @property
-    def decided(self) -> bool:
-        return self.outcome != "unknown"
-
     def to_json(self, ring: Ring):
         out = {
             "property": self.prop.label(),
@@ -516,7 +512,10 @@ def _ufr_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOut
 # Ring-level aggregation
 
 
-def _resolve_domain(ring: Ring, prop: PropertyId, scope_elements):
+def _resolve_domain(ring: Ring, scope_elements, regular: bool = False):
+    """The sorted non-units of ``scope_elements`` (all non-units of a finite
+    ring when None), only the regular ones when ``regular``, and whether
+    they fall short of all non-units (always on an infinite ring)."""
     if scope_elements is None:
         if not ring.is_finite:
             raise UnsupportedOperationError(
@@ -534,7 +533,7 @@ def _resolve_domain(ring: Ring, prop: PropertyId, scope_elements):
             domain.append(a)
         domain = sorted(set(domain), key=ring.sort_key)
         scoped = not ring.is_finite or set(domain) != set(ring.nonunits())
-    if prop.scope == PropScope.REGULAR:
+    if regular:
         domain = [a for a in domain if ring.classify(a) == ElementClass.REGULAR_NON_UNIT]
     return domain, scoped
 
@@ -550,7 +549,7 @@ def check_property(
     """Decide one ring-level property; exhaustive on finite rings, scoped
     (and flagged as such) on infinite ones."""
     cap = cap if cap is not None else DEFAULT_PROPERTY_CAP
-    domain, scoped = _resolve_domain(ring, prop, scope_elements)
+    domain, scoped = _resolve_domain(ring, scope_elements, prop.scope == PropScope.REGULAR)
     ev = evaluator
     if ev is None:
         ev = Evaluator(ring, tau.regcap() if prop.scope.restricted else tau, cap)
@@ -659,7 +658,7 @@ def elasticity(
     """Per-element ratio of longest to shortest atomic factorization length
     over the regular non-units, and its supremum."""
     cap = cap if cap is not None else DEFAULT_PROPERTY_CAP
-    domain, scoped = _resolve_domain(ring, REGULAR_PROPS["atomic"], scope_elements)
+    domain, scoped = _resolve_domain(ring, scope_elements, regular=True)
     if not domain:
         return Elasticity("undefined-empty-scope", {}, cap, scoped)
     ev = evaluator if evaluator is not None else Evaluator(ring, tau, cap)

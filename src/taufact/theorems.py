@@ -14,6 +14,7 @@ from typing import Optional
 
 from .factor import PreconditionError
 from .irreducibles import (
+    ALPHA_KINDS,
     ALPHA_KINDS_NO_VERY,
     Flag,
     IrreducibleKind,
@@ -23,11 +24,11 @@ from .irreducibles import (
 from .properties import (
     REGULAR_PROPS,
     Evaluator,
-    PropKind,
     PropScope,
     PropertyId,
     PropertyVerdict,
     PLAIN_VIEW,
+    _resolve_domain,
     _witness_json,
 )
 from .relations import (
@@ -126,14 +127,10 @@ class EntryChecker:
     def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict):
         self.ring = ring
         self.label = tau.spec_string()
-        if scope is not None:
-            scope = sorted(
-                {a for a in scope if not ring.is_unit(a) and (ring.is_finite or a != ring.zero)},
-                key=ring.sort_key,
-            )
-        self.scope = scope  # None for finite rings, else a sorted element list
+        self.domain, self.scoped = _resolve_domain(ring, scope)
+        self.regular_domain, _ = _resolve_domain(ring, scope, regular=True)
+        self.scope = None if scope is None else self.domain  # the evaluators' scope
         self.cap = cap
-        self.scoped = scope is not None and not ring.is_finite
         self.contexts = contexts
         self.plain = self._context(tau.spec)
         self.restricted = self._context(RegCapTau(tau.spec))
@@ -151,17 +148,15 @@ class EntryChecker:
             self.contexts[spec] = got
         return got
 
-    def domain(self) -> list:
-        if self.scope is not None:
-            return self.scope
-        return self.ring.nonunits()
-
-    def verdict(self, prop: PropertyId) -> PropertyVerdict:
-        return (self.restricted if prop.scope.restricted else self.plain).verdict(prop)
-
-    def regular(self, name: str) -> PropertyVerdict:
-        """The verdict of ``REGULAR_PROPS[name]`` under the entry's relation."""
-        return self.plain.verdict(REGULAR_PROPS[name])
+    def prop(self, name, scope=PropScope.REGULAR, alpha=None, beta=None, ev=None) -> PropertyVerdict:
+        """The verdict of ``REGULAR_PROPS[name]`` at ``scope``, with its alpha
+        and beta unless given, read from ``ev`` or else from the entry's
+        relation or its restriction, as the scope says."""
+        base = REGULAR_PROPS[name]
+        cell = PropertyId(base.kind, alpha or base.alpha, beta or base.beta, scope)
+        if ev is None:
+            ev = self.restricted if scope.restricted else self.plain
+        return ev.verdict(cell)
 
     def emit(self, theorem, instance, outcome, witness=None, note=""):
         self.entries.append(
@@ -183,6 +178,17 @@ class EntryChecker:
 
     def implication(self, theorem, instance, lhs, rhs, gated=False, informational=False):
         """lhs and rhs are PropertyVerdicts; asserts lhs holds => rhs holds."""
+        self._law(theorem, instance, lhs, rhs, False, gated, informational)
+
+    def equivalence(self, theorem, instance, lhs, rhs, gated=False, informational=False):
+        """Asserts lhs holds <=> rhs holds."""
+        self._law(theorem, instance, lhs, rhs, True, gated, informational)
+
+    def _law(self, theorem, instance, lhs, rhs, both_ways, gated, informational):
+        """The one rule of a law row: inapplicable when ``gated`` on a relation
+        that is not refinable, skipped when a side is undecided, violated
+        (informational when only flagged) when lhs => rhs fails, or with
+        ``both_ways`` when lhs <=> rhs does, else verified."""
         if gated and not self.refinable.holds:
             self.emit(theorem, instance, INAPPLICABLE, note="relation not refinable")
             return
@@ -190,7 +196,19 @@ class EntryChecker:
         if l is None or r is None:
             self.emit(theorem, instance, SKIPPED, note="undecided side at cap")
             return
-        if l and not r:
+        if not (l != r if both_ways else l and not r):
+            self.emit(theorem, instance, INFORMATIONAL if informational else VERIFIED)
+            return
+        if both_ways:
+            law = "equivalence"
+            witness = {
+                "lhs": lhs.prop.label(),
+                "lhs_outcome": lhs.outcome,
+                "rhs": rhs.prop.label(),
+                "rhs_outcome": rhs.outcome,
+            }
+        else:
+            law = "implication"
             witness = {
                 "lhs": lhs.prop.label(),
                 "rhs": rhs.prop.label(),
@@ -198,40 +216,13 @@ class EntryChecker:
                 if rhs.witness is not None
                 else None,
             }
-            self.emit(
-                theorem,
-                instance,
-                INFORMATIONAL if informational else VIOLATED,
-                witness=witness,
-                note="flagged: implication contradicted" if informational else "",
-            )
-            return
-        self.emit(theorem, instance, INFORMATIONAL if informational else VERIFIED)
-
-    def equivalence(self, theorem, instance, lhs, rhs, gated=False, informational=False):
-        if gated and not self.refinable.holds:
-            self.emit(theorem, instance, INAPPLICABLE, note="relation not refinable")
-            return
-        l, r = _tristate(lhs), _tristate(rhs)
-        if l is None or r is None:
-            self.emit(theorem, instance, SKIPPED, note="undecided side at cap")
-            return
-        if l != r:
-            witness = {
-                "lhs": lhs.prop.label(),
-                "lhs_outcome": lhs.outcome,
-                "rhs": rhs.prop.label(),
-                "rhs_outcome": rhs.outcome,
-            }
-            self.emit(
-                theorem,
-                instance,
-                INFORMATIONAL if informational else VIOLATED,
-                witness=witness,
-                note="flagged: equivalence contradicted" if informational else "",
-            )
-            return
-        self.emit(theorem, instance, INFORMATIONAL if informational else VERIFIED)
+        self.emit(
+            theorem,
+            instance,
+            INFORMATIONAL if informational else VIOLATED,
+            witness=witness,
+            note=f"flagged: {law} contradicted" if informational else "",
+        )
 
     # -- theorem families
 
@@ -262,7 +253,7 @@ class EntryChecker:
     def family_hierarchy(self):
         theorem = "irreducible-hierarchy"
         checked = skipped = 0
-        for a in self.domain():
+        for a in self.domain:
             try:
                 profile = self.plain.profile(a)
             except UnsupportedOperationError:
@@ -292,7 +283,7 @@ class EntryChecker:
         ring = self.ring
         units = ring.units()
         inv = {u: ring.unit_inverse(u) for u in units}
-        for a in self.domain():
+        for a in self.domain:
             factors = {ring.mul(inv[u], a) for u in units}
             base = next(iter(factors))
             for x in factors:
@@ -304,18 +295,11 @@ class EntryChecker:
                         witness={"element": self._ej(a), "pair": [self._ej(base), self._ej(x)]},
                     )
                     return
-        self.emit(theorem, "strong", VERIFIED, note=f"{len(self.domain())} elements, {len(units)} units")
-
-    def _regular_domain(self):
-        return [
-            a
-            for a in self.domain()
-            if self.ring.classify(a) == ElementClass.REGULAR_NON_UNIT
-        ]
+        self.emit(theorem, "strong", VERIFIED, note=f"{len(self.domain)} elements, {len(units)} units")
 
     def family_atom_five_way(self):
         theorem = "regular-atom-five-way"
-        dom = self._regular_domain()
+        dom = self.regular_domain
         if not dom:
             self.emit(theorem, "conditions", VERIFIED, note="vacuous: no regular non-units")
             return
@@ -337,7 +321,7 @@ class EntryChecker:
 
     def family_regular_collapse(self):
         theorem = "regular-collapse-six-way"
-        dom = self._regular_domain()
+        dom = self.regular_domain
         if not dom:
             self.emit(theorem, "conditions", VERIFIED, note="vacuous: no regular non-units")
             return
@@ -350,13 +334,7 @@ class EntryChecker:
             profile = self.restricted.profile(a)
             bits = [res.is_atom]
             undecided = False
-            for kind in (
-                IrreducibleKind.IRREDUCIBLE,
-                IrreducibleKind.STRONG,
-                IrreducibleKind.M,
-                IrreducibleKind.UNREFINABLE,
-                IrreducibleKind.VERY_STRONG,
-            ):
+            for kind in ALPHA_KINDS:
                 flag = profile[kind]
                 if flag == Flag.UNKNOWN:
                     undecided = True
@@ -379,21 +357,15 @@ class EntryChecker:
         theorem = "zero-divisor-atoms"
         dom = [
             a
-            for a in self.domain()
+            for a in self.domain
             if self.ring.classify(a) in (ElementClass.ZERO, ElementClass.ZERO_DIVISOR)
         ]
         if not dom:
             self.emit(theorem, "flags", VERIFIED, note="vacuous: no zero divisors in scope")
             return
-        need = (
-            IrreducibleKind.IRREDUCIBLE,
-            IrreducibleKind.STRONG,
-            IrreducibleKind.M,
-            IrreducibleKind.UNREFINABLE,
-        )
         for a in dom:
             profile = self.restricted.profile(a)
-            for kind in need:
+            for kind in ALPHA_KINDS_NO_VERY:
                 if profile[kind] != Flag.TRUE:
                     self.emit(
                         theorem,
@@ -410,58 +382,54 @@ class EntryChecker:
 
     def family_ring_atomicity_five_way(self):
         theorem = "ring-atomicity-five-way"
-        lhs = self.regular("atomic")
+        lhs = self.prop("atomic")
         for alpha in ALPHA_KINDS_NO_VERY:
-            rhs = self.verdict(PropertyId(PropKind.ATOMIC, alpha=alpha, scope=PropScope.REGCAP))
+            rhs = self.prop("atomic", PropScope.REGCAP, alpha)
             self.equivalence(theorem, f"regular-atomic<=>restricted-{alpha.value}", lhs, rhs)
 
     # -- eight-way finiteness equivalence (needs refinability)
 
-    def _atomic_class_finiteness(self):
+    def _atomic_class_finiteness(self) -> Optional[bool]:
         """Condition: every regular non-unit has finitely many atomic
         factorizations up to rearrangement and associates."""
         ev = self.plain
         irr = IrreducibleKind.IRREDUCIBLE
-        for a in self._regular_domain():
+        for a in self.regular_domain:
             try:
                 _, maybe = ev.alpha_items(PLAIN_VIEW, a, irr)
             except UnsupportedOperationError:
-                return None, a
+                return None
             if ev.pumped_atomic(PLAIN_VIEW, a, irr) is not None:
-                return False, a
+                return False
             if not ev.exhaustive(a) or maybe:
-                return None, a
-        return True, None
+                return None
+        return True
 
-    def _factor_class_count_finite(self, use_divides: bool):
-        """Conditions: finitely many regular factor classes per element, via
-        either an exhaustive enumeration or a finite divisor set (every factor
-        is a divisor); None at the first element where neither is decided."""
-        ring = self.ring
-        for a in self._regular_domain():
+    def _every_regular(self, test) -> Optional[bool]:
+        """True when ``test`` holds on every regular non-unit; None at the
+        first element where it fails or cannot be decided."""
+        for a in self.regular_domain:
             try:
-                if use_divides:
-                    ring.divisors(a)
-                elif not self.plain.exhaustive(a):
-                    return None, a
+                if not test(a):
+                    return None
             except (UnsupportedOperationError, InfiniteSetError):
-                return None, a
-        return True, None
+                return None
+        return True
 
     def family_eight_way(self):
         theorem = "refinable-finiteness-eight-way"
         if not self.refinable.holds:
             self.emit(theorem, "conditions", INAPPLICABLE, note="relation not refinable")
             return
-        c1 = _tristate(self.regular("ffr"))
-        c2 = _tristate(self.regular("wffr"))
-        atomic = _tristate(self.regular("atomic"))
-        idf = _tristate(self.regular("idf"))
+        c1, c2, atomic, idf = (_tristate(self.prop(n)) for n in ("ffr", "wffr", "atomic", "idf"))
         c3 = None if atomic is None or idf is None else (atomic and idf)
-        fin, bad = self._atomic_class_finiteness()
+        fin = self._atomic_class_finiteness()
         c4 = None if atomic is None or fin is None else (atomic and fin)
-        c5, bad5 = self._factor_class_count_finite(use_divides=False)
-        c7, bad7 = self._factor_class_count_finite(use_divides=True)
+        # finitely many regular factor classes per element, by an exhaustive
+        # enumeration or by a finite divisor set (every factor is a divisor;
+        # ``divisors`` raises InfiniteSetError on an infinite one)
+        c5 = self._every_regular(self.plain.exhaustive)
+        c7 = self._every_regular(self.ring.divisors)
         c6, c8 = c5, c7  # ideal-containment restatements share the class counts
         conds = [c1, c2, c3, c4, c5, c6, c7, c8]
         if any(c is None for c in conds):
@@ -482,124 +450,51 @@ class EntryChecker:
     def family_regular_vs_restricted(self):
         theorem = "regular-vs-restricted-properties"
         cap_ = PropScope.REGCAP
-
-        def regcap(name):
-            return self.verdict(replace(REGULAR_PROPS[name], scope=cap_))
-
-        self.equivalence(theorem, "accp", self.regular("accp"), regcap("accp"))
-        ufr_l = self.regular("ufr")
-        hfr_l = self.regular("hfr")
-        bfr_l = self.regular("bfr")
-        idf_l = self.regular("idf")
-        atomic_l = self.regular("atomic")
-        wffr_l = self.regular("wffr")
-        ffr_l = self.regular("ffr")
-        self.equivalence(theorem, "bfr", bfr_l, regcap("bfr"))
+        for name in ("accp", "bfr"):
+            self.equivalence(theorem, name, self.prop(name), self.prop(name, cap_))
         for beta in BETAS2:
-            self.equivalence(
-                theorem,
-                f"wffr-{beta.name.lower()}",
-                wffr_l,
-                self.verdict(PropertyId(PropKind.WFFR, beta=beta, scope=cap_)),
-            )
-            self.equivalence(
-                theorem,
-                f"ffr-{beta.name.lower()}",
-                ffr_l,
-                self.verdict(PropertyId(PropKind.FFR, beta=beta, scope=cap_)),
-            )
+            for name in ("wffr", "ffr"):
+                rhs = self.prop(name, cap_, beta=beta)
+                self.equivalence(theorem, f"{name}-{beta.name.lower()}", self.prop(name), rhs)
+        atomic_idf = _combine_and(self.prop("atomic"), self.prop("idf"))
         for alpha in ALPHA_KINDS_NO_VERY:
-            self.equivalence(
-                theorem,
-                f"hfr-{alpha.value}",
-                hfr_l,
-                self.verdict(PropertyId(PropKind.HFR, alpha=alpha, scope=cap_)),
-            )
+            rhs = self.prop("hfr", cap_, alpha)
+            self.equivalence(theorem, f"hfr-{alpha.value}", self.prop("hfr"), rhs)
             for beta in BETAS2:
-                self.equivalence(
-                    theorem,
-                    f"ufr-{alpha.value}-{beta.name.lower()}",
-                    ufr_l,
-                    self.verdict(PropertyId(PropKind.UFR, alpha=alpha, beta=beta, scope=cap_)),
-                )
-                self.equivalence(
-                    theorem,
-                    f"idf-{alpha.value}-{beta.name.lower()}",
-                    idf_l,
-                    self.verdict(PropertyId(PropKind.IDF, alpha=alpha, beta=beta, scope=cap_)),
-                )
-                lhs_conj = _combine_and(atomic_l, idf_l)
-                rhs_conj = _combine_and(
-                    self.verdict(PropertyId(PropKind.ATOMIC, alpha=alpha, scope=cap_)),
-                    self.verdict(PropertyId(PropKind.IDF, alpha=alpha, beta=beta, scope=cap_)),
-                )
-                self.equivalence(
-                    theorem,
-                    f"atomic-idf-{alpha.value}-{beta.name.lower()}",
-                    lhs_conj,
-                    rhs_conj,
-                )
+                cell = f"{alpha.value}-{beta.name.lower()}"
+                for name in ("ufr", "idf"):
+                    rhs = self.prop(name, cap_, alpha, beta)
+                    self.equivalence(theorem, f"{name}-{cell}", self.prop(name), rhs)
+                rhs = _combine_and(self.prop("atomic", cap_, alpha), self.prop("idf", cap_, alpha, beta))
+                self.equivalence(theorem, f"atomic-idf-{cell}", atomic_idf, rhs)
         # refinable consequence: (6) <=> (7) <=> (8) on the restricted side
-        wffr_r = regcap("wffr")
-        conj_r = _combine_and(regcap("atomic"), regcap("idf"))
-        self.equivalence(theorem, "refinable-wffr<=>ffr", wffr_r, regcap("ffr"), gated=True)
+        wffr_r = self.prop("wffr", cap_)
+        conj_r = _combine_and(self.prop("atomic", cap_), self.prop("idf", cap_))
+        self.equivalence(theorem, "refinable-wffr<=>ffr", wffr_r, self.prop("ffr", cap_), gated=True)
         self.equivalence(theorem, "refinable-wffr<=>atomic-idf", wffr_r, conj_r, gated=True)
         # excluded parameter cells: computed, never asserted
-        very = IrreducibleKind.VERY_STRONG
-        rhs_very = self.verdict(PropertyId(PropKind.ATOMIC, alpha=very, scope=cap_))
+        rhs_very = self.prop("atomic", cap_, IrreducibleKind.VERY_STRONG)
         self.equivalence(
-            theorem, "informational-atomic-very-strong", atomic_l, rhs_very, informational=True
+            theorem, "informational-atomic-very-strong", self.prop("atomic"), rhs_very, informational=True
         )
 
     def family_plain_implies_regular(self):
         theorem = "plain-implies-regular-properties"
         plain = PropScope.PLAIN
-        targets = {name: self.regular(name) for name in REGULAR_PROPS}
-        self.implication(
-            theorem, "bfr", self.verdict(PropertyId(PropKind.BFR, scope=plain)), targets["bfr"]
-        )
-        self.implication(
-            theorem, "accp", self.verdict(PropertyId(PropKind.ACCP, scope=plain)), targets["accp"]
-        )
+        for name in ("bfr", "accp"):
+            self.implication(theorem, name, self.prop(name, plain), self.prop(name))
         for alpha in ALPHA_KINDS_NO_VERY:
-            self.implication(
-                theorem,
-                f"atomic-{alpha.value}",
-                self.verdict(PropertyId(PropKind.ATOMIC, alpha=alpha, scope=plain)),
-                targets["atomic"],
-            )
-            self.implication(
-                theorem,
-                f"hfr-{alpha.value}",
-                self.verdict(PropertyId(PropKind.HFR, alpha=alpha, scope=plain)),
-                targets["hfr"],
-            )
+            for name in ("atomic", "hfr"):
+                lhs = self.prop(name, plain, alpha)
+                self.implication(theorem, f"{name}-{alpha.value}", lhs, self.prop(name))
             for beta in BETAS2:
-                self.implication(
-                    theorem,
-                    f"ufr-{alpha.value}-{beta.name.lower()}",
-                    self.verdict(PropertyId(PropKind.UFR, alpha=alpha, beta=beta, scope=plain)),
-                    targets["ufr"],
-                )
-                self.implication(
-                    theorem,
-                    f"idf-{alpha.value}-{beta.name.lower()}",
-                    self.verdict(PropertyId(PropKind.IDF, alpha=alpha, beta=beta, scope=plain)),
-                    targets["idf"],
-                )
+                for name in ("ufr", "idf"):
+                    lhs = self.prop(name, plain, alpha, beta)
+                    self.implication(theorem, f"{name}-{alpha.value}-{beta.name.lower()}", lhs, self.prop(name))
         for beta in BETAS2:
-            self.implication(
-                theorem,
-                f"ffr-{beta.name.lower()}",
-                self.verdict(PropertyId(PropKind.FFR, beta=beta, scope=plain)),
-                targets["ffr"],
-            )
-            self.implication(
-                theorem,
-                f"wffr-{beta.name.lower()}",
-                self.verdict(PropertyId(PropKind.WFFR, beta=beta, scope=plain)),
-                targets["wffr"],
-            )
+            for name in ("ffr", "wffr"):
+                lhs = self.prop(name, plain, beta=beta)
+                self.implication(theorem, f"{name}-{beta.name.lower()}", lhs, self.prop(name))
 
     def _tau_subset_of_regular(self) -> Optional[bool]:
         tau = self.plain.tau
@@ -607,12 +502,11 @@ class EntryChecker:
             return True
         ring = self.ring
         if ring.is_finite:
+            # R# of a finite ring holds no regular element (see
+            # ``context_spec``), so the relation stays within regular pairs
+            # exactly when it relates no pair of R#
             sharp = ring.nonzero_nonunits()
-            for a in sharp:
-                for b in sharp:
-                    if tau.holds(a, b) and not (ring.is_regular(a) and ring.is_regular(b)):
-                        return False
-            return True
+            return not any(tau.holds(a, b) for a in sharp for b in sharp)
         # Z is a domain, so its nonzero elements are regular; the other
         # infinite rings are products, where two nonzero components
         # annihilate each other
@@ -629,52 +523,45 @@ class EntryChecker:
         if not sub:
             self.emit(theorem, "hypothesis", INAPPLICABLE, note="relation relates zero divisors")
             return
-        base = self._baseline_verdicts()
+        # the properties of the ``regular`` relation
+        ev = self._context(RegularTau())
+        base = {name: self.prop(name, ev=ev) for name in ("bfr", "ffr", "wffr", "accp", "hfr", "ufr")}
         for name in ("bfr", "ffr", "wffr", "accp"):
-            self.implication(theorem, name, base[name], self.regular(name))
+            self.implication(theorem, name, base[name], self.prop(name))
         # corollary: the baseline finite-factorization rings satisfy the chain
         # condition, and are atomic when the relation is refinable
         for name in ("ufr", "ffr", "hfr", "bfr"):
             self.implication(theorem, f"corollary-{name}-accp", base[name], base["accp"])
-            self.implication(theorem, f"corollary-{name}-tau-accp", base[name], self.regular("accp"))
+            self.implication(theorem, f"corollary-{name}-tau-accp", base[name], self.prop("accp"))
             self.implication(
-                theorem, f"corollary-{name}-atomic", base[name], self.regular("atomic"), gated=True
+                theorem, f"corollary-{name}-atomic", base[name], self.prop("atomic"), gated=True
             )
-
-    def _baseline_verdicts(self) -> dict:
-        """The properties of the ``regular`` relation that the baseline rows
-        read."""
-        ev = self._context(RegularTau())
-        return {
-            name: ev.verdict(REGULAR_PROPS[name])
-            for name in ("bfr", "ffr", "wffr", "accp", "hfr", "ufr")
-        }
 
     def family_split_equivalences(self):
         """Each property read through the splits against its regcap-all twin."""
         theorem = "split-equivalences"
-        u = PropScope.REGCAP_U
-        twins = [("accp", PropertyId(PropKind.ACCP, scope=u)), ("bfr", PropertyId(PropKind.BFR, scope=u))]
+
+        def twins(instance, name, alpha=None, beta=None):
+            lhs = self.prop(name, PropScope.REGCAP_U, alpha, beta)
+            self.equivalence(theorem, instance, lhs, self.prop(name, PropScope.REGCAP, alpha, beta))
+
+        for name in ("accp", "bfr"):
+            twins(name, name)
         for beta in BETAS2:
-            b = beta.name.lower()
-            twins.append((f"ffr-{b}", PropertyId(PropKind.FFR, beta=beta, scope=u)))
-            twins.append((f"wffr-{b}", PropertyId(PropKind.WFFR, beta=beta, scope=u)))
+            for name in ("ffr", "wffr"):
+                twins(f"{name}-{beta.name.lower()}", name, beta=beta)
         for alpha in ALPHA_KINDS_NO_VERY:
-            twins.append((f"atomic-{alpha.value}", PropertyId(PropKind.ATOMIC, alpha=alpha, scope=u)))
-            twins.append((f"hfr-{alpha.value}", PropertyId(PropKind.HFR, alpha=alpha, scope=u)))
+            for name in ("atomic", "hfr"):
+                twins(f"{name}-{alpha.value}", name, alpha)
             for beta in BETAS2:
-                b = beta.name.lower()
-                twins.append((f"ufr-{alpha.value}-{b}", PropertyId(PropKind.UFR, alpha=alpha, beta=beta, scope=u)))
-                twins.append((f"idf-{alpha.value}-{b}", PropertyId(PropKind.IDF, alpha=alpha, beta=beta, scope=u)))
-        for instance, prop in twins:
-            twin = replace(prop, scope=PropScope.REGCAP)
-            self.equivalence(theorem, instance, self.verdict(prop), self.verdict(twin))
+                for name in ("ufr", "idf"):
+                    twins(f"{name}-{alpha.value}-{beta.name.lower()}", name, alpha, beta)
 
     def family_essential_divisors(self):
         theorem = "essential-divisor-lemma"
         ring = self.ring
         checked = 0
-        for a in self.domain():
+        for a in self.domain:
             if not self.restricted.exhaustive(a):
                 self.emit(theorem, "empty-inessential", SKIPPED, note=f"element {ring.format_element(a)} incomplete")
                 return
@@ -706,7 +593,7 @@ class EntryChecker:
 
     def family_nontrivial_coincide(self):
         theorem = "restricted-nontrivial-coincide"
-        dom = self._regular_domain()
+        dom = self.regular_domain
         if not dom:
             self.emit(theorem, "classes", VERIFIED, note="vacuous: no regular non-units")
             return
@@ -735,33 +622,26 @@ class EntryChecker:
     def family_plain_arrow_diagram(self):
         theorem = "finite-factorization-arrows"
         plain = PropScope.PLAIN
-        bfr = self.verdict(PropertyId(PropKind.BFR, scope=plain))
-        accp = self.verdict(PropertyId(PropKind.ACCP, scope=plain))
-        atomic0 = self.verdict(
-            PropertyId(PropKind.ATOMIC, alpha=IrreducibleKind.IRREDUCIBLE, scope=plain)
-        )
+        bfr, accp, atomic0 = (self.prop(name, plain) for name in ("bfr", "accp", "atomic"))
         self.implication(theorem, "bfr=>accp", bfr, accp, gated=True)
         self.implication(theorem, "accp=>atomic", accp, atomic0, gated=True)
         full_accp = self._full_relation_accp()
         if full_accp is not None:
             self.implication(theorem, "plain-accp=>relation-accp", full_accp, accp)
         for beta in BETAS2:
-            ffr = self.verdict(PropertyId(PropKind.FFR, beta=beta, scope=plain))
-            wffr = self.verdict(PropertyId(PropKind.WFFR, beta=beta, scope=plain))
+            ffr, wffr = (self.prop(name, plain, beta=beta) for name in ("ffr", "wffr"))
             bl = beta.name.lower()
             self.implication(theorem, f"ffr=>bfr-{bl}", ffr, bfr)
             self.implication(theorem, f"ffr=>wffr-{bl}", ffr, wffr)
-            idf0 = self.verdict(
-                PropertyId(PropKind.IDF, alpha=IrreducibleKind.IRREDUCIBLE, beta=beta, scope=plain)
-            )
+            idf0 = self.prop("idf", plain, beta=beta)
             self.implication(
                 theorem, f"wffr=>atomic-idf-{bl}", wffr, _combine_and(atomic0, idf0), gated=True
             )
             for alpha in ALPHA_KINDS_NO_VERY:
                 al = alpha.value
-                ufr = self.verdict(PropertyId(PropKind.UFR, alpha=alpha, beta=beta, scope=plain))
-                hfr = self.verdict(PropertyId(PropKind.HFR, alpha=alpha, scope=plain))
-                idf = self.verdict(PropertyId(PropKind.IDF, alpha=alpha, beta=beta, scope=plain))
+                ufr = self.prop("ufr", plain, alpha, beta)
+                hfr = self.prop("hfr", plain, alpha)
+                idf = self.prop("idf", plain, alpha, beta)
                 self.implication(theorem, f"ufr=>hfr-{al}-{bl}", ufr, hfr)
                 self.implication(theorem, f"ufr=>ffr-{al}-{bl}", ufr, ffr, gated=True)
                 self.implication(theorem, f"hfr=>bfr-{al}", hfr, bfr, gated=True)
@@ -771,16 +651,16 @@ class EntryChecker:
 
     def _full_relation_accp(self) -> Optional[PropertyVerdict]:
         try:
-            return self._context(FullTau()).verdict(PropertyId(PropKind.ACCP, scope=PropScope.PLAIN))
+            return self.prop("accp", PropScope.PLAIN, ev=self._context(FullTau()))
         except (UnsupportedOperationError, PreconditionError):
             return None
 
     def family_regular_arrow_diagram(self):
         theorem = "regular-factorization-arrows"
         ufr, hfr, ffr, wffr, bfr, accp, atomic, idf = map(
-            self.regular, ("ufr", "hfr", "ffr", "wffr", "bfr", "accp", "atomic", "idf")
+            self.prop, ("ufr", "hfr", "ffr", "wffr", "bfr", "accp", "atomic", "idf")
         )
-        accp_plain = self.verdict(PropertyId(PropKind.ACCP, scope=PropScope.PLAIN))
+        accp_plain = self.prop("accp", PropScope.PLAIN)
         self.implication(theorem, "ufr=>hfr", ufr, hfr)
         self.implication(theorem, "hfr=>bfr", hfr, bfr, gated=True)
         self.implication(theorem, "ufr=>ffr", ufr, ffr, gated=True)
@@ -832,8 +712,9 @@ def verify_corpus_entries(ring: Ring, taus, scope, cap: int, contexts: dict) -> 
     return out
 
 
-def summarize(entries: list) -> dict:
-    summary = {VERIFIED: 0, INAPPLICABLE: 0, VIOLATED: 0, SKIPPED: 0, INFORMATIONAL: 0}
-    for e in entries:
-        summary[e.outcome] = summary.get(e.outcome, 0) + 1
-    return summary
+def summarize(outcomes) -> dict:
+    """Rows per outcome, every outcome present, keys sorted."""
+    summary = dict.fromkeys((VERIFIED, INAPPLICABLE, VIOLATED, SKIPPED, INFORMATIONAL), 0)
+    for outcome in outcomes:
+        summary[outcome] = summary.get(outcome, 0) + 1
+    return dict(sorted(summary.items()))

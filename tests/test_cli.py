@@ -324,6 +324,17 @@ def test_corpus_zero_scope_rejected(tmp_path, capsys):
     assert code == 1 and "0" in err
 
 
+def test_finite_partial_scope_rows_are_scoped(capsys):
+    """On a finite ring a scope short of the non-units flags every verify
+    row scoped, as it flags the ``properties`` verdicts over that scope."""
+    corpus = {"schema": 1, "rings": ["Zn(12)"], "taus": ["full"], "scopes": {"Zn(12)": [2, 3]}}
+    rows = cli.run_verification(corpus)["entries"]
+    assert rows and all(r["scoped"] for r in rows)
+    code, out, _ = run_cli(capsys, "properties", "--ring", "Zn(12)", "--tau", "full", "--scope", "[2,3]")
+    assert code == 0
+    assert all(v["scoped"] for v in json.loads(out)["properties"])
+
+
 def test_default_corpus_metadata():
     entries, meta = generate_corpus(default_corpus_spec())
     # 23 modular rings + 25 products + 2 quotients + Z + ZxZ + the one field

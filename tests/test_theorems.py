@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +22,9 @@ from taufact.corpus import DEFAULT_TAUS, default_corpus_spec, generate_corpus
 from taufact.parsing import build_ring_from_text, build_tau_from_text
 from taufact.factor import _nontrivial_candidates
 from taufact.relations import EmptyTau, RegularTau, SubsetTau, format_tau_spec, normal_spec
-from taufact.properties import Evaluator
-from taufact.theorems import context_spec
+from taufact.factor import PreconditionError
+from taufact.properties import REGULAR_PROPS, Evaluator, PropertyVerdict
+from taufact.theorems import EntryChecker, context_spec
 from conftest import small_finite_rings
 
 from taufact import PolyQuotSpec
@@ -41,7 +44,7 @@ def run_entry(ring_spec, tau_spec, scope=None, cap=5):
     ring = build_ring(ring_spec)
     tau = build_tau(tau_spec, ring)
     entries = verify_corpus_entry(ring, tau, scope, cap, {})
-    return entries, summarize(entries)
+    return entries, summarize(e.outcome for e in entries)
 
 
 @pytest.mark.parametrize("ring_spec,tau_spec", SMALL_SPECS)
@@ -295,3 +298,121 @@ def test_refinable_verdict_records_the_caps_it_read():
     ev.fs = lambda a: read.append(fs(a).cap) or fs(a)
     verdict = ev.refinable()
     assert read and verdict.cap == max(read) > 6
+
+
+def test_zero_in_infinite_scope_rejected():
+    """A zero in an infinite ring's scope is refused, as ``check_property``
+    refuses it, not dropped."""
+    ring = build_ring(IntegersSpec())
+    with pytest.raises(PreconditionError):
+        verify_corpus_entry(ring, build_tau(FullTau(), ring), [0, 2, 3], 5, {})
+
+
+# Outcome of a law row by (lhs, rhs) outcome; rows: lhs holds / fails /
+# unknown, columns: rhs holds / fails / unknown.
+_SIDES = ("holds", "fails", "unknown")
+_LAW_TABLES = {
+    "implication": [
+        ["verified", "violated", "skipped"],
+        ["verified", "verified", "skipped"],
+        ["skipped", "skipped", "skipped"],
+    ],
+    "equivalence": [
+        ["verified", "violated", "skipped"],
+        ["violated", "verified", "skipped"],
+        ["skipped", "skipped", "skipped"],
+    ],
+}
+_WITNESS_KEYS = {
+    "implication": ["lhs", "rhs", "rhs_witness"],
+    "equivalence": ["lhs", "lhs_outcome", "rhs", "rhs_outcome"],
+}
+
+
+def _expected_law_rows(law, mode):
+    out = {}
+    for i, lhs in enumerate(_SIDES):
+        for j, rhs in enumerate(_SIDES):
+            outcome = _LAW_TABLES[law][i][j]
+            keys = _WITNESS_KEYS[law] if outcome == "violated" else []
+            note = "undecided side at cap" if outcome == "skipped" else ""
+            if mode == "gated":
+                outcome, keys, note = "inapplicable", [], "relation not refinable"
+            elif mode == "informational" and outcome != "skipped":
+                if outcome == "violated":
+                    note = f"flagged: {law} contradicted"
+                outcome = "informational"
+            out[lhs, rhs] = (outcome, keys, note)
+    return out
+
+
+def _law_rows(law, mode):
+    """The rows ``law`` gives each pair of synthetic verdicts, on a relation
+    that is not refinable (the one of ``test_eight_way_gated_on_refinability``)."""
+    ring = build_ring(ModIntSpec(8))
+    checker = EntryChecker(ring, build_tau(SubsetTau((2, 4)), ring), None, 5, {})
+    assert not checker.refinable.holds
+    for lhs in _SIDES:
+        for rhs in _SIDES:
+            getattr(checker, law)(
+                "law",
+                f"{lhs}-{rhs}",
+                PropertyVerdict(REGULAR_PROPS["ffr"], lhs, witness=2 if lhs == "fails" else None),
+                PropertyVerdict(REGULAR_PROPS["bfr"], rhs, witness=4 if rhs == "fails" else None),
+                gated=mode == "gated",
+                informational=mode == "informational",
+            )
+    return {
+        tuple(e.instance.split("-")): (e.outcome, list(e.witness or ()), e.note)
+        for e in checker.entries
+    }
+
+
+@pytest.mark.parametrize("mode", ["asserted", "gated", "informational"])
+@pytest.mark.parametrize("law", ["implication", "equivalence"])
+def test_law_rows_follow_the_comparison_table(law, mode):
+    assert _law_rows(law, mode) == _expected_law_rows(law, mode)
+
+
+def test_law_table_sees_an_implication_read_both_ways(monkeypatch):
+    """With ``_law`` treating an implication as an equivalence, the table
+    test fails: fails => holds comes out violated."""
+    law = EntryChecker._law
+    monkeypatch.setattr(EntryChecker, "_law", lambda self, *a: law(self, *a[:4], True, *a[5:]))
+    rows = _law_rows("implication", "asserted")
+    assert rows["fails", "holds"][0] == "violated"
+    assert rows != _expected_law_rows("implication", "asserted")
+
+
+def test_harness_rules_stated_once():
+    """``theorems`` builds property cells only in ``EntryChecker.prop``, and
+    only ``EntryChecker._law`` emits ``VIOLATED`` for a law row: no function
+    that compares verdicts through ``implication``, ``equivalence`` or
+    ``_law`` emits it itself."""
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            functions += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+
+    def builds_cell(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "PropertyId"
+
+    builders, violates, laws = [], set(), set()
+    for name, fn in functions:
+        for node in ast.walk(fn):
+            if builds_cell(node):
+                builders.append(name)
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "emit" and any(
+                isinstance(n, ast.Name) and n.id == "VIOLATED" for n in ast.walk(node)
+            ):
+                violates.add(name)
+            if node.func.attr in ("implication", "equivalence", "_law"):
+                laws.add(name)
+    assert builders == ["EntryChecker.prop"]
+    assert sum(map(builds_cell, ast.walk(tree))) == 1
+    assert "EntryChecker._law" in violates
+    assert not violates & laws
+    assert all(name.startswith("EntryChecker.family_") for name in violates - {"EntryChecker._law"})
