@@ -15,12 +15,20 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _quote
 
 from .corpus import CorpusError, default_corpus_spec, generate_corpus
 from .factor import PreconditionError, enumerate_factorizations
 from .irreducibles import classify
 from .parsing import ParseError, build_ring_from_text, build_tau_from_text, parse_element
-from .properties import DEFAULT_PROPERTY_CAP, REGULAR_PROPS, Evaluator, PropScope, elasticity
+from .properties import (
+    DEFAULT_PROPERTY_CAP,
+    REGULAR_PROPS,
+    Evaluator,
+    PropScope,
+    _resolve_domain,
+    elasticity,
+)
 from .relations import RegCapTau, TauConstructionError
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
 from .theorems import context_spec, summarize, verify_corpus_entries
@@ -80,11 +88,103 @@ def _build_parser() -> _Parser:
     return p
 
 
+_INFINITY = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, float):
+        return '"' + _float_text(k) + '"'
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return '"' + int.__repr__(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _array_text(obj, newline: str) -> str:
+    if not obj:
+        return "[]"
+    inner = newline + "  "
+    if all(type(x) is int for x in obj):
+        items = map(int.__repr__, obj)
+    else:
+        items = [_json_text(x, inner) for x in obj]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _object_text(obj, newline: str) -> str:
+    if not obj:
+        return "{}"
+    inner = newline + "  "
+    items = [_key_text(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
+def _json_text(obj, newline: str) -> str:
+    """The text of ``obj`` nested at the indent that ``newline`` ends in."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is list or t is tuple:
+        return _array_text(obj, newline)
+    if t is dict:
+        return _object_text(obj, newline)
+    # the rest in the order of json's pure-Python encoder, so that an
+    # instance of a subclass takes the branch it takes there
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, (list, tuple)):
+        return _array_text(obj, newline)
+    if isinstance(obj, dict):
+        return _object_text(obj, newline)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def dumps_indent2(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.
+
+    An ``indent`` sends ``json.dumps`` to its pure-Python encoder.  This
+    writer quotes strings with the C ``encode_basestring_ascii`` and joins a
+    list of plain ints in one step, which nearly halves the time to encode
+    the CLI's responses.  Like ``json`` it raises ``TypeError`` on an object
+    it cannot encode; unlike it, it does not look for cycles.
+    """
+    return _json_text(obj, "\n")
+
+
 def _emit(payload, pretty: bool, pretty_render=None):
     if pretty and pretty_render is not None:
         print(pretty_render(payload))
     else:
-        print(json.dumps(payload, indent=2))
+        print(dumps_indent2(payload))
 
 
 def _load_inputs(args, element=True):
@@ -296,7 +396,7 @@ def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
 def cmd_verify(args) -> int:
     corpus_spec = _load_corpus(args.corpus)
     report = run_verification(corpus_spec, cap=args.cap, jobs=args.jobs)
-    text = json.dumps(report, indent=2)
+    text = dumps_indent2(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -327,10 +427,8 @@ def cmd_catalog(args) -> int:
     for ce in corpus_entries:
         ring, tau = ce.ring, ce.tau
         elements = []
-        domain = ce.scope if ce.scope is not None else ring.nonunits()
-        for a in sorted(set(domain), key=ring.sort_key):
-            if ring.is_unit(a):
-                continue
+        domain, scoped = _resolve_domain(ring, ce.scope)
+        for a in domain:
             row = {
                 "element": ring.element_to_json(a),
                 "class": ring.classify(a).value,
@@ -349,7 +447,7 @@ def cmd_catalog(args) -> int:
                 "ring": ce.ring_str,
                 "tau": ce.tau_str,
                 "cap": cap,
-                "scoped": ce.scope is not None and not ring.is_finite,
+                "scoped": scoped,
                 "elements": elements,
                 "properties": props,
                 "elasticity": elas,
@@ -357,7 +455,7 @@ def cmd_catalog(args) -> int:
         )
     atlas = {"schema": 1, "corpus": meta, "entries": atlas_entries}
     with open(args.out, "w") as fh:
-        fh.write(json.dumps(atlas, indent=2) + "\n")
+        fh.write(dumps_indent2(atlas) + "\n")
     if args.pretty:
         print(f"wrote {len(atlas_entries)} atlas entries to {args.out}")
     else:

@@ -168,12 +168,12 @@ def validate_factorization(tau: TauRelation, f: Factorization) -> Optional[str]:
 # Canonical forms
 
 
-def canonicalize(ring: Ring, f: Factorization, beta: AssociateKind) -> tuple:
-    """Key equal for two factorizations iff their factor multisets match
-
-    bijectively with beta-associated factors (rearrangement and unit variation
-    quotiented away)."""
-    return tuple(sorted(ring.associate_key(x, beta) for x in f.factors))
+def canonicalize(ring: Ring, factors: tuple, beta: AssociateKind) -> tuple:
+    """Class key of a factorization's factor tuple: equal for two
+    factorizations iff their factor multisets match bijectively with
+    beta-associated factors (rearrangement and unit variation quotiented
+    away)."""
+    return tuple(sorted([ring.associate_key(x, beta) for x in factors]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +304,24 @@ def enumerate_factorizations(
     max_length = 0
 
     def consider(factors: tuple, product, unit) -> None:
+        # a Factorization is built only for a new class or the pump witness
         nonlocal pump, max_length
         if factors in raw_seen:
             return
         raw_seen.add(factors)
-        f = Factorization(ring=ring, unit=unit, factors=factors, target=target)
         max_length = max(max_length, len(factors))
-        key = canonicalize(ring, f, beta)
+        key = canonicalize(ring, factors, beta)
         if key not in classes:
-            classes[key] = f
+            classes[key] = Factorization(ring=ring, unit=unit, factors=factors, target=target)
         if pump is None:
             x = pump_factor(ring, tau, factors, product)
             if x is not None:
-                pump = PumpWitness(x=x, base=f)
+                base = Factorization(ring=ring, unit=unit, factors=factors, target=target)
+                pump = PumpWitness(x=x, base=base)
 
-    # trivial factorizations, one per distinct factor value, smallest unit first
-    for u in sorted(ring.units(), key=ring.sort_key):
+    # trivial factorizations, one per distinct factor value, smallest unit
+    # first (``units()`` is in ``sort_key`` order)
+    for u in ring.units():
         x = mul(ring.unit_inverse(u), target)
         if (x,) not in raw_seen:
             consider((x,), x, u)

@@ -371,7 +371,7 @@ PLAIN_VIEW = FactorView(
     "plain",
     pieces=lambda ev, a: ev.fs(a).items,
     atoms=lambda f: f.factors,
-    key=lambda ring, f, beta: canonicalize(ring, f, beta),
+    key=lambda ring, f, beta: canonicalize(ring, f.factors, beta),
 )
 
 # The same properties read through the essential divisors of the splits.

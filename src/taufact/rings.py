@@ -381,9 +381,14 @@ class Ring:
             return (1, self.sort_key(x))
         got = self._assoc_key_cache.get(x)
         if got is None:
-            got = (0, min(self.sort_key(self.mul(u, x)) for u in self.units()))
+            got = (0, self._orbit_min(x))
             self._assoc_key_cache[x] = got
         return got
+
+    def _orbit_min(self, x):
+        """The least ``sort_key(u*x)`` over the units u; constructions with a
+        closed form override the scan."""
+        return min(self.sort_key(self.mul(u, x)) for u in self.units())
 
     def is_strongly_associate(self) -> bool:
         """a ~ b forces a = (unit)*b, for every pair.
@@ -486,10 +491,41 @@ class ModRing(Ring):
             return ElementClass.UNIT
         return ElementClass.ZERO_DIVISOR
 
+    def units(self) -> list:
+        if self._unit_cache is None:
+            self._unit_cache = [a for a in range(1, self.n) if math.gcd(a, self.n) == 1]
+        return self._unit_cache
+
+    def _compute_unit_inverse(self, a):
+        try:
+            return pow(a, -1, self.n)
+        except ValueError:
+            raise ValueError(f"{a!r} is not a unit") from None
+
+    def _divisors(self, a) -> frozenset:
+        # b | a iff gcd(b, n) | a: r*b = a has a solution mod n exactly when
+        # the gcd divides a (see _cofactors).
+        n = self.n
+        return frozenset(b for b in range(n) if a % math.gcd(b, n) == 0)
+
     def _cofactors(self, a, b) -> CofactorSet:
+        # With g = gcd(b, n), r*b = a (mod n) is solvable iff g | a, and then
+        # divides through to r*(b/g) = a/g (mod n/g), where b/g is a unit:
+        # the solutions are r0 + k*(n/g) with r0 = (a/g)*(b/g)^-1 mod n/g.
         if a == 0 and b == 0:
             return CofactorSet.all_of(self)
-        return CofactorSet.finite(self, (r for r in range(self.n) if (r * b) % self.n == a))
+        n = self.n
+        g = math.gcd(b, n)
+        if a % g:
+            return CofactorSet.finite(self, ())
+        m = n // g
+        r0 = (a // g) * pow(b // g, -1, m) % m
+        return CofactorSet.finite(self, range(r0, n, m))
+
+    def _orbit_min(self, x):
+        # the unit orbit of x is the residues g = gcd(x, n) times a unit, so
+        # its least member is g (0 when x = 0, where g = n)
+        return math.gcd(x, self.n) % self.n
 
     def comaximal(self, a, b) -> bool:
         got = self._comax_cache.get((a, b))
@@ -550,6 +586,10 @@ class IntegerRing(Ring):
         if a in (1, -1):
             return a
         raise ValueError(f"{a!r} is not a unit")
+
+    def _orbit_min(self, x):
+        # the orbit is {x, -x}
+        return (abs(x), 0)
 
     def _divisors(self, a) -> frozenset:
         if a == 0:
@@ -731,15 +771,18 @@ class ProductRing(Ring):
         )
 
     def units(self):
+        # component units in order, paired left-major: in sort_key order
         if self._unit_cache is None:
-            self._unit_cache = sorted(
-                ((x, y) for x in self.left.units() for y in self.right.units()),
-                key=self.sort_key,
-            )
+            self._unit_cache = [(x, y) for x in self.left.units() for y in self.right.units()]
         return self._unit_cache
 
     def _compute_unit_inverse(self, a):
         return (self.left.unit_inverse(a[0]), self.right.unit_inverse(a[1]))
+
+    def _orbit_min(self, x):
+        # the units are the pairs of component units, and sort_key is
+        # lexicographic, so the minimum is taken component by component
+        return (self.left._orbit_min(x[0]), self.right._orbit_min(x[1]))
 
     def _classify(self, a):
         cl = self.left.classify(a[0])

@@ -5,11 +5,15 @@ import random
 import sys
 import weakref
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from taufact import cli, theorems
 from taufact.cli import main
 from taufact.corpus import DEFAULT_TAUS, CorpusEntry, default_corpus_spec, generate_corpus
 from taufact.parsing import build_ring_from_text, parse_tau_spec
 from taufact.relations import RegCapTau, SubsetTau, build_tau
+from taufact.rings import AssociateKind
 from taufact.theorems import context_spec
 
 
@@ -333,6 +337,111 @@ def test_finite_partial_scope_rows_are_scoped(capsys):
     code, out, _ = run_cli(capsys, "properties", "--ring", "Zn(12)", "--tau", "full", "--scope", "[2,3]")
     assert code == 0
     assert all(v["scoped"] for v in json.loads(out)["properties"])
+
+
+def test_catalog_partial_scope_entry_is_scoped(tmp_path, capsys):
+    """A finite ring with a scope short of its non-units gives an atlas entry
+    that says ``scoped``, as its property verdicts and elasticity do, and
+    lists the scope's non-units only."""
+    corpus = {"schema": 1, "rings": ["Zn(12)"], "taus": ["full"], "scopes": {"Zn(12)": [2, 3]}}
+    cpath = tmp_path / "corpus.json"
+    cpath.write_text(json.dumps(corpus))
+    apath = tmp_path / "atlas.json"
+    assert run_cli(capsys, "catalog", "--corpus", str(cpath), "--out", str(apath))[0] == 0
+    (entry,) = json.loads(apath.read_text())["entries"]
+    assert entry["scoped"] is True
+    assert all(v["scoped"] for v in entry["properties"] if "scoped" in v)
+    assert entry["elasticity"]["scoped"] is True
+    assert [e["element"] for e in entry["elements"]] == [2, 3]
+
+
+_json_strings = st.text(st.characters(), max_size=8) | st.sampled_from(["", "\x00\x1f\x7f", "\u2028é😀", '"\\/'])
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | _json_strings
+)
+_json_keys = _json_strings | st.integers() | st.floats() | st.booleans() | st.none()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(_json_keys, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_writer_matches_json_dumps_indent2(obj):
+    assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+
+def test_writer_matches_json_dumps_on_subclasses():
+    class Text(str):
+        pass
+
+    class Items(list):
+        pass
+
+    class Table(dict):
+        pass
+
+    obj = Table(
+        {Text("k"): Items([AssociateKind.STRONG, Text("v"), 1.5, Items([2, 3])]), AssociateKind.ASSOCIATE: (True, None)}
+    )
+    assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+
+def test_writer_rejects_what_json_rejects():
+    for bad in (object(), {1, 2}, b"x", complex(1, 2), [1, {"a": {3}}], {(1, 2): 3}, {"k": [object()]}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli.dumps_indent2(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_every_emit_site_writes_stdlib_indent2_bytes(tmp_path, capsys):
+    """Each command's JSON text is what ``json.dumps(..., indent=2)`` writes
+    for the same data."""
+
+    def same_as_stdlib(text):
+        assert text.endswith("\n")
+        text = text[:-1]
+        assert text == json.dumps(json.loads(text), indent=2)
+
+    requests = [
+        ("classify", "--ring", "prod(Zn(2),Zn(4))", "--tau", "full", "--element", "[1,2]"),
+        ("ufact", "--ring", "Zn(12)", "--tau", "comax", "--element", "6"),
+        ("ufact", "--ring", "prod(Z,Z)", "--tau", "full", "--element", "[6,4]", "--cap", "4"),
+        ("properties", "--ring", "Zn(6)", "--tau", "zero"),
+        ("properties", "--ring", "Z", "--tau", "full", "--scope", "[4,-6]"),
+    ]
+    for beta in sorted(cli.BETA_NAMES):
+        requests.append(("factorizations", "--ring", "Zn(6)", "--tau", "full", "--element", "3", "--beta", beta))
+        requests.append(
+            ("factorizations", "--ring", "prod(Zn(2),Zn(3))", "--tau", "full", "--element", "[0,0]", "--beta", beta)
+        )
+    for argv in requests:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        same_as_stdlib(out)
+    corpus = {"schema": 1, "rings": ["Zn(4)", "Z"], "taus": ["full", "comax"], "scopes": {"Z": [6, -4]}}
+    cpath = tmp_path / "corpus.json"
+    cpath.write_text(json.dumps(corpus))
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(cpath), "--out", str(report))
+    assert code == 0
+    same_as_stdlib(out)
+    same_as_stdlib(report.read_text())
+    atlas = tmp_path / "atlas.json"
+    assert run_cli(capsys, "catalog", "--corpus", str(cpath), "--out", str(atlas))[0] == 0
+    same_as_stdlib(atlas.read_text())
 
 
 def test_default_corpus_metadata():

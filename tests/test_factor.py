@@ -228,21 +228,21 @@ def test_canonicalize_rearrangement(z6):
     f1 = Factorization(ring=z6, unit=1, factors=(2, 4), target=2)
     f2 = Factorization(ring=z6, unit=1, factors=(4, 2), target=2)
     for beta in (A, S, V):
-        assert canonicalize(z6, f1, beta) == canonicalize(z6, f2, beta)
+        assert canonicalize(z6, f1.factors, beta) == canonicalize(z6, f2.factors, beta)
 
 
 def test_canonicalize_strong_merges_associates(z6):
     t1 = Factorization(ring=z6, unit=1, factors=(4,), target=4)
     t2 = Factorization(ring=z6, unit=5, factors=(2,), target=4)
-    assert canonicalize(z6, t1, S) == canonicalize(z6, t2, S)
-    assert canonicalize(z6, t1, V) != canonicalize(z6, t2, V)
+    assert canonicalize(z6, t1.factors, S) == canonicalize(z6, t2.factors, S)
+    assert canonicalize(z6, t1.factors, V) != canonicalize(z6, t2.factors, V)
 
 
 def test_canonicalize_very_strong_example(f3xf3):
     t1 = Factorization(ring=f3xf3, unit=(1, 1), factors=((1, 0),), target=(1, 0))
     t2 = Factorization(ring=f3xf3, unit=(2, 1), factors=((2, 0),), target=(1, 0))
-    assert canonicalize(f3xf3, t1, V) != canonicalize(f3xf3, t2, V)
-    assert canonicalize(f3xf3, t1, S) == canonicalize(f3xf3, t2, S)
+    assert canonicalize(f3xf3, t1.factors, V) != canonicalize(f3xf3, t2.factors, V)
+    assert canonicalize(f3xf3, t1.factors, S) == canonicalize(f3xf3, t2.factors, S)
 
 
 def test_canonical_keys_match_bijective_matching():
@@ -258,7 +258,7 @@ def test_canonical_keys_match_bijective_matching():
                 for f in sample:
                     for g in sample:
                         assert (
-                            canonicalize(ring, f, beta) == canonicalize(ring, g, beta)
+                            canonicalize(ring, f.factors, beta) == canonicalize(ring, g.factors, beta)
                         ) == matching_equivalent(ring, f, g, beta)
 
 

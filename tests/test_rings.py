@@ -252,6 +252,40 @@ def test_modring_classify_closed_form():
             assert ring.classify(a) == expected, (n, a)
 
 
+def test_modring_cofactors_divisors_units_inverse_closed_form():
+    # oracles: scans over the residues
+    for n in range(2, 41):
+        ring = build_ring(ModIntSpec(n))
+        for a in range(n):
+            for b in range(n):
+                cof = ring.cofactors(a, b)
+                if a == 0 and b == 0:
+                    assert cof.is_all(), n
+                    assert cof.as_frozenset() == frozenset(range(n))
+                else:
+                    assert not cof.is_all(), (n, a, b)
+                    assert cof.as_frozenset() == {r for r in range(n) if r * b % n == a}, (n, a, b)
+            assert ring.divisors(a) == {b for b in range(n) if any(r * b % n == a for r in range(n))}, (n, a)
+        assert ring.units() == [a for a in range(n) if any(a * x % n == 1 for x in range(n))], n
+        for a in range(n):
+            inverses = [x for x in range(n) if a * x % n == 1]
+            if inverses:
+                assert ring.unit_inverse(a) == inverses[0], (n, a)
+            else:
+                with pytest.raises(ValueError, match="not a unit"):
+                    ring.unit_inverse(a)
+
+
+def test_units_in_sort_key_order():
+    texts = ["Z", "Zn(12)", "GFq(2,[1,1,1])", "GFq(3,[0,0,1])", "prod(Zn(4),Zn(6))",
+             "prod(Z,Z)", "prod(GFq(2,[0,0,1]),Zn(5))", "prod(prod(Zn(3),Z),Zn(4))"]
+    for text in texts:
+        ring = build_ring_from_text(text)
+        units = ring.units()
+        assert len(units) >= 2
+        assert units == sorted(units, key=ring.sort_key), text
+
+
 def test_polyquot_comaximal_matches_double_scan():
     """The ideal test ``1 - a*x in bR`` against the scan over all (x, y)."""
     rings = [r for r in small_finite_rings() if isinstance(r.spec, PolyQuotSpec)]
