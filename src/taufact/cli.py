@@ -31,7 +31,7 @@ from .properties import (
 )
 from .relations import RegCapTau, TauConstructionError
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
-from .theorems import context_spec, summarize, verify_corpus_entries
+from .theorems import context_evaluator, context_spec, per_context_spec, summarize, verify_corpus_entries
 
 BETA_NAMES = {
     "associate": AssociateKind.ASSOCIATE,
@@ -265,20 +265,19 @@ _CATALOG_PROPS = tuple(
 )
 
 
-def _property_vector(ring, tau, scope, cap):
-    cap = cap or DEFAULT_PROPERTY_CAP
-    plain = Evaluator(ring, tau, cap, scope)
-    restricted = Evaluator(ring, tau.regcap(), cap, scope)
+def _property_vector(plain: Evaluator, restricted: Evaluator):
+    """The property cells of a relation, read from its evaluator and its
+    restriction's, and its elasticity."""
     out = []
     for prop in _CATALOG_PROPS:
         try:
             v = (restricted if prop.scope.restricted else plain).verdict(prop)
-            out.append(v.to_json(ring))
+            out.append(v.to_json(plain.ring))
         except (UnsupportedOperationError, PreconditionError) as exc:
             out.append({"property": prop.label(), "outcome": "unsupported", "note": str(exc)})
     try:
-        el = elasticity(ring, tau, scope, cap, evaluator=plain)
-        elas = el.to_json(ring)
+        el = elasticity(plain.ring, plain.tau, plain.scope, plain.cap, evaluator=plain)
+        elas = el.to_json(plain.ring)
     except (UnsupportedOperationError, PreconditionError) as exc:
         elas = {"value": "unsupported", "note": str(exc)}
     return out, elas
@@ -289,7 +288,8 @@ def cmd_properties(args) -> int:
     scope = None
     if args.scope is not None:
         scope = [ring.element_from_json(e) for e in json.loads(args.scope)]
-    props, elas = _property_vector(ring, tau, scope, args.cap)
+    cap = args.cap or DEFAULT_PROPERTY_CAP
+    props, elas = _property_vector(Evaluator(ring, tau, cap, scope), Evaluator(ring, tau.regcap(), cap, scope))
     payload = {
         "schema": 1,
         "ring": args.ring,
@@ -322,24 +322,53 @@ def _load_corpus(name: str) -> dict:
 _ring_slot: list = []
 
 
-def _verify_group(payload):
-    """Worker: one pool unit, (ring, relations, scope, cap), whose relations
-    are the entries of one ring that share evaluators.  Returns the rows of
-    each entry.  The ring and its evaluators stay in the slot while the
-    next unit names the same ring, scope and cap."""
+def _slot_unit(payload):
+    """The ring, relations, scope, cap and evaluator contexts of one pool
+    unit.  The ring and its contexts stay in the slot while the next unit
+    names the same ring, scope and cap."""
     ring_str, tau_strs, scope_json, cap = payload
-    key = (ring_str, scope_json, cap)
-    if not _ring_slot or _ring_slot[0] != key:
-        _ring_slot[:] = [key, build_ring_from_text(ring_str), {}]
+    if not _ring_slot or _ring_slot[0] != (ring_str, scope_json, cap):
+        _ring_slot[:] = [(ring_str, scope_json, cap), build_ring_from_text(ring_str), {}]
     _, ring, contexts = _ring_slot
-    scope = None
-    if scope_json is not None:
-        scope = [ring.element_from_json(e) for e in scope_json]
-    taus = [build_tau_from_text(t, ring) for t in tau_strs]
+    scope = None if scope_json is None else [ring.element_from_json(e) for e in scope_json]
+    return ring, [build_tau_from_text(t, ring) for t in tau_strs], scope, cap, contexts
+
+
+def _verify_group(payload):
+    """Worker: the theorem rows of each entry of one pool unit."""
+    ring, taus, scope, cap, contexts = _slot_unit(payload)
     return [
         [e.to_json() for e in rows]
         for rows in verify_corpus_entries(ring, taus, scope, cap, contexts)
     ]
+
+
+def _catalog_group(payload):
+    """Worker: the atlas entries of one pool unit.  An atlas entry depends
+    on its relation only through the context spec and the ``tau`` label, as
+    verify's rows do."""
+    ring, taus, scope, cap, contexts = _slot_unit(payload)
+    domain, scoped = _resolve_domain(ring, scope)
+
+    def entry(tau):
+        elements = []
+        for a in domain:
+            row = {"element": ring.element_to_json(a), "class": ring.classify(a).value}
+            try:
+                row["flags"] = {
+                    k.value: v.value for k, v in classify(ring, tau, a, cap=cap).flags.items()
+                }
+            except UnsupportedOperationError as exc:
+                row.update(flags="unsupported", note=str(exc))
+            elements.append(row)
+        props, elas = _property_vector(
+            context_evaluator(contexts, ring, tau.spec, scope, cap),
+            context_evaluator(contexts, ring, RegCapTau(tau.spec), scope, cap),
+        )
+        return {"cap": cap, "scoped": scoped, "elements": elements, "properties": props, "elasticity": elas}
+
+    bodies = per_context_spec(ring, taus, entry, lambda body, tau: body)
+    return [{"ring": payload[0], "tau": t, **body} for t, body in zip(payload[1], bodies)]
 
 
 def _pool_units(corpus_entries) -> list:
@@ -360,7 +389,10 @@ def _pool_units(corpus_entries) -> list:
     return list(units.values())
 
 
-def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
+def _run_corpus(corpus_spec: dict, cap, jobs: int, worker):
+    """The corpus metadata, the cap, and ``worker``'s result per corpus entry
+    in corpus order.  ``worker`` maps one pool unit's payload to a result per
+    relation; with ``jobs`` > 1 each unit is one task on a process pool."""
     corpus_entries, meta = generate_corpus(corpus_spec)
     cap = cap if cap is not None else meta["cap"]
     scopes = corpus_spec.get("scopes", {})
@@ -374,15 +406,20 @@ def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
         if jobs > 1:
             # one task per unit, handed to whichever worker is free
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_verify_group, payloads, chunksize=1))
+                results = list(pool.map(worker, payloads, chunksize=1))
         else:
-            results = [_verify_group(payload) for payload in payloads]
+            results = [worker(payload) for payload in payloads]
     finally:
         _ring_slot.clear()
     per_entry: list = [None] * len(corpus_entries)
     for unit, chunks in zip(units, results):
         for i, chunk in zip(unit, chunks):
             per_entry[i] = chunk
+    return meta, cap, per_entry
+
+
+def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
+    meta, cap, per_entry = _run_corpus(corpus_spec, cap, jobs, _verify_group)
     rows = [r for chunk in per_entry for r in chunk]
     return {
         "schema": 1,
@@ -420,39 +457,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    corpus_spec = _load_corpus(args.corpus)
-    corpus_entries, meta = generate_corpus(corpus_spec)
-    cap = args.cap if args.cap is not None else meta["cap"]
-    atlas_entries = []
-    for ce in corpus_entries:
-        ring, tau = ce.ring, ce.tau
-        elements = []
-        domain, scoped = _resolve_domain(ring, ce.scope)
-        for a in domain:
-            row = {
-                "element": ring.element_to_json(a),
-                "class": ring.classify(a).value,
-            }
-            try:
-                row["flags"] = {
-                    k.value: v.value for k, v in classify(ring, tau, a, cap=cap).flags.items()
-                }
-            except UnsupportedOperationError as exc:
-                row["flags"] = "unsupported"
-                row["note"] = str(exc)
-            elements.append(row)
-        props, elas = _property_vector(ring, tau, ce.scope, cap)
-        atlas_entries.append(
-            {
-                "ring": ce.ring_str,
-                "tau": ce.tau_str,
-                "cap": cap,
-                "scoped": scoped,
-                "elements": elements,
-                "properties": props,
-                "elasticity": elas,
-            }
-        )
+    meta, _, atlas_entries = _run_corpus(_load_corpus(args.corpus), args.cap, 1, _catalog_group)
     atlas = {"schema": 1, "corpus": meta, "entries": atlas_entries}
     with open(args.out, "w") as fh:
         fh.write(dumps_indent2(atlas) + "\n")
@@ -469,20 +474,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    commands = {
+        "classify": cmd_classify,
+        "factorizations": cmd_factorizations,
+        "ufact": cmd_ufact,
+        "properties": cmd_properties,
+        "verify": cmd_verify,
+        "catalog": cmd_catalog,
+    }
     try:
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "factorizations":
-            return cmd_factorizations(args)
-        if args.command == "ufact":
-            return cmd_ufact(args)
-        if args.command == "properties":
-            return cmd_properties(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "catalog":
-            return cmd_catalog(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except (
         ParseError,
         RingConstructionError,
@@ -495,7 +496,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

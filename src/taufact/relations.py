@@ -4,9 +4,9 @@ Built-in constructors: the full relation, the empty relation, restriction to
 a subset S (a rel b iff both in S), comaximality, zero products, regularity
 of both arguments, and the regular-restriction combinator rel & (Reg x Reg).
 
-Relation-level predicates (multiplicative, divisive, associate preserving,
-refinable, combinable) are decided by exhaustive scan on finite rings, or
-over an explicit element scope on infinite ones (flagged as scoped).
+Refinability, the one relation-level predicate the harness reads, is
+decided by exhaustive scan on finite rings, or over an explicit element
+scope on infinite ones (flagged as scoped).
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .rings import (
-    AssociateKind,
-    InfiniteSetError,
-    Ring,
-    UnsupportedOperationError,
-)
+from .rings import Ring, UnsupportedOperationError
 
 
 class TauConstructionError(ValueError):
@@ -182,11 +177,7 @@ def normal_spec(spec: TauSpec) -> TauSpec:
 
 
 class TauProperty(enum.Enum):
-    MULTIPLICATIVE = "multiplicative"
-    DIVISIVE = "divisive"
-    ASSOCIATE_PRESERVING = "associate-preserving"
     REFINABLE = "refinable"
-    COMBINABLE = "combinable"
 
 
 @dataclass
@@ -203,25 +194,22 @@ class TauPropertyVerdict:
         return self.outcome == "holds"
 
 
-_VACUOUS_NOTE = "products leaving the nonzero non-units are treated as vacuously satisfying the implication"
-
-
 def check_tau_property(
     tau: TauRelation,
     prop: TauProperty,
-    kind: AssociateKind = AssociateKind.ASSOCIATE,
     scope=None,
     cap: Optional[int] = None,
     fs_provider=None,
 ) -> TauPropertyVerdict:
-    """Decide a relation-level predicate, exhaustively or over a scope.
+    """Decide refinability, exhaustively or over a scope.
 
-    ``kind`` only applies to ASSOCIATE_PRESERVING.  Refinable and combinable
-    quantify over enumerated factorizations up to ``cap``; the verdict records
-    the largest cap of the enumerations it read (``fs_provider`` may choose
-    its own, as ``Evaluator.fs`` does on an infinite ring), or ``cap`` when
-    it read none.
+    The check quantifies over enumerated factorizations up to ``cap``; the
+    verdict records the largest cap of the enumerations it read
+    (``fs_provider`` may choose its own, as ``Evaluator.fs`` does on an
+    infinite ring), or ``cap`` when it read none.
     """
+    if prop != TauProperty.REFINABLE:
+        raise ValueError(f"unknown relation property: {prop!r}")
     ring = tau.ring
     if scope is None:
         if not ring.is_finite:
@@ -233,18 +221,6 @@ def check_tau_property(
     else:
         domain = [a for a in scope if a != ring.zero and not ring.is_unit(a)]
         scoped = not ring.is_finite
-    if prop == TauProperty.MULTIPLICATIVE:
-        return _check_multiplicative(tau, domain, scoped)
-    if prop == TauProperty.DIVISIVE:
-        return _check_divisive(tau, domain, scoped)
-    if prop == TauProperty.ASSOCIATE_PRESERVING:
-        return _check_associate_preserving(tau, kind, domain, scoped)
-    if prop == TauProperty.REFINABLE:
-        check = _check_refinable
-    elif prop == TauProperty.COMBINABLE:
-        check = _check_combinable
-    else:
-        raise ValueError(f"unknown relation property: {prop!r}")
     cap = cap if cap is not None else 4
     if fs_provider is None:
         # Local import: the engine depends on this module for relation types.
@@ -258,87 +234,13 @@ def check_tau_property(
         read.append(got.cap)
         return got
 
-    verdict = check(tau, domain, scoped, fs)
+    verdict = _check_refinable(tau, domain, scoped, fs)
     verdict.cap = max(read, default=cap)
     return verdict
 
 
 def _in_sharp(ring: Ring, x) -> bool:
     return x != ring.zero and not ring.is_unit(x)
-
-
-def _check_multiplicative(tau, domain, scoped) -> TauPropertyVerdict:
-    ring = tau.ring
-    for a in domain:
-        related = [b for b in domain if tau.holds(a, b)]
-        for b in related:
-            for c in related:
-                bc = ring.mul(b, c)
-                if not _in_sharp(ring, bc):
-                    continue  # vacuous-case convention
-                if not tau.holds(a, bc):
-                    return TauPropertyVerdict(
-                        TauProperty.MULTIPLICATIVE,
-                        "fails",
-                        witness=(a, b, c),
-                        scoped=scoped,
-                        note=_VACUOUS_NOTE,
-                    )
-    return TauPropertyVerdict(
-        TauProperty.MULTIPLICATIVE, "holds", scoped=scoped, note=_VACUOUS_NOTE
-    )
-
-
-def _sharp_divisors(ring: Ring, b):
-    return sorted(
-        (d for d in ring.divisors(b) if _in_sharp(ring, d)), key=ring.sort_key
-    )
-
-
-def _check_divisive(tau, domain, scoped) -> TauPropertyVerdict:
-    ring = tau.ring
-    note = ""
-    skipped = 0
-    for a in domain:
-        for b in domain:
-            if not tau.holds(a, b):
-                continue
-            try:
-                subs = _sharp_divisors(ring, b)
-            except InfiniteSetError:
-                skipped += 1
-                continue
-            for bp in subs:
-                if not tau.holds(a, bp):
-                    return TauPropertyVerdict(
-                        TauProperty.DIVISIVE, "fails", witness=(a, b, bp), scoped=scoped
-                    )
-    if skipped:
-        note = f"{skipped} pairs skipped (infinite divisor sets)"
-    return TauPropertyVerdict(TauProperty.DIVISIVE, "holds", scoped=scoped, note=note)
-
-
-def _check_associate_preserving(tau, kind, domain, scoped) -> TauPropertyVerdict:
-    ring = tau.ring
-    for b in domain:
-        partners = None
-        for bp in domain:
-            if bp == b or not ring.associated(b, bp, kind):
-                continue
-            if partners is None:
-                partners = [a for a in domain if tau.holds(a, b)]
-            for a in partners:
-                if not tau.holds(a, bp):
-                    return TauPropertyVerdict(
-                        TauProperty.ASSOCIATE_PRESERVING,
-                        "fails",
-                        witness=(a, b, bp),
-                        scoped=scoped,
-                        note=f"kind={kind.name}",
-                    )
-    return TauPropertyVerdict(
-        TauProperty.ASSOCIATE_PRESERVING, "holds", scoped=scoped, note=f"kind={kind.name}"
-    )
 
 
 def _iter_factorization_sets(tau, domain, fs):
@@ -410,43 +312,3 @@ def _check_refinable(tau, domain, scoped, fs) -> TauPropertyVerdict:
                         scoped=scoped,
                     )
     return TauPropertyVerdict(TauProperty.REFINABLE, "holds", scoped=scoped)
-
-
-def _check_combinable(tau, domain, scoped, fs) -> TauPropertyVerdict:
-    """Merging two positions of a factorization must leave a factorization;
-    only the merged value's pairs with the remaining positions are new."""
-    ring = tau.ring
-    seen = set()
-    for got in _iter_factorization_sets(tau, domain, fs):
-        for f in got.items:
-            n = len(f.factors)
-            if n < 2:
-                continue
-            for i in range(n):
-                for j in range(i + 1, n):
-                    rest = list(f.factors)
-                    x = rest.pop(j)
-                    y = rest.pop(i)
-                    key = (x, y, tuple(sorted(set(rest))))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    m = ring.mul(x, y)
-                    if not rest:
-                        continue  # merged factorization is trivial: no pairs
-                    bad = None
-                    if not _in_sharp(ring, m):
-                        bad = (m, rest[0])
-                    else:
-                        for v in set(rest):
-                            if not tau.holds(m, v):
-                                bad = (m, v)
-                                break
-                    if bad is not None:
-                        return TauPropertyVerdict(
-                            TauProperty.COMBINABLE,
-                            "fails",
-                            witness=(f, (x, y), bad),
-                            scoped=scoped,
-                        )
-    return TauPropertyVerdict(TauProperty.COMBINABLE, "holds", scoped=scoped)

@@ -114,6 +114,37 @@ def context_spec(spec, ring: Ring):
     return spec
 
 
+def context_evaluator(contexts: dict, ring: Ring, spec, scope, cap: int) -> Evaluator:
+    """The evaluator of a relation spec in ``contexts``, which maps context
+    specs to the evaluators of ``ring`` at one scope and cap, built on first
+    use: on the relation of its context spec, over the sorted non-units of
+    ``scope`` (``_resolve_domain``; None for all of a finite ring), at
+    ``cap``."""
+    spec = context_spec(spec, ring)
+    got = contexts.get(spec)
+    if got is None:
+        domain = None if scope is None else _resolve_domain(ring, scope)[0]
+        got = contexts[spec] = Evaluator(ring, build_tau(spec, ring), cap, domain)
+    return got
+
+
+def per_context_spec(ring: Ring, taus, compute, relabel) -> list:
+    """``compute(tau)`` for each relation of ``ring``, computed once per
+    context spec: a relation whose context spec an earlier one had gets
+    ``relabel(result, tau)`` of that one's result instead."""
+    by_spec: dict = {}
+    out = []
+    for tau in taus:
+        spec = context_spec(tau.spec, ring)
+        got = by_spec.get(spec)
+        if got is None:
+            got = by_spec[spec] = compute(tau)
+        else:
+            got = relabel(got, tau)
+        out.append(got)
+    return out
+
+
 class EntryChecker:
     """Runs every theorem family for one corpus entry.
 
@@ -129,7 +160,7 @@ class EntryChecker:
         self.label = tau.spec_string()
         self.domain, self.scoped = _resolve_domain(ring, scope)
         self.regular_domain, _ = _resolve_domain(ring, scope, regular=True)
-        self.scope = None if scope is None else self.domain  # the evaluators' scope
+        self.scope = scope
         self.cap = cap
         self.contexts = contexts
         self.plain = self._context(tau.spec)
@@ -141,12 +172,7 @@ class EntryChecker:
 
     def _context(self, spec) -> Evaluator:
         """The evaluator of a relation spec."""
-        spec = context_spec(spec, self.ring)
-        got = self.contexts.get(spec)
-        if got is None:
-            got = Evaluator(self.ring, build_tau(spec, self.ring), self.cap, self.scope)
-            self.contexts[spec] = got
-        return got
+        return context_evaluator(self.contexts, self.ring, spec, self.scope, self.cap)
 
     def prop(self, name, scope=PropScope.REGULAR, alpha=None, beta=None, ev=None) -> PropertyVerdict:
         """The verdict of ``REGULAR_PROPS[name]`` at ``scope``, with its alpha
@@ -699,17 +725,12 @@ def verify_corpus_entries(ring: Ring, taus, scope, cap: int, contexts: dict) -> 
     """The rows of each entry of one ring.  Rows depend on the relation
     only through its context spec and the ``tau`` label, so an entry whose
     context spec an earlier one had gets that entry's rows, relabelled."""
-    by_spec: dict = {}
-    out = []
-    for tau in taus:
-        spec = context_spec(tau.spec, ring)
-        rows = by_spec.get(spec)
-        if rows is None:
-            rows = by_spec[spec] = verify_corpus_entry(ring, tau, scope, cap, contexts)
-        else:
-            rows = [replace(e, tau=tau.spec_string()) for e in rows]
-        out.append(rows)
-    return out
+    return per_context_spec(
+        ring,
+        taus,
+        lambda tau: verify_corpus_entry(ring, tau, scope, cap, contexts),
+        lambda rows, tau: [replace(e, tau=tau.spec_string()) for e in rows],
+    )
 
 
 def summarize(outcomes) -> dict:

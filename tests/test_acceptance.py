@@ -36,7 +36,7 @@ from taufact import (
     tau_r_atom,
     validate_factorization,
 )
-from taufact.cli import run_verification
+from taufact.cli import main, run_verification
 from taufact.corpus import default_corpus_spec, generate_corpus
 from taufact.properties import Evaluator
 from oracles import oracle_classes_fast
@@ -337,3 +337,19 @@ def test_criterion_10_determinism(default_reports, capsys):
     assert first == second
     assert digest == GOLDEN_SHA256
     assert report["summary"]["violated"] == 0
+
+
+# sha256 of the default-corpus atlas as ``taufact catalog --out`` writes it
+ATLAS_SHA256 = "eb0542aef0e1a3e01b1c2b6352360d2c3db76ed0495a09dfe24c294b843cab25"
+
+
+def test_default_atlas_digest(tmp_path, capsys):
+    """The default-corpus atlas is pinned byte for byte, as the report is."""
+    out = tmp_path / "atlas.json"
+    t0 = time.time()
+    code = main(["catalog", "--corpus", "default", "--out", str(out)])
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    _line(capsys, "default atlas", code == 0 and digest == ATLAS_SHA256, time.time() - t0)
+    assert code == 0
+    assert digest == ATLAS_SHA256

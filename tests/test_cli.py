@@ -1,9 +1,13 @@
+import ast
 import gc
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +15,13 @@ from hypothesis import given, settings, strategies as st
 from taufact import cli, theorems
 from taufact.cli import main
 from taufact.corpus import DEFAULT_TAUS, CorpusEntry, default_corpus_spec, generate_corpus
-from taufact.parsing import build_ring_from_text, parse_tau_spec
-from taufact.relations import RegCapTau, SubsetTau, build_tau
-from taufact.rings import AssociateKind
+from taufact.irreducibles import classify
+from taufact.parsing import build_ring_from_text, build_tau_from_text, parse_tau_spec
+from taufact.properties import Evaluator, _resolve_domain
+from taufact.relations import ComaximalTau, RegCapTau, SubsetTau, build_tau, format_tau_spec, normal_spec
+from taufact.rings import AssociateKind, UnsupportedOperationError
 from taufact.theorems import context_spec
+from conftest import small_finite_rings
 
 
 def run_cli(capsys, *argv):
@@ -483,3 +490,165 @@ def test_empty_corpus_is_valid():
         {"schema": 1, "rings": [], "taus": ["full"], "scopes": {}, "cap": 5, "budget": 10}
     )
     assert entries == [] and meta["entries"] == 0
+
+
+def _direct_atlas(corpus):
+    """Each catalog entry on its own: a fresh ring, a fresh evaluator on the
+    entry's relation and one on its restriction, over the corpus scope as
+    written, with no context spec applied."""
+    entries, meta = generate_corpus(corpus)
+    cap = meta["cap"]
+    out = []
+    for ce in entries:
+        ring = build_ring_from_text(ce.ring_str)
+        tau = build_tau_from_text(ce.tau_str, ring)
+        domain, scoped = _resolve_domain(ring, ce.scope)
+        elements = []
+        for a in domain:
+            row = {"element": ring.element_to_json(a), "class": ring.classify(a).value}
+            try:
+                row["flags"] = {k.value: v.value for k, v in classify(ring, tau, a, cap=cap).flags.items()}
+            except UnsupportedOperationError as exc:
+                row.update(flags="unsupported", note=str(exc))
+            elements.append(row)
+        props, elas = cli._property_vector(
+            Evaluator(ring, tau, cap, ce.scope), Evaluator(ring, tau.regcap(), cap, ce.scope)
+        )
+        out.append(
+            {
+                "ring": ce.ring_str,
+                "tau": ce.tau_str,
+                "cap": cap,
+                "scoped": scoped,
+                "elements": elements,
+                "properties": props,
+                "elasticity": elas,
+            }
+        )
+    return out
+
+
+def _shared_atlas(corpus):
+    return cli._run_corpus(corpus, None, 1, cli._catalog_group)[2]
+
+
+def _finite_catalog_corpora():
+    """One corpus per small finite ring: the default relations, a subset of
+    two non-units, its restriction, and a doubled restriction."""
+    for ring in small_finite_rings():
+        taus = list(DEFAULT_TAUS) + ["regcap(regcap(comax))", "regcap(regcap(full))"]
+        sharp = ring.nonzero_nonunits()
+        if sharp:
+            subset = format_tau_spec(SubsetTau(tuple(sharp[:2])), ring)
+            taus += [subset, f"regcap({subset})"]
+        yield {"schema": 1, "rings": [ring.spec_string()], "taus": taus, "cap": 5}
+
+
+def _scoped_catalog_corpus():
+    zz = [[a, b] for a in range(-4, 5) for b in range(-4, 5) if a and b]
+    zz += [[a, 0] for a in range(1, 4)] + [[0, b] for b in range(1, 4)]
+    return {
+        "schema": 1,
+        "rings": ["Z", "prod(Z,Z)"],
+        "taus": list(DEFAULT_TAUS) + ["regcap(regcap(comax))", "regcap(empty)"],
+        "scopes": {"Z": [a for a in range(-20, 21) if abs(a) > 1], "prod(Z,Z)": zz},
+        "cap": 5,
+    }
+
+
+def test_catalog_shared_evaluators_match_direct_entries():
+    """Atlas entries read from evaluators shared by context spec, and copied
+    between entries with one context spec, equal entries built per entry
+    with their own evaluator pair."""
+    for corpus in list(_finite_catalog_corpora()) + [_scoped_catalog_corpus()]:
+        assert _shared_atlas(corpus) == _direct_atlas(corpus), corpus["rings"]
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        {"schema": 1, "rings": ["Zn(6)"], "taus": ["comax", "regcap(comax)"], "cap": 5},
+        {**_scoped_catalog_corpus(), "rings": ["prod(Z,Z)"], "taus": ["comax"]},
+    ],
+    ids=["finite", "scoped"],
+)
+def test_catalog_sees_a_wrong_context_spec(corpus, monkeypatch):
+    """A context key that sends ``regcap(comax)`` to ``comax`` makes the
+    shared atlas differ from the direct one."""
+    direct = _direct_atlas(corpus)
+    assert _shared_atlas(corpus) == direct
+    real = theorems.context_spec
+
+    def wrong(spec, ring):
+        return ComaximalTau() if normal_spec(spec) == RegCapTau(ComaximalTau()) else real(spec, ring)
+
+    monkeypatch.setattr(theorems, "context_spec", wrong)
+    assert _shared_atlas(corpus) != direct
+
+
+_SLOT_CORPUS = {
+    "schema": 1,
+    "rings": ["Zn(6)", "Z", "prod(Zn(2),Zn(3))", "Zn(6)"],
+    "taus": ["full", "comax", "regcap(full)", "regular"],
+    "scopes": {"Z": [2, -3, 4, 6, 12, -30]},
+    "cap": 4,
+}
+
+
+def test_catalog_leaves_no_evaluator_behind(tmp_path, capsys, monkeypatch):
+    made = []
+
+    class Context(theorems.Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(theorems, "Evaluator", Context)
+    cpath = tmp_path / "corpus.json"
+    cpath.write_text(json.dumps(_SLOT_CORPUS))
+    assert run_cli(capsys, "catalog", "--corpus", str(cpath), "--out", str(tmp_path / "atlas.json"))[0] == 0
+    assert cli._ring_slot == []
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+
+
+def test_verify_then_catalog_in_one_process_match_separate_runs(tmp_path, capsys):
+    """The ring slot carries nothing from a verify run into a catalog run in
+    the same process: each writes the bytes it writes in a process of its
+    own."""
+    cpath = tmp_path / "corpus.json"
+    cpath.write_text(json.dumps(_SLOT_CORPUS))
+    argvs = {
+        "verify": ["verify", "--corpus", str(cpath), "--out"],
+        "catalog": ["catalog", "--corpus", str(cpath), "--out"],
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    alone, together = {}, {}
+    for name, argv in argvs.items():
+        out = tmp_path / f"{name}-alone.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "taufact.cli", *argv, str(out)], env=env, capture_output=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        alone[name] = out.read_bytes()
+    for name, argv in argvs.items():
+        out = tmp_path / f"{name}-together.json"
+        assert run_cli(capsys, *argv, str(out))[0] == 0
+        together[name] = out.read_bytes()
+    assert together == alone
+
+
+def test_one_corpus_driver():
+    """``generate_corpus``, ``_pool_units`` and ``ProcessPoolExecutor`` are
+    each called from one function of ``cli``: verify and catalog share one
+    corpus driver."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers: dict = {}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callers.setdefault(node.func.id, set()).add(fn.name)
+    for name in ("generate_corpus", "_pool_units", "ProcessPoolExecutor"):
+        assert callers.get(name) == {"_run_corpus"}, name

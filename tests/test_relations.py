@@ -3,7 +3,6 @@ import random
 import pytest
 
 from taufact import (
-    AssociateKind,
     ComaximalTau,
     EmptyTau,
     FullTau,
@@ -89,59 +88,11 @@ def test_regcap_implies_inner_and_regular():
                     assert ring.is_regular(a) and ring.is_regular(b)
 
 
-def test_full_multiplicative_divisive(z6):
-    t = build_tau(FullTau(), z6)
-    assert check_tau_property(t, TauProperty.MULTIPLICATIVE).holds
-    assert check_tau_property(t, TauProperty.DIVISIVE).holds
-
-
-def test_empty_vacuously_multiplicative(z6):
-    t = build_tau(EmptyTau(), z6)
-    assert check_tau_property(t, TauProperty.MULTIPLICATIVE).holds
-    assert check_tau_property(t, TauProperty.DIVISIVE).holds
-
-
-def test_zero_product_divisive(z6):
-    t = build_tau(ZeroProductTau(), z6)
-    v = check_tau_property(t, TauProperty.DIVISIVE)
-    assert v.holds, v.witness
-
-
-def test_divisive_notes_skipped_pairs(zz):
-    # (2, 0) has infinitely many divisors, so every pair ending in it is skipped
-    t = build_tau(FullTau(), zz)
-    v = check_tau_property(t, TauProperty.DIVISIVE, scope=[(2, 0), (3, 5)])
-    assert v.holds and v.scoped
-    assert v.note == "2 pairs skipped (infinite divisor sets)"
-
-
-def test_divisive_propagates_engine_defects(z6, monkeypatch):
-    def broken(a):
-        raise TypeError("engine defect")
-
-    monkeypatch.setattr(z6, "divisors", broken)
-    with pytest.raises(TypeError, match="engine defect"):
-        check_tau_property(build_tau(FullTau(), z6), TauProperty.DIVISIVE)
-
-
-def test_subset_multiplicative_iff_closed(z6):
-    # {2, 4} is multiplicatively closed in Z/6; {3, 4} is not (3*4 = 0)
-    closed = build_tau(SubsetTau((2, 4)), z6)
-    assert check_tau_property(closed, TauProperty.MULTIPLICATIVE).holds
-    open_ = build_tau(SubsetTau((2, 3)), z6)
-    v = check_tau_property(open_, TauProperty.MULTIPLICATIVE)
-    assert not v.holds
-    a, b, c = v.witness  # a genuine counterexample: bc stays in R#, unrelated
-    bc = z6.mul(b, c)
-    assert open_.holds(a, b) and open_.holds(a, c)
-    assert bc != 0 and not z6.is_unit(bc) and not open_.holds(a, bc)
-
-
 def test_infinite_ring_needs_scope(zint):
     t = build_tau(FullTau(), zint)
     with pytest.raises(UnsupportedOperationError):
-        check_tau_property(t, TauProperty.MULTIPLICATIVE)
-    v = check_tau_property(t, TauProperty.MULTIPLICATIVE, scope=range(2, 12))
+        check_tau_property(t, TauProperty.REFINABLE)
+    v = check_tau_property(t, TauProperty.REFINABLE, scope=range(2, 12))
     assert v.holds and v.scoped
 
 
@@ -164,25 +115,6 @@ def test_subset_not_refinable(z8):
     t = build_tau(SubsetTau((2, 4)), z8)
     v = check_tau_property(t, TauProperty.REFINABLE)
     assert not v.holds
-
-
-def test_combinable_witness(z6, z8):
-    # merging 2 and 3 inside 0 = 2*2*3 produces a zero factor
-    v = check_tau_property(build_tau(FullTau(), z6), TauProperty.COMBINABLE)
-    assert not v.holds
-    v8 = check_tau_property(build_tau(ZeroProductTau(), z8), TauProperty.COMBINABLE)
-    assert not v8.holds  # 0 = 2*4*4 merges to a zero factor
-    assert check_tau_property(build_tau(EmptyTau(), z6), TauProperty.COMBINABLE).holds
-
-
-def test_associate_preserving(z6):
-    t = build_tau(ZeroProductTau(), z6)
-    for kind in AssociateKind:
-        assert check_tau_property(t, TauProperty.ASSOCIATE_PRESERVING, kind=kind).holds
-    # a subset that splits an associate class is not associate preserving
-    s = build_tau(SubsetTau((2, 3)), z6)
-    v = check_tau_property(s, TauProperty.ASSOCIATE_PRESERVING, kind=AssociateKind.ASSOCIATE)
-    assert not v.holds  # 2 ~ 4 but 4 is outside the subset
 
 
 def test_normal_spec_keeps_what_the_engine_branches_on():
