@@ -41,6 +41,11 @@ BETA_NAMES = {
 
 
 class _Parser(argparse.ArgumentParser):
+    """``commands`` maps each command name to its options: each option
+    string to the ``Action`` that the command's ``add_argument`` returned."""
+
+    commands: dict
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -53,39 +58,94 @@ def _build_parser() -> _Parser:
     the process: building it costs about 20 times a parse, and parsing
     leaves it unchanged."""
     p = _Parser(prog="taufact", description=__doc__.splitlines()[0])
+    p.commands = {}
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, element=True):
-        sp.add_argument("--ring", required=True, help="ring spec, e.g. Zn(6), Z, prod(Zn(3),Zn(3))")
-        sp.add_argument("--tau", required=True, help="relation spec, e.g. full, zero, regcap(full)")
-        if element:
-            sp.add_argument("--element", required=True, help="element literal matching the ring shape")
-        sp.add_argument("--cap", type=int, default=None, help="factorization length cap")
-        sp.add_argument("--pretty", action="store_true")
+    def command(name, help):
+        """``add_argument`` of a new command, recording each option."""
+        sp = sub.add_parser(name, help=help)
+        options = p.commands[name] = {}
 
-    sp = sub.add_parser("classify", help="irreducibility profile of one element")
-    common(sp)
-    sp = sub.add_parser("factorizations", help="factorization classes of one element")
-    common(sp)
-    sp.add_argument("--beta", choices=sorted(BETA_NAMES), default="associate")
-    sp = sub.add_parser("ufact", help="essential/inessential splits of one element")
-    common(sp)
-    sp = sub.add_parser("properties", help="ring-level property vector")
-    common(sp, element=False)
-    sp.add_argument("--scope", default=None, help="JSON array of elements (infinite rings)")
-    sp = sub.add_parser("verify", help="run the theorem harness over a corpus")
-    sp.add_argument("--corpus", default="default", help='"default" or a corpus JSON file')
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--strict", action="store_true")
-    sp.add_argument("--pretty", action="store_true")
-    sp.add_argument("--out", default=None, help="write the report to a file as well")
-    sp = sub.add_parser("catalog", help="emit a per-(ring, relation) atlas")
-    sp.add_argument("--corpus", default="default")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--pretty", action="store_true")
+        def add(*args, **kwargs):
+            action = sp.add_argument(*args, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
+
+        return add
+
+    def common(add, element=True):
+        add("--ring", required=True, help="ring spec, e.g. Zn(6), Z, prod(Zn(3),Zn(3))")
+        add("--tau", required=True, help="relation spec, e.g. full, zero, regcap(full)")
+        if element:
+            add("--element", required=True, help="element literal matching the ring shape")
+        add("--cap", type=int, default=None, help="factorization length cap")
+        add("--pretty", action="store_true")
+
+    common(command("classify", "irreducibility profile of one element"))
+    add = command("factorizations", "factorization classes of one element")
+    common(add)
+    add("--beta", choices=sorted(BETA_NAMES), default="associate")
+    common(command("ufact", "essential/inessential splits of one element"))
+    add = command("properties", "ring-level property vector")
+    common(add, element=False)
+    add("--scope", default=None, help="JSON array of elements (infinite rings)")
+    add = command("verify", "run the theorem harness over a corpus")
+    add("--corpus", default="default", help='"default" or a corpus JSON file')
+    add("--jobs", type=int, default=1)
+    add("--cap", type=int, default=None)
+    add("--strict", action="store_true")
+    add("--pretty", action="store_true")
+    add("--out", default=None, help="write the report to a file as well")
+    add = command("catalog", "emit a per-(ring, relation) atlas")
+    add("--corpus", default="default")
+    add("--out", required=True)
+    add("--cap", type=int, default=None)
+    add("--pretty", action="store_true")
     return p
+
+
+def _fast_args(argv):
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read in
+    one pass over the command's options, or None when ``argv`` is not of
+    the one form read here.
+
+    That form is a command name, then distinct options spelled in full
+    (``-h`` is none of them), each store option followed by a value that
+    passes the option's ``type`` and ``choices`` and does not start with
+    ``-`` unless it is a negative integer (argparse reads that as a value,
+    since no option looks like a negative number).  Every required option
+    is given.  argparse parses every other argv and reports every usage
+    error: abbreviations, ``--opt=value``, ``--``, repeats, help.
+    """
+    options = _build_parser().commands.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    values: dict = {}
+    i = 1
+    while i < len(argv):
+        action = options.get(argv[i])
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            i += 1
+            continue
+        if i + 1 == len(argv):
+            return None
+        text = argv[i + 1]
+        if text.startswith("-") and not text[1:].isdecimal():
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        i += 2
+    actions = options.values()
+    if any(a.required and a.dest not in values for a in actions):
+        return None
+    return argparse.Namespace(command=argv[0], **{a.dest: values.get(a.dest, a.default) for a in actions})
 
 
 _INFINITY = float("inf")
@@ -287,7 +347,13 @@ def cmd_properties(args) -> int:
     ring, tau, _ = _load_inputs(args, element=False)
     scope = None
     if args.scope is not None:
-        scope = [ring.element_from_json(e) for e in json.loads(args.scope)]
+        data = json.loads(args.scope)
+        if not isinstance(data, list):
+            raise ParseError(args.scope, 0, "--scope must be a JSON array of elements")
+        try:
+            scope = [ring.element_from_json(e) for e in data]
+        except ValueError as exc:
+            raise ParseError(args.scope, 0, f"--scope: {exc}") from None
     cap = args.cap or DEFAULT_PROPERTY_CAP
     props, elas = _property_vector(Evaluator(ring, tau, cap, scope), Evaluator(ring, tau.regcap(), cap, scope))
     payload = {
@@ -469,11 +535,14 @@ def cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 1
     commands = {
         "classify": cmd_classify,
         "factorizations": cmd_factorizations,

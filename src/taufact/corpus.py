@@ -75,27 +75,52 @@ def default_corpus_spec() -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(n, str) for n in value)
+
+
 def generate_corpus(spec: dict):
     """Materialize a corpus spec into entries plus metadata.
 
     Deduplicates nothing but notes, per finite ring, which relation specs
     coincide extensionally.
     """
+    if not isinstance(spec, dict):
+        raise CorpusError("a corpus must be a JSON object")
     if spec.get("schema") != 1:
         raise CorpusError("corpus schema must be 1")
     budget = spec.get("budget", DEFAULT_BUDGET)
     cap = spec.get("cap", DEFAULT_CAP)
+    rings = spec.get("rings")
     taus = spec.get("taus", list(DEFAULT_TAUS))
     scopes = spec.get("scopes", {})
+    for field, ok, what in (
+        ("budget", _is_int(budget), "an integer"),
+        ("cap", _is_int(cap), "an integer"),
+        ("rings", _is_names(rings), "a JSON array of strings"),
+        ("taus", _is_names(taus), "a JSON array of strings"),
+        ("scopes", isinstance(scopes, dict), "a JSON object"),
+    ):
+        if not ok:
+            raise CorpusError(f"corpus {field} must be {what}")
     entries = []
     total = 0
     ring_infos = []
-    for ring_str in spec["rings"]:
+    for ring_str in rings:
         ring = build_ring_from_text(ring_str)
         scope_json = scopes.get(ring_str)
         scope = None
         if scope_json is not None:
-            scope = [ring.element_from_json(e) for e in scope_json]
+            if not isinstance(scope_json, list):
+                raise CorpusError(f"scope for {ring_str} must be a JSON array")
+            try:
+                scope = [ring.element_from_json(e) for e in scope_json]
+            except ValueError as exc:
+                raise CorpusError(f"scope for {ring_str}: {exc}") from None
             if not ring.is_finite and any(e == ring.zero for e in scope):
                 raise CorpusError(
                     f"scope for infinite ring {ring_str} must not contain 0"

@@ -201,7 +201,15 @@ class Evaluator:
         self._alpha_items: dict = {}
         self._atomic: dict = {}
         self._verdicts: dict = {}
+        self._domains: dict = {}
         self._refinable: Optional[TauPropertyVerdict] = None
+
+    def domain(self, regular: bool = False):
+        """``_resolve_domain`` over the evaluator's scope, resolved once."""
+        got = self._domains.get(regular)
+        if got is None:
+            got = self._domains[regular] = _resolve_domain(self.ring, self.scope, regular)
+        return got
 
     def verdict(self, prop: PropertyId) -> PropertyVerdict:
         """``check_property`` over the evaluator's scope, decided once."""
@@ -538,6 +546,14 @@ def _resolve_domain(ring: Ring, scope_elements, regular: bool = False):
     return domain, scoped
 
 
+def _domain(ring: Ring, scope_elements, regular: bool, evaluator: Optional[Evaluator]):
+    """``_resolve_domain``, read from ``evaluator`` when its scope is the
+    one asked for."""
+    if evaluator is not None and evaluator.scope is scope_elements:
+        return evaluator.domain(regular)
+    return _resolve_domain(ring, scope_elements, regular)
+
+
 def check_property(
     ring: Ring,
     tau: TauRelation,
@@ -549,7 +565,7 @@ def check_property(
     """Decide one ring-level property; exhaustive on finite rings, scoped
     (and flagged as such) on infinite ones."""
     cap = cap if cap is not None else DEFAULT_PROPERTY_CAP
-    domain, scoped = _resolve_domain(ring, scope_elements, prop.scope == PropScope.REGULAR)
+    domain, scoped = _domain(ring, scope_elements, prop.scope == PropScope.REGULAR, evaluator)
     ev = evaluator
     if ev is None:
         ev = Evaluator(ring, tau.regcap() if prop.scope.restricted else tau, cap)
@@ -658,7 +674,7 @@ def elasticity(
     """Per-element ratio of longest to shortest atomic factorization length
     over the regular non-units, and its supremum."""
     cap = cap if cap is not None else DEFAULT_PROPERTY_CAP
-    domain, scoped = _resolve_domain(ring, scope_elements, regular=True)
+    domain, scoped = _domain(ring, scope_elements, True, evaluator)
     if not domain:
         return Elasticity("undefined-empty-scope", {}, cap, scoped)
     ev = evaluator if evaluator is not None else Evaluator(ring, tau, cap)

@@ -158,13 +158,15 @@ class EntryChecker:
     def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict):
         self.ring = ring
         self.label = tau.spec_string()
-        self.domain, self.scoped = _resolve_domain(ring, scope)
-        self.regular_domain, _ = _resolve_domain(ring, scope, regular=True)
         self.scope = scope
         self.cap = cap
         self.contexts = contexts
         self.plain = self._context(tau.spec)
         self.restricted = self._context(RegCapTau(tau.spec))
+        # the plain evaluator's scope is the entry's domain, which resolves
+        # to itself
+        self.domain, self.scoped = self.plain.domain()
+        self.regular_domain, _ = self.plain.domain(regular=True)
         self.entries: list = []
         self.refinable = self.plain.refinable()
 

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import gc
+import io
 import itertools
 import json
 import os
@@ -144,6 +146,162 @@ def test_parser_reused_across_calls(capsys):
     assert run_cli(capsys, "classify", "--ring", "Zn(6)", "--tau", "full", "--element", "2")[0] == 0
     assert run_cli(capsys, *request) == first
     assert cli._build_parser() is cli._build_parser()
+
+
+def _parse_or_exit(argv):
+    """``parse_args(argv)``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+_COMMANDS = cli._build_parser().commands
+_OPTIONS = sorted({o for options in _COMMANDS.values() for o in options})
+_VALUES = (
+    st.integers(-60, 60).map(str)
+    | st.sampled_from(
+        ["-1e5", "-", "", "--", "-x", "--ring", "-1.5", "-5\n", " 6 ", "6_0", "-٣", "a=b", "Zn(6)", "full"]
+    )
+    | st.sampled_from(sorted(cli.BETA_NAMES) + ["bogus", "Strong"])
+    | st.text(max_size=4)
+)
+_TOKENS = (
+    st.sampled_from(_OPTIONS + ["-h", "--help", "--", "bogus"])
+    | st.builds(lambda o, n: o[: max(2, len(o) - n)], st.sampled_from(_OPTIONS), st.integers(1, 4))
+    | st.builds(lambda o, v: f"{o}={v}", st.sampled_from(_OPTIONS), _VALUES)
+    | _VALUES
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command, mostly its required options and some others, in any
+    order with values of any kind, and now and then any token at all."""
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["bogus", "-h", "--help"]))
+    options = _COMMANDS.get(command, {})
+    chosen = [o for o, a in sorted(options.items()) if draw(st.floats(0, 1)) < (0.9 if a.required else 0.4)]
+    argv = [command]
+    for option in draw(st.permutations(chosen)):
+        argv.append(option)
+        if options[option].nargs != 0:
+            argv.append(draw(_VALUES))
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_TOKENS))
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argvs() | st.lists(_TOKENS, max_size=6).map(lambda rest: ["classify", *rest]))
+def test_fast_args_agree_with_argparse(argv):
+    """Where the one-pass reader answers, argparse parses the same argv
+    without exiting and returns an equal namespace."""
+    fast = cli._fast_args(argv)
+    if fast is not None:
+        assert _parse_or_exit(argv) == fast
+
+
+_QUERY_TAIL = ["--ring", "prod(Zn(2),Zn(4))", "--tau", "regcap(comax)", "--element", "[1,2]", "--cap", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *_QUERY_TAIL],
+        ["factorizations", *_QUERY_TAIL],
+        ["ufact", *_QUERY_TAIL],
+        ["factorizations", "--ring", "Z", "--tau", "full", "--element", "-54", "--cap", "-6", "--beta", "strong"],
+        ["classify", "--pretty", "--element", "-54", "--tau", "full", "--ring", "Z"],
+        ["properties", "--ring", "Z", "--tau", "full", "--scope", "[2,3]"],
+        ["verify", "--corpus", "F", "--jobs", "2", "--out", "F"],
+        ["catalog", "--pretty", "--out", "F"],
+    ],
+)
+def test_fast_args_take_well_formed_requests(argv):
+    fast = cli._fast_args(argv)
+    assert fast is not None and fast == _parse_or_exit(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factorizations", "--ring", "Z", "--tau", "full", "--element", "2", "--beta", "bogus"],
+        ["classify", "--ring", "Z", "--tau", "full", "--element", "2", "--cap", "six"],
+        ["verify", "--jobs", "1.5"],
+        ["classify", "--ri", "Z", "--tau", "full", "--element", "2"],
+        ["classify", "--ring", "Z", "--tau", "full", "--element", "2", "--cap=6"],
+        ["classify", "--ring", "Z", "--ring", "Z", "--tau", "full", "--element", "2"],
+        ["classify", "--ring", "Z", "--tau", "full", "--element", "-1e5"],
+        ["classify", "--ring", "Z", "--tau", "full", "--element", "2", "-h"],
+        ["classify", "--ring", "Z", "--tau", "full", "--", "--element", "2"],
+        ["classify", "--ring", "Z", "--tau", "full"],
+        ["catalog"],
+        ["--help"],
+        [],
+    ],
+)
+def test_fast_args_leave_the_rest_to_argparse(argv):
+    assert cli._fast_args(argv) is None
+
+
+def _main_output(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def test_module_entry_point():
+    """``python -m taufact.cli`` reads ``sys.argv``: help exits 0, a usage
+    error exits 1 with argparse's usage, and argv outside the one-pass form
+    (abbreviations, ``--opt=value``) still parse."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "taufact.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    done = run("--help")
+    assert done.returncode == 0 and "usage:" in done.stdout
+    done = run("classify", "--ring", "Zn(6)")
+    assert done.returncode == 1 and "usage:" in done.stderr and "error:" in done.stderr
+    done = run("classify", "--ri", "Zn(6)", "--tau", "full", "--element", "2", "--cap=6")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == _main_output("classify", "--ring", "Zn(6)", "--tau", "full", "--element", "2", "--cap", "6")
+    done = run("factorizations", "--ring", "Z", "--tau", "full", "--element", "-54")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["items"]
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ([], "JSON object"),
+        ({"schema": 1, "taus": ["full"]}, "rings"),
+        ({"schema": 1, "rings": ["Zn(6)", 6]}, "rings"),
+        ({"schema": 1, "rings": ["Zn(6)"], "scopes": []}, "scopes"),
+        ({"schema": 1, "rings": ["Zn(6)"], "cap": "6"}, "cap"),
+        ({"schema": 1, "rings": ["Zn(6)"], "budget": None}, "budget"),
+        ({"schema": 1, "rings": ["Zn(6)"], "taus": "full"}, "taus"),
+        ({"schema": 1, "rings": ["Zn(6)"], "scopes": {"Zn(6)": 2}}, "scope for Zn(6)"),
+        ({"schema": 1, "rings": ["Zn(6)"], "scopes": {"Zn(6)": [7]}}, "scope for Zn(6)"),
+        ({"schema": 1, "rings": ["Z"], "scopes": {"Z": [2, [3]]}}, "scope for Z"),
+    ],
+)
+def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, corpus, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    for command in ("verify", "catalog"):
+        code, _, err = run_cli(capsys, command, "--corpus", str(path), "--out", str(tmp_path / "out.json"))
+        assert code == 1 and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("scope", ["[[1]]", "{}", "[7]", '"2"', "2"])
+def test_malformed_properties_scope_is_a_usage_error(capsys, scope):
+    code, _, err = run_cli(capsys, "properties", "--ring", "Zn(6)", "--tau", "full", "--scope", scope)
+    assert code == 1 and err.startswith("error:") and "--scope" in err
 
 
 def test_verify_tiny_corpus(tmp_path, capsys):

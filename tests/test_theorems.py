@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from taufact import cli, theorems
+from taufact import cli, properties, theorems
 from taufact import (
     ComaximalTau,
     FullTau,
@@ -298,6 +298,32 @@ def test_refinable_verdict_records_the_caps_it_read():
     ev.fs = lambda a: read.append(fs(a).cap) or fs(a)
     verdict = ev.refinable()
     assert read and verdict.cap == max(read) > 6
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [{"schema": 1, "rings": ["Zn(12)", "prod(Zn(2),Zn(4))"], "cap": 5}, _scoped_corpus()],
+    ids=["finite", "scoped"],
+)
+def test_each_domain_resolved_once_per_evaluator(corpus, monkeypatch):
+    """A verify run resolves the plain and the regular domain of each
+    evaluator once, however many verdicts and entries read them."""
+    made, calls = [], []
+    real = properties._resolve_domain
+
+    class Counted(Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def counted(ring, scope, regular=False):
+        calls.append(regular)
+        return real(ring, scope, regular)
+
+    monkeypatch.setattr(theorems, "Evaluator", Counted)
+    monkeypatch.setattr(properties, "_resolve_domain", counted)
+    assert cli.run_verification(corpus)["summary"]["violated"] == 0
+    assert made and len(calls) <= 2 * len(made)
 
 
 def test_zero_in_infinite_scope_rejected():
