@@ -27,7 +27,6 @@ from .relations import (
     RegularTau,
     SubsetTau,
     TauConstructionError,
-    TauProperty,
     TauRelation,
     ZeroProductTau,
     build_tau,

@@ -26,7 +26,6 @@ from .properties import (
     REGULAR_PROPS,
     Evaluator,
     PropScope,
-    _resolve_domain,
     elasticity,
 )
 from .relations import RegCapTau, TauConstructionError
@@ -336,7 +335,7 @@ def _property_vector(plain: Evaluator, restricted: Evaluator):
         except (UnsupportedOperationError, PreconditionError) as exc:
             out.append({"property": prop.label(), "outcome": "unsupported", "note": str(exc)})
     try:
-        el = elasticity(plain.ring, plain.tau, plain.scope, plain.cap, evaluator=plain)
+        el = elasticity(plain)
         elas = el.to_json(plain.ring)
     except (UnsupportedOperationError, PreconditionError) as exc:
         elas = {"value": "unsupported", "note": str(exc)}
@@ -354,7 +353,7 @@ def cmd_properties(args) -> int:
             scope = [ring.element_from_json(e) for e in data]
         except ValueError as exc:
             raise ParseError(args.scope, 0, f"--scope: {exc}") from None
-    cap = args.cap or DEFAULT_PROPERTY_CAP
+    cap = DEFAULT_PROPERTY_CAP if args.cap is None else args.cap
     props, elas = _property_vector(Evaluator(ring, tau, cap, scope), Evaluator(ring, tau.regcap(), cap, scope))
     payload = {
         "schema": 1,
@@ -414,23 +413,19 @@ def _catalog_group(payload):
     on its relation only through the context spec and the ``tau`` label, as
     verify's rows do."""
     ring, taus, scope, cap, contexts = _slot_unit(payload)
-    domain, scoped = _resolve_domain(ring, scope)
 
     def entry(tau):
+        plain = context_evaluator(contexts, ring, tau.spec, scope, cap)
+        domain, scoped = plain.domain()
         elements = []
         for a in domain:
             row = {"element": ring.element_to_json(a), "class": ring.classify(a).value}
             try:
-                row["flags"] = {
-                    k.value: v.value for k, v in classify(ring, tau, a, cap=cap).flags.items()
-                }
+                row["flags"] = {k.value: v.value for k, v in plain.profile(a).flags.items()}
             except UnsupportedOperationError as exc:
                 row.update(flags="unsupported", note=str(exc))
             elements.append(row)
-        props, elas = _property_vector(
-            context_evaluator(contexts, ring, tau.spec, scope, cap),
-            context_evaluator(contexts, ring, RegCapTau(tau.spec), scope, cap),
-        )
+        props, elas = _property_vector(plain, context_evaluator(contexts, ring, RegCapTau(tau.spec), scope, cap))
         return {"cap": cap, "scoped": scoped, "elements": elements, "properties": props, "elasticity": elas}
 
     bodies = per_context_spec(ring, taus, entry, lambda body, tau: body)

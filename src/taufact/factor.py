@@ -114,7 +114,8 @@ class FactorizationSet:
 
     @property
     def exhaustive(self) -> bool:
-        """No factorization reached the cap and none pumps, so all are listed."""
+        """The cap cut off no factorization and no partial product that
+        could grow, and none pumps, so all are listed."""
         return self.unbounded == "no"
 
     def to_json(self):
@@ -302,6 +303,7 @@ def enumerate_factorizations(
     raw_seen: set = set()
     pump: Optional[PumpWitness] = None
     max_length = 0
+    truncated = False  # the cap stopped a partial product that could grow
 
     def consider(factors: tuple, product, unit) -> None:
         # a Factorization is built only for a new class or the pump witness
@@ -344,6 +346,7 @@ def enumerate_factorizations(
 
         # depth-first over nondecreasing candidate index sequences
         def extend(pool: list, chosen: list, product) -> None:
+            nonlocal truncated
             for idx, x in enumerate(pool):
                 prod2 = mul(product, x)
                 # every partial product divides the target (0 divides only 0)
@@ -362,13 +365,15 @@ def enumerate_factorizations(
                     pool2 = [y for y in pool[idx:] if tau.holds(x, y)]
                     if pool2:
                         extend(pool2, chosen, prod2)
+                elif not truncated:
+                    truncated = any(tau.holds(x, y) for y in pool[idx:])
                 chosen.pop()
 
         extend(candidates, [], ring.one)
 
     if pump is not None:
         unbounded = "yes"
-    elif max_length >= cap:
+    elif max_length >= cap or truncated:
         unbounded = "unknown"
     else:
         unbounded = "no"

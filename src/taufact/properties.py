@@ -41,7 +41,7 @@ from .rings import (
     Ring,
     UnsupportedOperationError,
 )
-from .relations import TauProperty, TauPropertyVerdict, TauRelation, check_tau_property
+from .relations import TauPropertyVerdict, TauRelation, check_tau_property
 from .ufact import UFactorization, u_partitions
 
 
@@ -205,28 +205,34 @@ class Evaluator:
         self._refinable: Optional[TauPropertyVerdict] = None
 
     def domain(self, regular: bool = False):
-        """``_resolve_domain`` over the evaluator's scope, resolved once."""
+        """``_resolve_domain`` over the evaluator's scope, resolved once, and
+        with ``regular`` only its regular elements."""
         got = self._domains.get(regular)
         if got is None:
-            got = self._domains[regular] = _resolve_domain(self.ring, self.scope, regular)
+            if regular:
+                domain, scoped = self.domain()
+                cls = self.ring.classify
+                got = ([a for a in domain if cls(a) == ElementClass.REGULAR_NON_UNIT], scoped)
+            else:
+                got = _resolve_domain(self.ring, self.scope)
+            self._domains[regular] = got
         return got
 
     def verdict(self, prop: PropertyId) -> PropertyVerdict:
-        """``check_property`` over the evaluator's scope, decided once."""
+        """``check_property`` of ``prop``, decided once."""
         got = self._verdicts.get(prop)
         if got is None:
-            got = check_property(self.ring, self.tau, prop, self.scope, self.cap, evaluator=self)
-            self._verdicts[prop] = got
+            got = self._verdicts[prop] = check_property(self, prop)
         return got
 
     def refinable(self) -> TauPropertyVerdict:
-        """Whether the relation is refinable over the scope, decided once
-        from the evaluator's enumerations."""
+        """Whether the relation is refinable, decided once from the
+        evaluator's enumerations: of every non-unit of a finite ring, whatever
+        the scope, and of the scope's non-units on an infinite one."""
         if self._refinable is None:
-            self._refinable = check_tau_property(
-                self.tau, TauProperty.REFINABLE, scope=self.scope, cap=self.cap,
-                fs_provider=self.fs,
-            )
+            ring = self.ring
+            targets = ring.nonunits() if ring.is_finite else self.domain()[0]
+            self._refinable = check_tau_property(self.tau, targets, not ring.is_finite, self.cap, self.fs)
         return self._refinable
 
     def fs(self, a) -> FactorizationSet:
@@ -520,55 +526,33 @@ def _ufr_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOut
 # Ring-level aggregation
 
 
-def _resolve_domain(ring: Ring, scope_elements, regular: bool = False):
+def _resolve_domain(ring: Ring, scope_elements):
     """The sorted non-units of ``scope_elements`` (all non-units of a finite
-    ring when None), only the regular ones when ``regular``, and whether
-    they fall short of all non-units (always on an infinite ring)."""
+    ring when None), and whether they fall short of all non-units (always on
+    an infinite ring)."""
     if scope_elements is None:
         if not ring.is_finite:
             raise UnsupportedOperationError(
                 "properties over an infinite ring need an explicit element scope"
             )
-        domain = ring.nonunits()
-        scoped = False
-    else:
-        domain = []
-        for a in scope_elements:
-            if ring.is_unit(a):
-                continue
-            if a == ring.zero and not ring.is_finite:
-                raise PreconditionError("scope for an infinite ring must not contain 0")
-            domain.append(a)
-        domain = sorted(set(domain), key=ring.sort_key)
-        scoped = not ring.is_finite or set(domain) != set(ring.nonunits())
-    if regular:
-        domain = [a for a in domain if ring.classify(a) == ElementClass.REGULAR_NON_UNIT]
-    return domain, scoped
+        return ring.nonunits(), False
+    domain = []
+    for a in scope_elements:
+        if ring.is_unit(a):
+            continue
+        if a == ring.zero and not ring.is_finite:
+            raise PreconditionError("scope for an infinite ring must not contain 0")
+        domain.append(a)
+    domain = sorted(set(domain), key=ring.sort_key)
+    return domain, not ring.is_finite or set(domain) != set(ring.nonunits())
 
 
-def _domain(ring: Ring, scope_elements, regular: bool, evaluator: Optional[Evaluator]):
-    """``_resolve_domain``, read from ``evaluator`` when its scope is the
-    one asked for."""
-    if evaluator is not None and evaluator.scope is scope_elements:
-        return evaluator.domain(regular)
-    return _resolve_domain(ring, scope_elements, regular)
-
-
-def check_property(
-    ring: Ring,
-    tau: TauRelation,
-    prop: PropertyId,
-    scope_elements=None,
-    cap: Optional[int] = None,
-    evaluator: Optional[Evaluator] = None,
-) -> PropertyVerdict:
-    """Decide one ring-level property; exhaustive on finite rings, scoped
-    (and flagged as such) on infinite ones."""
-    cap = cap if cap is not None else DEFAULT_PROPERTY_CAP
-    domain, scoped = _domain(ring, scope_elements, prop.scope == PropScope.REGULAR, evaluator)
-    ev = evaluator
-    if ev is None:
-        ev = Evaluator(ring, tau.regcap() if prop.scope.restricted else tau, cap)
+def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
+    """Decide one ring-level property over ``ev``'s scope at its cap;
+    exhaustive on finite rings, scoped (and flagged as such) on infinite
+    ones.  ``ev`` is on the relation the property's scope reads."""
+    ring, cap = ev.ring, ev.cap
+    domain, scoped = ev.domain(prop.scope == PropScope.REGULAR)
     view = SPLIT_VIEW if prop.scope == PropScope.REGCAP_U else PLAIN_VIEW
 
     def element_outcome(a) -> _ElementOutcome:
@@ -664,20 +648,13 @@ class Elasticity:
         }
 
 
-def elasticity(
-    ring: Ring,
-    tau: TauRelation,
-    scope_elements=None,
-    cap: Optional[int] = None,
-    evaluator: Optional[Evaluator] = None,
-) -> Elasticity:
+def elasticity(ev: Evaluator) -> Elasticity:
     """Per-element ratio of longest to shortest atomic factorization length
-    over the regular non-units, and its supremum."""
-    cap = cap if cap is not None else DEFAULT_PROPERTY_CAP
-    domain, scoped = _domain(ring, scope_elements, True, evaluator)
+    over the regular non-units of ``ev``'s scope, and its supremum."""
+    cap = ev.cap
+    domain, scoped = ev.domain(regular=True)
     if not domain:
         return Elasticity("undefined-empty-scope", {}, cap, scoped)
-    ev = evaluator if evaluator is not None else Evaluator(ring, tau, cap)
     per: dict = {}
     infinite = False
     note = ""

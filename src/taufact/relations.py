@@ -5,13 +5,13 @@ a subset S (a rel b iff both in S), comaximality, zero products, regularity
 of both arguments, and the regular-restriction combinator rel & (Reg x Reg).
 
 Refinability, the one relation-level predicate the harness reads, is
-decided by exhaustive scan on finite rings, or over an explicit element
-scope on infinite ones (flagged as scoped).
+decided over the targets and enumerations ``properties.Evaluator.refinable``
+hands it: every non-unit of a finite ring, or an explicit element scope on
+an infinite one (flagged as scoped).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -176,80 +176,43 @@ def normal_spec(spec: TauSpec) -> TauSpec:
     return RegCapTau(inner)
 
 
-class TauProperty(enum.Enum):
-    REFINABLE = "refinable"
-
-
 @dataclass
 class TauPropertyVerdict:
-    property: TauProperty
+    """Whether a relation is refinable, with a failing refinement as
+    witness."""
+
     outcome: str  # "holds" | "fails"
     witness: Optional[tuple] = None
     cap: Optional[int] = None
     scoped: bool = False
-    note: str = ""
 
     @property
     def holds(self) -> bool:
         return self.outcome == "holds"
 
 
-def check_tau_property(
-    tau: TauRelation,
-    prop: TauProperty,
-    scope=None,
-    cap: Optional[int] = None,
-    fs_provider=None,
-) -> TauPropertyVerdict:
-    """Decide refinability, exhaustively or over a scope.
+def check_tau_property(tau: TauRelation, targets, scoped: bool, cap: int, fs) -> TauPropertyVerdict:
+    """Decide refinability from ``fs(a)``, the factorizations of each of
+    ``targets`` and of their factors.
 
-    The check quantifies over enumerated factorizations up to ``cap``; the
-    verdict records the largest cap of the enumerations it read
-    (``fs_provider`` may choose its own, as ``Evaluator.fs`` does on an
-    infinite ring), or ``cap`` when it read none.
+    The verdict records the largest cap of the enumerations it read (``fs``
+    may choose its own, as ``Evaluator.fs`` does on an infinite ring), or
+    ``cap`` when it read none.
     """
-    if prop != TauProperty.REFINABLE:
-        raise ValueError(f"unknown relation property: {prop!r}")
-    ring = tau.ring
-    if scope is None:
-        if not ring.is_finite:
-            raise UnsupportedOperationError(
-                "relation predicates over an infinite ring need an explicit scope"
-            )
-        domain = ring.nonzero_nonunits()
-        scoped = False
-    else:
-        domain = [a for a in scope if a != ring.zero and not ring.is_unit(a)]
-        scoped = not ring.is_finite
-    cap = cap if cap is not None else 4
-    if fs_provider is None:
-        # Local import: the engine depends on this module for relation types.
-        from .factor import enumerate_factorizations
-
-        fs_provider = lambda a: enumerate_factorizations(ring, tau, a, cap=cap)
     read = []  # the caps of the enumerations the check reads
 
-    def fs(a):
-        got = fs_provider(a)
+    def fs_read(a):
+        got = fs(a)
         read.append(got.cap)
         return got
 
-    verdict = _check_refinable(tau, domain, scoped, fs)
+    verdict = _check_refinable(tau, targets, scoped, fs_read)
     verdict.cap = max(read, default=cap)
     return verdict
 
 
 def _in_sharp(ring: Ring, x) -> bool:
     return x != ring.zero and not ring.is_unit(x)
-
-
-def _iter_factorization_sets(tau, domain, fs):
-    ring = tau.ring
-    for a in ring.nonunits() if ring.is_finite else domain:
-        try:
-            yield fs(a)
-        except UnsupportedOperationError:
-            continue
 
 
 def _position_pairs(items):
@@ -279,7 +242,7 @@ def _refinement_blocks(tau, x, fs):
     return sorted(set(blocks))
 
 
-def _check_refinable(tau, domain, scoped, fs) -> TauPropertyVerdict:
+def _check_refinable(tau, targets, scoped, fs) -> TauPropertyVerdict:
     """A refinement replaces every position by a factorization of it; its new
     pair conditions decompose over pairs of original positions, so it is
     enough to check the cross pairs of the replacement blocks of every two
@@ -290,8 +253,11 @@ def _check_refinable(tau, domain, scoped, fs) -> TauPropertyVerdict:
     """
     ring = tau.ring
     pairs = set()
-    for got in _iter_factorization_sets(tau, domain, fs):
-        pairs.update(_position_pairs(got.items))
+    for a in targets:
+        try:
+            pairs.update(_position_pairs(fs(a).items))
+        except UnsupportedOperationError:
+            continue
     pairs = sorted(pairs)
     block_sets = {}  # value -> list of distinct factor-value frozensets
     for v in dict.fromkeys(v for pair in pairs for v in pair):
@@ -306,9 +272,8 @@ def _check_refinable(tau, domain, scoped, fs) -> TauPropertyVerdict:
                 bad = next(((u, v) for u in g for v in h if not tau.holds(u, v)), None)
                 if bad is not None:
                     return TauPropertyVerdict(
-                        TauProperty.REFINABLE,
                         "fails",
                         witness=((x, sorted(g, key=ring.sort_key)), (y, sorted(h, key=ring.sort_key)), bad),
                         scoped=scoped,
                     )
-    return TauPropertyVerdict(TauProperty.REFINABLE, "holds", scoped=scoped)
+    return TauPropertyVerdict("holds", scoped=scoped)

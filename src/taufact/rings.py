@@ -478,7 +478,7 @@ class ModRing(Ring):
         return a
 
     def element_from_json(self, data):
-        if not isinstance(data, int) or not 0 <= data < self.n:
+        if not isinstance(data, int) or isinstance(data, bool) or not 0 <= data < self.n:
             raise ValueError(f"not a residue mod {self.n}: {data!r}")
         return data
 
@@ -568,7 +568,7 @@ class IntegerRing(Ring):
         return a
 
     def element_from_json(self, data):
-        if not isinstance(data, int):
+        if not isinstance(data, int) or isinstance(data, bool):
             raise ValueError(f"not an integer: {data!r}")
         return data
 
@@ -692,7 +692,7 @@ class PolyQuotRing(Ring):
         return list(a)
 
     def element_from_json(self, data):
-        if not isinstance(data, list):
+        if not isinstance(data, list) or any(isinstance(c, bool) for c in data):
             raise ValueError(f"expected a coefficient array, got {data!r}")
         a = tuple(data)
         if not self.contains(a):

@@ -28,7 +28,6 @@ from .properties import (
     PropertyId,
     PropertyVerdict,
     PLAIN_VIEW,
-    _resolve_domain,
     _witness_json,
 )
 from .relations import (
@@ -117,14 +116,12 @@ def context_spec(spec, ring: Ring):
 def context_evaluator(contexts: dict, ring: Ring, spec, scope, cap: int) -> Evaluator:
     """The evaluator of a relation spec in ``contexts``, which maps context
     specs to the evaluators of ``ring`` at one scope and cap, built on first
-    use: on the relation of its context spec, over the sorted non-units of
-    ``scope`` (``_resolve_domain``; None for all of a finite ring), at
-    ``cap``."""
+    use: on the relation of its context spec, over ``scope`` (None for all of
+    a finite ring), at ``cap``."""
     spec = context_spec(spec, ring)
     got = contexts.get(spec)
     if got is None:
-        domain = None if scope is None else _resolve_domain(ring, scope)[0]
-        got = contexts[spec] = Evaluator(ring, build_tau(spec, ring), cap, domain)
+        got = contexts[spec] = Evaluator(ring, build_tau(spec, ring), cap, scope)
     return got
 
 
@@ -163,8 +160,6 @@ class EntryChecker:
         self.contexts = contexts
         self.plain = self._context(tau.spec)
         self.restricted = self._context(RegCapTau(tau.spec))
-        # the plain evaluator's scope is the entry's domain, which resolves
-        # to itself
         self.domain, self.scoped = self.plain.domain()
         self.regular_domain, _ = self.plain.domain(regular=True)
         self.entries: list = []

@@ -12,6 +12,7 @@ from taufact import (
     ProductSpec,
     build_ring,
 )
+from taufact.properties import DEFAULT_PROPERTY_CAP, Evaluator
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +69,11 @@ def small_finite_rings():
         PolyQuotSpec(3, (0, 0, 1)),
     ]
     return [build_ring(s) for s in specs]
+
+
+def evaluator(ring, tau, scope=None, cap=DEFAULT_PROPERTY_CAP, prop=None):
+    """The evaluator a verdict of ``prop`` reads: on ``tau``, or on its
+    restriction to regular pairs when ``prop``'s scope is restricted, over
+    ``scope`` at ``cap``."""
+    restricted = prop is not None and prop.scope.restricted
+    return Evaluator(ring, tau.regcap() if restricted else tau, cap, scope)

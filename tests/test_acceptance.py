@@ -39,6 +39,7 @@ from taufact import (
 from taufact.cli import main, run_verification
 from taufact.corpus import default_corpus_spec, generate_corpus
 from taufact.properties import Evaluator
+from conftest import evaluator
 from oracles import oracle_classes_fast
 
 A, S, V = AssociateKind.ASSOCIATE, AssociateKind.STRONG, AssociateKind.VERY_STRONG
@@ -232,7 +233,7 @@ def test_criterion_07_field_square(q, capsys):
     ok &= regs == []
     # vacuously a unique factorization ring on the regular scope
     ufr = check_property(
-        ring, tau, PropertyId(PropKind.UFR, alpha=IRR, beta=A, scope=PropScope.REGULAR)
+        evaluator(ring, tau), PropertyId(PropKind.UFR, alpha=IRR, beta=A, scope=PropScope.REGULAR)
     )
     ok &= ufr.holds and "vacuous" in ufr.note
     # (1,0): unrefinably atomic, not very strongly atomic
@@ -264,8 +265,8 @@ def test_criterion_08_strictness_witnesses(capsys):
     t0 = time.time()
     z6 = build_ring(ModIntSpec(6))
     tau = build_tau(FullTau(), z6)
-    wffr = check_property(z6, tau, PropertyId(PropKind.WFFR, beta=A))
-    ffr = check_property(z6, tau, PropertyId(PropKind.FFR, beta=A))
+    wffr = check_property(evaluator(z6, tau), PropertyId(PropKind.WFFR, beta=A))
+    ffr = check_property(evaluator(z6, tau), PropertyId(PropKind.FFR, beta=A))
     ok = wffr.holds and ffr.outcome == "fails"
     # element 4 pumps with x = 4: 4*4 = 4 and 4 rel 4
     fs4 = enumerate_factorizations(z6, tau, 4, A, cap=5)
@@ -302,15 +303,13 @@ def test_criterion_09_classical_integers(capsys):
     fs = enumerate_factorizations(zint, tau, 12, A, cap=8)
     got = {f.factors for f in fs.items}
     ok = got == {(12,), (2, 6), (3, 4), (2, 2, 3)}
-    el = elasticity(zint, tau, scope_elements=list(range(2, 101)))
+    el = elasticity(evaluator(zint, tau, list(range(2, 101))))
     ok &= el.value == Fraction(1)
     scope = list(range(2, 101))
     for alpha in IrreducibleKind:
         v = check_property(
-            zint,
-            tau,
+            evaluator(zint, tau, scope),
             PropertyId(PropKind.UFR, alpha=alpha, beta=A, scope=PropScope.REGULAR),
-            scope_elements=scope,
         )
         ok &= v.holds
     elapsed = time.time() - t0

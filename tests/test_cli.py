@@ -288,6 +288,8 @@ def test_module_entry_point():
         ({"schema": 1, "rings": ["Zn(6)"], "scopes": {"Zn(6)": 2}}, "scope for Zn(6)"),
         ({"schema": 1, "rings": ["Zn(6)"], "scopes": {"Zn(6)": [7]}}, "scope for Zn(6)"),
         ({"schema": 1, "rings": ["Z"], "scopes": {"Z": [2, [3]]}}, "scope for Z"),
+        ({"schema": 1, "rings": ["Z"], "scopes": {"Z": [2, True]}}, "scope for Z"),
+        ({"schema": 1, "rings": ["Zn(6)"], "scopes": {"Zn(6)": [True]}}, "scope for Zn(6)"),
     ],
 )
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, corpus, message):
@@ -302,6 +304,50 @@ def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, corpus, message):
 def test_malformed_properties_scope_is_a_usage_error(capsys, scope):
     code, _, err = run_cli(capsys, "properties", "--ring", "Zn(6)", "--tau", "full", "--scope", scope)
     assert code == 1 and err.startswith("error:") and "--scope" in err
+
+
+@pytest.mark.parametrize(
+    "ring, scope",
+    [("prod(Z,Z)", "[[true,2],[2,3]]"), ("GFq(2,[1,1,1])", "[[true,0]]"), ("Z", "[2,false]")],
+)
+def test_json_booleans_are_not_elements(capsys, ring, scope):
+    """A JSON boolean is no ring element, though Python's ``bool`` is an
+    ``int``: the scope is refused, not read as 1 or 0."""
+    code, out, err = run_cli(capsys, "properties", "--ring", ring, "--tau", "full", "--scope", scope)
+    assert (code, out) == (1, "") and err.startswith("error:") and "--scope" in err
+
+
+def test_properties_cap_as_given(capsys):
+    """``--cap`` is taken as given, 0 included; without it the cells report
+    the default cap."""
+    def caps(*argv):
+        code, out, _ = run_cli(capsys, "properties", "--ring", "Zn(6)", "--tau", "full", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        return [v.get("cap") for v in payload["properties"]] + [payload["elasticity"].get("cap")]
+
+    assert set(caps()) == {6}
+    assert 0 in caps("--cap", "0") and 6 not in caps("--cap", "0")
+    assert set(caps("--cap", "3")) == {3}
+
+
+def test_capped_search_claims_nothing(capsys):
+    """At ``--cap 2`` the search for 8 under ``subset[2]`` stops at 2*2,
+    which could still grow into 2*2*2: the listing is not exhaustive and no
+    flag is decided true.  At cap 3 the factorization appears and every
+    flag is false."""
+    def run(command, cap):
+        argv = (command, "--ring", "Z", "--tau", "subset[2]", "--element", "8", "--cap", str(cap))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return json.loads(out)
+
+    fs = run("factorizations", 2)
+    assert (fs["complete"], fs["unbounded"]) == (False, "unknown")
+    assert "true" not in run("classify", 2)["flags"].values()
+    fs = run("factorizations", 3)
+    assert [item["factors"] for item in fs["items"]] == [[8], [2, 2, 2]]
+    assert set(run("classify", 3)["flags"].values()) == {"false"}
 
 
 def test_verify_tiny_corpus(tmp_path, capsys):
@@ -742,6 +788,19 @@ def test_catalog_sees_a_wrong_context_spec(corpus, monkeypatch):
 
     monkeypatch.setattr(theorems, "context_spec", wrong)
     assert _shared_atlas(corpus) != direct
+
+
+def test_catalog_flags_are_the_evaluators(tmp_path, capsys):
+    """Catalog element flags are the entry evaluator's profiles: on an
+    infinite ring they are taken at the per-element default cap, where a
+    corpus cap of 2 would leave 8 under ``subset[2]`` undecided."""
+    corpus = {"schema": 1, "rings": ["Z"], "taus": ["subset[2]"], "scopes": {"Z": [8]}, "cap": 2}
+    (entry,) = _shared_atlas(corpus)
+    ring = build_ring_from_text("Z")
+    ev = Evaluator(ring, build_tau_from_text("subset[2]", ring), 2, [8])
+    want = {k.value: v.value for k, v in ev.profile(8).flags.items()}
+    assert [row["flags"] for row in entry["elements"]] == [want]
+    assert set(want.values()) == {"false"}
 
 
 _SLOT_CORPUS = {

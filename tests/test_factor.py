@@ -9,12 +9,14 @@ from taufact import (
     EmptyTau,
     Factorization,
     FullTau,
+    IntegersSpec,
     ModIntSpec,
     PreconditionError,
     RegCapTau,
     RegularTau,
     Rejection,
     Ring,
+    SubsetTau,
     UnsupportedOperationError,
     ZeroProductTau,
     build_ring,
@@ -25,6 +27,8 @@ from taufact import (
     tau_divides,
     validate_factorization,
 )
+from taufact.corpus import DEFAULT_TAUS
+from taufact.parsing import build_tau_from_text
 from conftest import small_finite_rings
 from oracles import matching_equivalent, oracle_classes_fast, oracle_factorization_classes
 
@@ -332,3 +336,37 @@ def test_random_subset_oracle_fuzz():
                         a,
                         beta,
                     )
+
+
+def _capped_cases():
+    """(ring, relation, targets): every small finite ring under the default
+    relations and three seeded subset relations, and the integers over a
+    scope under subset relations."""
+    rng = random.Random(20261019)
+    for ring in small_finite_rings():
+        taus = [build_tau_from_text(text, ring) for text in DEFAULT_TAUS]
+        sharp = ring.nonzero_nonunits()
+        for _ in range(3 if sharp else 0):
+            subset = rng.sample(sharp, rng.randint(1, len(sharp)))
+            taus.append(build_tau(SubsetTau(tuple(sorted(subset, key=ring.sort_key))), ring))
+        for tau in taus:
+            yield ring, tau, ring.nonunits()
+    zint = build_ring(IntegersSpec())
+    for subset in ((2,), (2, 3), (-2, 4), (2, 3, 6), (3, 9, -27)):
+        yield zint, build_tau(SubsetTau(subset), zint), [a for a in range(-64, 65) if abs(a) > 1]
+
+
+def test_exhaustive_enumerations_survive_a_higher_cap():
+    """An enumeration reported exhaustive at cap c lists every class: the
+    enumeration at cap c + 3 has the same class keys."""
+    claims = 0
+    for ring, tau, targets in _capped_cases():
+        for a in targets:
+            for cap in (2, 3):
+                fs = enumerate_factorizations(ring, tau, a, S, cap=cap)
+                if not fs.exhaustive:
+                    continue
+                claims += 1
+                again = enumerate_factorizations(ring, tau, a, S, cap=cap + 3)
+                assert set(again.classes) == set(fs.classes), (ring.spec_string(), tau.spec_string(), a, cap)
+    assert claims

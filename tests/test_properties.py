@@ -20,7 +20,7 @@ from taufact import properties
 from taufact.corpus import DEFAULT_TAUS
 from taufact.parsing import build_ring_from_text, build_tau_from_text
 from taufact.properties import Evaluator
-from conftest import small_finite_rings
+from conftest import evaluator, small_finite_rings
 from oracles import oracle_atomic
 
 IRR = IrreducibleKind.IRREDUCIBLE
@@ -40,16 +40,16 @@ def test_z6_strictness_pair(z6):
     """The weak finite-factorization property holds while the plain one
     fails, witnessing strictness of the implication between them."""
     tau = build_tau(FullTau(), z6)
-    ffr = check_property(z6, tau, PropertyId(PropKind.FFR, beta=A))
+    ffr = check_property(evaluator(z6, tau), PropertyId(PropKind.FFR, beta=A))
     assert ffr.outcome == "fails"
     assert ffr.witness is not None
-    wffr = check_property(z6, tau, PropertyId(PropKind.WFFR, beta=A))
+    wffr = check_property(evaluator(z6, tau), PropertyId(PropKind.WFFR, beta=A))
     assert wffr.outcome == "holds"
 
 
 def test_z6_bfr_fails_with_pump(z6):
     tau = build_tau(FullTau(), z6)
-    v = check_property(z6, tau, PropertyId(PropKind.BFR))
+    v = check_property(evaluator(z6, tau), PropertyId(PropKind.BFR))
     assert v.outcome == "fails"
 
 
@@ -57,7 +57,7 @@ def test_accp_always_holds_with_bound():
     for ring in small_finite_rings():
         for spec in (FullTau(), ZeroProductTau(), ComaximalTau()):
             tau = build_tau(spec, ring)
-            v = check_property(ring, tau, PropertyId(PropKind.ACCP))
+            v = check_property(evaluator(ring, tau), PropertyId(PropKind.ACCP))
             assert v.outcome == "holds"
             assert v.bound is not None and v.bound >= 1
 
@@ -66,9 +66,7 @@ def test_atomicity_matches_oracle():
     for ring in small_finite_rings()[:5]:
         for spec in (FullTau(), ZeroProductTau()):
             tau = build_tau(spec, ring)
-            v = check_property(
-                ring, tau, PropertyId(PropKind.ATOMIC, alpha=IRR), cap=4
-            )
+            v = check_property(evaluator(ring, tau, cap=4), PropertyId(PropKind.ATOMIC, alpha=IRR))
             expected = all(oracle_atomic(ring, tau, a, 4) for a in ring.nonunits())
             assert v.holds == expected, (ring.spec_string(), spec)
 
@@ -76,7 +74,7 @@ def test_atomicity_matches_oracle():
 def test_regular_scope_vacuous_on_finite(f3xf3):
     tau = build_tau(FullTau(), f3xf3)
     v = check_property(
-        f3xf3, tau, PropertyId(PropKind.UFR, alpha=IRR, beta=A, scope=PropScope.REGULAR)
+        evaluator(f3xf3, tau), PropertyId(PropKind.UFR, alpha=IRR, beta=A, scope=PropScope.REGULAR)
     )
     assert v.outcome == "holds" and "vacuous" in v.note
 
@@ -85,18 +83,14 @@ def test_integers_classical(zint):
     tau = build_tau(FullTau(), zint)
     scope = list(range(2, 101))
     ufr = check_property(
-        zint, tau, PropertyId(PropKind.UFR, alpha=IRR, beta=A, scope=PropScope.REGULAR),
-        scope_elements=scope,
+        evaluator(zint, tau, scope), PropertyId(PropKind.UFR, alpha=IRR, beta=A, scope=PropScope.REGULAR)
     )
     assert ufr.holds and ufr.scoped
     hfr = check_property(
-        zint, tau, PropertyId(PropKind.HFR, alpha=IRR, scope=PropScope.REGULAR),
-        scope_elements=scope,
+        evaluator(zint, tau, scope), PropertyId(PropKind.HFR, alpha=IRR, scope=PropScope.REGULAR)
     )
     assert hfr.holds
-    bfr = check_property(
-        zint, tau, PropertyId(PropKind.BFR, scope=PropScope.REGULAR), scope_elements=scope
-    )
+    bfr = check_property(evaluator(zint, tau, scope), PropertyId(PropKind.BFR, scope=PropScope.REGULAR))
     assert bfr.holds and bfr.bound == 6  # 64 is out of scope, 2^6 is not reached; 96 = 2^5*3
 
 
@@ -104,8 +98,7 @@ def test_product_of_integers_ufr(zz):
     tau = build_tau(FullTau(), zz)
     scope = [(a, b) for a in range(1, 21) for b in range(1, 21)]
     v = check_property(
-        zz, tau, PropertyId(PropKind.UFR, alpha=IRR, beta=A, scope=PropScope.REGULAR),
-        scope_elements=scope,
+        evaluator(zz, tau, scope), PropertyId(PropKind.UFR, alpha=IRR, beta=A, scope=PropScope.REGULAR)
     )
     assert v.holds
 
@@ -117,40 +110,38 @@ def test_unbounded_mixed_product():
 
     ring = build_ring(ProductSpec(IntegersSpec(), ModIntSpec(6)))
     tau = build_tau(FullTau(), ring)
-    v = check_property(
-        ring, tau, PropertyId(PropKind.BFR), scope_elements=[(4, 3)], cap=6
-    )
+    v = check_property(evaluator(ring, tau, [(4, 3)], cap=6), PropertyId(PropKind.BFR))
     assert v.outcome == "fails"
 
 
 def test_scope_zero_rejected(zint):
     tau = build_tau(FullTau(), zint)
     with pytest.raises(Exception):
-        check_property(zint, tau, PropertyId(PropKind.BFR), scope_elements=[0, 2])
+        check_property(evaluator(zint, tau, [0, 2]), PropertyId(PropKind.BFR))
 
 
 def test_infinite_ring_needs_scope(zint):
     tau = build_tau(FullTau(), zint)
     with pytest.raises(UnsupportedOperationError):
-        check_property(zint, tau, PropertyId(PropKind.BFR))
+        check_property(evaluator(zint, tau), PropertyId(PropKind.BFR))
 
 
 def test_elasticity_integers(zint):
     tau = build_tau(FullTau(), zint)
-    el = elasticity(zint, tau, scope_elements=list(range(2, 101)))
+    el = elasticity(evaluator(zint, tau, list(range(2, 101))))
     assert el.value == Fraction(1)
     assert el.per_element[12] == Fraction(1)
 
 
 def test_elasticity_empty_scope(z6):
     tau = build_tau(FullTau(), z6)
-    el = elasticity(z6, tau)
+    el = elasticity(evaluator(z6, tau))
     assert el.value == "undefined-empty-scope"
 
 
 def test_elasticity_product(zz):
     tau = build_tau(FullTau(), zz)
-    el = elasticity(zz, tau, scope_elements=[(a, b) for a in range(2, 21) for b in range(2, 21)])
+    el = elasticity(evaluator(zz, tau, [(a, b) for a in range(2, 21) for b in range(2, 21)]))
     assert el.value == Fraction(1)
 
 
@@ -158,14 +149,12 @@ def test_hfr_iff_atomic_and_elasticity_one(zint):
     tau = build_tau(FullTau(), zint)
     scope = list(range(2, 61))
     hfr = check_property(
-        zint, tau, PropertyId(PropKind.HFR, alpha=IRR, scope=PropScope.REGULAR),
-        scope_elements=scope,
+        evaluator(zint, tau, scope), PropertyId(PropKind.HFR, alpha=IRR, scope=PropScope.REGULAR)
     )
     atomic = check_property(
-        zint, tau, PropertyId(PropKind.ATOMIC, alpha=IRR, scope=PropScope.REGULAR),
-        scope_elements=scope,
+        evaluator(zint, tau, scope), PropertyId(PropKind.ATOMIC, alpha=IRR, scope=PropScope.REGULAR)
     )
-    el = elasticity(zint, tau, scope_elements=scope)
+    el = elasticity(evaluator(zint, tau, scope))
     assert hfr.holds == (atomic.holds and el.value == Fraction(1))
 
 
@@ -181,7 +170,8 @@ def test_restricted_scope_properties_hold_on_squares_of_fields():
                 (PropKind.UFR, dict(alpha=IRR, beta=AssociateKind.STRONG)),
                 (PropKind.BFR, dict()),
             ):
-                v = check_property(ring, tau, PropertyId(kind, scope=scope, **kw))
+                prop = PropertyId(kind, scope=scope, **kw)
+                v = check_property(evaluator(ring, tau, prop=prop), prop)
                 assert v.holds, (q, scope, kind)
 
 
@@ -208,13 +198,13 @@ def test_split_view_agrees_with_plain_view():
             scope = [ring.element_from_json(e) for e in scope]
         for tau_str in spec["taus"]:
             tau = build_tau_from_text(tau_str, ring)
-            ev = Evaluator(ring, tau.regcap(), spec["cap"])
+            ev = Evaluator(ring, tau.regcap(), spec["cap"], scope)
             for prop in _CATALOG_PROPS:
                 if prop.scope != PropScope.REGCAP_U:
                     continue
-                split = check_property(ring, tau, prop, scope, spec["cap"], evaluator=ev)
+                split = check_property(ev, prop)
                 twin = replace(prop, scope=PropScope.REGCAP)
-                plain = check_property(ring, tau, twin, scope, spec["cap"], evaluator=ev)
+                plain = check_property(ev, twin)
                 assert (split.outcome, split.bound) == (plain.outcome, plain.bound), (
                     ring_str, tau_str, prop.label(),
                 )
@@ -255,15 +245,15 @@ def test_memoized_atomic_outcomes_match_unmemoized(monkeypatch):
         for text in DEFAULT_TAUS:
             tau = build_tau_from_text(text, ring)
             sides = {False: tau, True: tau.regcap()}
-            memo = {k: Evaluator(ring, t, cap) for k, t in sides.items()}
+            memo = {k: Evaluator(ring, t, cap, scope) for k, t in sides.items()}
             for prop in _atomic_reading_props():
                 regcap = prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U)
                 del calls[:]
-                got = check_property(ring, tau, prop, scope, cap, evaluator=memo[regcap])
+                got = check_property(memo[regcap], prop)
                 memo_calls += len(calls)
                 del calls[:]
-                fresh = _Unmemoized(ring, sides[regcap], cap)
-                want = check_property(ring, tau, prop, scope, cap, evaluator=fresh)
+                fresh = _Unmemoized(ring, sides[regcap], cap, scope)
+                want = check_property(fresh, prop)
                 plain_calls += len(calls)
                 assert got == want, (ring.spec_string(), text, prop.label())
     assert memo_calls < plain_calls
@@ -279,8 +269,11 @@ def test_very_strong_ffr_bound_equals_strong_in_a_domain(tau_text):
     for scope in ([128], [384], [512], [12, 30, 96, 128, 384, 512, 720]):
         for sc in (PropScope.PLAIN, PropScope.REGCAP, PropScope.REGCAP_U):
             strong, very = (
-                check_property(ring, tau, PropertyId(PropKind.FFR, beta=beta, scope=sc), scope)
-                for beta in (AssociateKind.STRONG, AssociateKind.VERY_STRONG)
+                check_property(evaluator(ring, tau, scope, prop=p), p)
+                for p in (
+                    PropertyId(PropKind.FFR, beta=beta, scope=sc)
+                    for beta in (AssociateKind.STRONG, AssociateKind.VERY_STRONG)
+                )
             )
             assert strong.holds and very.holds, (scope, sc)
             assert very.bound == strong.bound, (scope, sc)

@@ -10,12 +10,10 @@ from taufact import (
     RegularTau,
     SubsetTau,
     TauConstructionError,
-    TauProperty,
     UnsupportedOperationError,
     ZeroProductTau,
     build_ring_from_text,
     build_tau,
-    check_tau_property,
 )
 from taufact import relations
 from taufact.factor import _associate_stable
@@ -91,29 +89,29 @@ def test_regcap_implies_inner_and_regular():
 def test_infinite_ring_needs_scope(zint):
     t = build_tau(FullTau(), zint)
     with pytest.raises(UnsupportedOperationError):
-        check_tau_property(t, TauProperty.REFINABLE)
-    v = check_tau_property(t, TauProperty.REFINABLE, scope=range(2, 12))
+        Evaluator(zint, t, 4).refinable()
+    v = Evaluator(zint, t, 4, range(2, 12)).refinable()
     assert v.holds and v.scoped
 
 
 def test_refinable_verdicts(z6, z8):
-    assert check_tau_property(build_tau(FullTau(), z6), TauProperty.REFINABLE).holds
-    assert check_tau_property(build_tau(EmptyTau(), z6), TauProperty.REFINABLE).holds
-    assert check_tau_property(build_tau(ZeroProductTau(), z8), TauProperty.REFINABLE).holds
+    assert Evaluator(z6, build_tau(FullTau(), z6), 4).refinable().holds
+    assert Evaluator(z6, build_tau(EmptyTau(), z6), 4).refinable().holds
+    assert Evaluator(z8, build_tau(ZeroProductTau(), z8), 4).refinable().holds
 
 
 def test_comaximal_refinable_on_integers(zint):
     # divisors of comaximal elements stay comaximal
     t = build_tau(ComaximalTau(), zint)
     scope = [a for a in range(-40, 41) if abs(a) > 1]
-    assert check_tau_property(t, TauProperty.REFINABLE, scope=scope).holds
+    assert Evaluator(zint, t, 4, scope).refinable().holds
 
 
 def test_subset_not_refinable(z8):
     # 0 = 1*2*4 is a factorization over S = {2, 4}; refining 2 by its
     # trivial variant 2 = 3*6 drags in 6, and (6, 4) leaves S
     t = build_tau(SubsetTau((2, 4)), z8)
-    v = check_tau_property(t, TauProperty.REFINABLE)
+    v = Evaluator(z8, t, 4).refinable()
     assert not v.holds
 
 
@@ -155,7 +153,7 @@ def _refinable_mismatches():
     for ring, spec in _refinable_cases():
         holds, replacements = oracle_refinable(ring, build_tau(spec, ring), 3)
         tau = build_tau(spec, ring)
-        v = check_tau_property(tau, TauProperty.REFINABLE, cap=3)
+        v = Evaluator(ring, tau, 3).refinable()
         if v.holds != holds:
             out.append((ring.spec_string(), spec))
         elif not v.holds:
@@ -201,7 +199,9 @@ def test_refinable_asks_only_block_cross_pairs(ring_str, scope, monkeypatch):
     asked = []
     engine_holds = tau._holds
     monkeypatch.setattr(tau, "_holds", lambda a, b: asked.append((a, b)) or engine_holds(a, b))
-    check_tau_property(tau, TauProperty.REFINABLE, scope=scope, fs_provider=ev.fs)
+    checked = Evaluator(ring, tau, ev.cap, scope)
+    checked.fs = ev.fs
+    checked.refinable()
 
     targets = ring.nonunits() if ring.is_finite else [a for a in scope if not ring.is_unit(a)]
     together = set()

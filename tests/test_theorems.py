@@ -306,8 +306,8 @@ def test_refinable_verdict_records_the_caps_it_read():
     ids=["finite", "scoped"],
 )
 def test_each_domain_resolved_once_per_evaluator(corpus, monkeypatch):
-    """A verify run resolves the plain and the regular domain of each
-    evaluator once, however many verdicts and entries read them."""
+    """A verify run resolves the domain of each evaluator at most once,
+    however many verdicts and entries read it or its regular part."""
     made, calls = [], []
     real = properties._resolve_domain
 
@@ -316,14 +316,14 @@ def test_each_domain_resolved_once_per_evaluator(corpus, monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-    def counted(ring, scope, regular=False):
-        calls.append(regular)
-        return real(ring, scope, regular)
+    def counted(ring, scope):
+        calls.append(scope)
+        return real(ring, scope)
 
     monkeypatch.setattr(theorems, "Evaluator", Counted)
     monkeypatch.setattr(properties, "_resolve_domain", counted)
     assert cli.run_verification(corpus)["summary"]["violated"] == 0
-    assert made and len(calls) <= 2 * len(made)
+    assert made and len(calls) <= len(made)
 
 
 def test_zero_in_infinite_scope_rejected():
@@ -408,6 +408,49 @@ def test_law_table_sees_an_implication_read_both_ways(monkeypatch):
     rows = _law_rows("implication", "asserted")
     assert rows["fails", "holds"][0] == "violated"
     assert rows != _expected_law_rows("implication", "asserted")
+
+
+def _callers(names) -> dict:
+    """The scopes of ``src/taufact`` that call each of ``names``, by a bare
+    name or as an attribute of a ``taufact`` module: ``module``, or
+    ``module.function``, ``module.Class.method`` and so on inwards."""
+    package = Path(properties.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    out: dict = {name: set() for name in names}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = None
+                if isinstance(func, ast.Name):
+                    name = func.id
+                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+                    name = func.attr
+                if name in out:
+                    out[name].add(scope)
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return out
+
+
+def test_one_way_to_a_verdict():
+    """Evaluators are built by the two drivers, and property verdicts,
+    refinability, domains and element profiles are each reached through one
+    ``Evaluator`` method (``cmd_classify`` answers a query at its own
+    ``--cap``)."""
+    assert _callers(["Evaluator", "check_property", "check_tau_property", "_resolve_domain", "classify"]) == {
+        "Evaluator": {"theorems.context_evaluator", "cli.cmd_properties"},
+        "check_property": {"properties.Evaluator.verdict"},
+        "check_tau_property": {"properties.Evaluator.refinable"},
+        "_resolve_domain": {"properties.Evaluator.domain"},
+        "classify": {"properties.Evaluator.profile", "cli.cmd_classify"},
+    }
 
 
 def test_harness_rules_stated_once():
