@@ -299,6 +299,7 @@ def enumerate_factorizations(
 
     zero = ring.zero
     mul = ring.mul
+    regular = cls == ElementClass.REGULAR_NON_UNIT
     classes: dict = {}
     raw_seen: set = set()
     pump: Optional[PumpWitness] = None
@@ -315,7 +316,8 @@ def enumerate_factorizations(
         key = canonicalize(ring, factors, beta)
         if key not in classes:
             classes[key] = Factorization(ring=ring, unit=unit, factors=factors, target=target)
-        if pump is None:
+        # a regular target never pumps: x*P = u*P with P regular forces x = u
+        if pump is None and not regular:
             x = pump_factor(ring, tau, factors, product)
             if x is not None:
                 base = Factorization(ring=ring, unit=unit, factors=factors, target=target)
@@ -356,15 +358,19 @@ def enumerate_factorizations(
                 elif prod2 not in divisor_set:
                     continue
                 chosen.append(x)
+                grows = True
                 if len(chosen) >= 2:
                     u = unit_for(prod2)
                     if u is not None:
                         consider(tuple(chosen), prod2, u)
+                        # P*y | t = u*P with P regular forces y to be a unit
+                        grows = not regular
                 if len(chosen) < cap:
-                    # keep candidates >= x that relate to x (x itself only if x rel x)
-                    pool2 = [y for y in pool[idx:] if tau.holds(x, y)]
-                    if pool2:
-                        extend(pool2, chosen, prod2)
+                    if grows:
+                        # keep candidates >= x that relate to x (x itself only if x rel x)
+                        pool2 = [y for y in pool[idx:] if tau.holds(x, y)]
+                        if pool2:
+                            extend(pool2, chosen, prod2)
                 elif not truncated:
                     truncated = any(tau.holds(x, y) for y in pool[idx:])
                 chosen.pop()
@@ -392,11 +398,13 @@ def enumerate_factorizations(
     )
 
 
-def tau_divides(ring: Ring, tau: TauRelation, b, a, cap: Optional[int] = None) -> bool:
+def tau_divides(ring: Ring, tau: TauRelation, b, a, cap: Optional[int] = None) -> Optional[bool]:
     """b occurs as a factor in some factorization of a (trivial ones count).
 
-    Decided exactly by a dedicated search for a valid factor multiset
-    containing b, so class-representative collapsing cannot hide b.
+    Decided by a dedicated search for a valid factor multiset of length at
+    most ``cap`` containing b, so class-representative collapsing cannot
+    hide b.  None (unknown) when none was found but a partial product at
+    the cap could still grow by a related factor and keep dividing a.
     """
     # trivial factorization: b = (some unit)^-1 * a
     if ring.associated(b, a, AssociateKind.STRONG):
@@ -418,22 +426,27 @@ def tau_divides(ring: Ring, tau: TauRelation, b, a, cap: Optional[int] = None) -
             unit_cof[product] = got
         return got
 
-    def search(pool: list, size: int, product) -> bool:
+    def divides(product) -> bool:
+        # 0 divides only 0
+        return a == zero if product == zero else product in divisor_set
+
+    def search(pool: list, size: int, product) -> Optional[bool]:
         if size >= 2 and completes(product):
             return True
         if size >= cap:
-            return False
+            return None if any(divides(mul(product, x)) for x in pool) else False
+        out = False
         for idx, x in enumerate(pool):
             prod2 = mul(product, x)
-            if prod2 == zero:
-                if a != zero:
-                    continue
-            elif prod2 not in divisor_set:
+            if not divides(prod2):
                 continue
             pool2 = [y for y in pool[idx:] if tau.holds(x, y)]
-            if search(pool2, size + 1, prod2):
+            got = search(pool2, size + 1, prod2)
+            if got:
                 return True
-        return False
+            if got is None:
+                out = None
+        return out
 
     pool0 = [y for y in candidates if tau.holds(b, y)]
     return search(pool0, 1, b)

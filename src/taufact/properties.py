@@ -19,7 +19,7 @@ theorem is never claimed from unknown inputs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -222,7 +222,14 @@ class Evaluator:
         """``check_property`` of ``prop``, decided once."""
         got = self._verdicts.get(prop)
         if got is None:
-            got = self._verdicts[prop] = check_property(self, prop)
+            if prop.beta == AssociateKind.STRONG and self.ring.is_strongly_associate():
+                # one orbit key for both kinds, and beta reaches every
+                # predicate only through that key (very-strong keys split
+                # orbits, so those cells are decided on their own)
+                got = replace(self.verdict(replace(prop, beta=AssociateKind.ASSOCIATE)), prop=prop)
+            else:
+                got = check_property(self, prop)
+            self._verdicts[prop] = got
         return got
 
     def refinable(self) -> TauPropertyVerdict:
@@ -236,15 +243,22 @@ class Evaluator:
         return self._refinable
 
     def fs(self, a) -> FactorizationSet:
+        """The strong-associate enumeration of a, run once; one that cannot
+        run raises its error again, with the same message, on every call."""
         got = self._fs.get(a)
         if got is None:
             # Infinite rings: the per-element default cap; divisor norms grow,
             # so the search bottoms out below it and verdicts stay exhaustive.
             cap = self.cap if self.ring.is_finite else None
-            got = enumerate_factorizations(
-                self.ring, self.tau, a, AssociateKind.STRONG, cap=cap
-            )
+            try:
+                got = enumerate_factorizations(
+                    self.ring, self.tau, a, AssociateKind.STRONG, cap=cap
+                )
+            except UnsupportedOperationError as exc:
+                got = exc
             self._fs[a] = got
+        if isinstance(got, UnsupportedOperationError):
+            raise type(got)(*got.args)
         return got
 
     def exhaustive(self, a) -> bool:
@@ -406,14 +420,10 @@ def _beta_class_count(ring, xs, beta) -> int:
 
 
 def _atomic_element(ev: Evaluator, view: FactorView, a, alpha) -> _ElementOutcome:
-    saw_unknown = False
-    for p in view.pieces(ev, a):
-        status = ev.alpha_status(view.atoms(p), alpha)
-        if status == Flag.TRUE:
-            return _ElementOutcome("holds", bound=len(view.atoms(p)))
-        if status == Flag.UNKNOWN:
-            saw_unknown = True
-    if ev.exhaustive(a) and not saw_unknown:
+    certain, maybe = ev.alpha_items(view, a, alpha)
+    if certain:
+        return _ElementOutcome("holds", bound=len(view.atoms(certain[0])))
+    if ev.exhaustive(a) and not maybe:
         return _ElementOutcome("fails", witness=a)
     # closure: factors of any factorization, of any length, come from the
     # candidate pool plus the trivial factors; all certainly non-atomic

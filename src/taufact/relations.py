@@ -159,12 +159,15 @@ def build_tau(spec: TauSpec, ring: Ring) -> TauRelation:
 def normal_spec(spec: TauSpec) -> TauSpec:
     """One spec per relation the engine cannot tell apart.
 
-    ``regcap(full)`` and ``regcap(regular)`` become ``regular``, and
-    ``regcap(regcap(X))`` becomes ``regcap(X)``: each pair holds on the same
-    pairs, is ``regular_only`` and is associate-stable alike.  Nothing else
-    is rewritten.  ``regcap(empty)`` holds nowhere, as ``empty`` does, but it
+    ``regcap(full)`` and ``regcap(regular)`` become ``regular``,
+    ``regcap(regcap(X))`` becomes ``regcap(X)``, and ``regcap(zero)``
+    becomes ``regcap(empty)``: each pair holds on the same pairs (a product
+    of regular elements is regular, so nonzero), is ``regular_only`` and is
+    associate-stable alike, and neither side is ``empty`` or ``zero`` at the
+    top level, where ``_nontrivial_candidates`` branches.  Nothing else is
+    rewritten.  ``regcap(empty)`` holds nowhere, as ``empty`` does, but it
     is ``regular_only`` and ``empty`` is not, and the engine and the harness
-    branch on that; ``regcap(zero)`` likewise.
+    branch on that.
     """
     if not isinstance(spec, RegCapTau):
         return spec
@@ -173,6 +176,8 @@ def normal_spec(spec: TauSpec) -> TauSpec:
         return RegularTau()
     if isinstance(inner, RegCapTau):
         return inner
+    if isinstance(inner, ZeroProductTau):
+        return RegCapTau(EmptyTau())
     return RegCapTau(inner)
 
 
@@ -250,6 +255,10 @@ def _check_refinable(tau, targets, scoped, fs) -> TauPropertyVerdict:
 
     Block factors are nonzero non-units by construction, so compatibility
     only depends on the relation, and only those cross pairs are asked.
+    Every block of x is compatible with every block of y iff every factor
+    in a block of x relates to every factor in a block of y, so a pair is
+    checked once over those unions, and block by block only to name a
+    witness.
     """
     ring = tau.ring
     pairs = set()
@@ -260,12 +269,16 @@ def _check_refinable(tau, targets, scoped, fs) -> TauPropertyVerdict:
             continue
     pairs = sorted(pairs)
     block_sets = {}  # value -> list of distinct factor-value frozensets
+    unions = {}  # value -> the factors of all its blocks
     for v in dict.fromkeys(v for pair in pairs for v in pair):
         blocks = _refinement_blocks(tau, v, fs)
         block_sets[v] = None if blocks is None else sorted({frozenset(b) for b in blocks})
+        unions[v] = None if blocks is None else frozenset().union(*block_sets[v])
     for x, y in pairs:
         gx, gy = block_sets[x], block_sets[y]
         if gx is None or gy is None:
+            continue
+        if all(tau.holds(u, v) for u in unions[x] for v in unions[y]):
             continue
         for g in gx:
             for h in gy:

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from taufact import (
     tau_divides,
     validate_factorization,
 )
-from taufact.corpus import DEFAULT_TAUS
+from taufact.corpus import DEFAULT_TAUS, default_corpus_spec
 from taufact.parsing import build_tau_from_text
 from conftest import small_finite_rings
 from oracles import matching_equivalent, oracle_classes_fast, oracle_factorization_classes
@@ -195,6 +196,59 @@ def test_tau_divides_matches_enumeration():
                         assert got
                     if not got:
                         assert b not in present
+
+
+def test_tau_divides_is_unknown_when_the_cap_cuts_a_growing_product(zint):
+    """8 = 2*2*2 is the only factorization of 8 with a factor 2 under
+    subset[2]; a cap of 2 cuts it off, so the answer is unknown, not no."""
+    tau = build_tau(SubsetTau((2,)), zint)
+    assert tau_divides(zint, tau, 2, 8, cap=2) is None
+    assert tau_divides(zint, tau, 2, 8, cap=3) is True
+    assert tau_divides(zint, tau, 2, 6, cap=2) is False
+
+
+def _z_oracle(n: int, related) -> tuple:
+    """The factorizations of n in Z up to sign and order, from divisor
+    arithmetic alone, at the cap max(8, non-unit divisor classes + 1): the
+    nondecreasing tuples of divisors d >= 2 of |n| with product |n|,
+    pairwise related.  Also the length of the longest pairwise-related
+    tuple whose product divides |n|, and the cap."""
+    n = abs(n)
+    divs = [d for d in range(2, n + 1) if n % d == 0]
+    cap = max(8, len(divs) + 1)
+    found, longest = set(), 0
+
+    def grow(start, chosen, product):
+        nonlocal longest
+        longest = max(longest, len(chosen))
+        if product == n:
+            found.add(tuple(chosen))
+        if len(chosen) == cap:
+            return
+        for i in range(start, len(divs)):
+            d = divs[i]
+            if n % (product * d) == 0 and all(related(d, c) for c in chosen):
+                grow(i, chosen + [d], product * d)
+
+    grow(0, [], 1)
+    return found, longest, cap
+
+
+@pytest.mark.parametrize("text", ["full", "comax"])
+def test_enumeration_matches_divisor_oracle_on_scoped_integers(zint, text):
+    """Every target of the default Z scope: the classes (read up to sign)
+    and ``unbounded`` match an oracle that never calls the engine.  Z is a
+    domain, so nothing pumps, and the search is exhaustive below the cap."""
+    related = (lambda x, y: True) if text == "full" else (lambda x, y: gcd(x, y) == 1)
+    tau = build_tau_from_text(text, zint)
+    for a in default_corpus_spec()["scopes"]["Z"]:
+        found, longest, cap = _z_oracle(a, related)
+        for beta in (A, S):
+            fs = enumerate_factorizations(zint, tau, a, beta)
+            assert fs.cap == cap
+            got = sorted(tuple(sorted(abs(x) for x in f.factors)) for f in fs.items)
+            assert got == sorted(found), (text, a)
+            assert fs.unbounded == ("no" if longest < cap else "unknown"), (text, a)
 
 
 def test_refine_examples(zint, z6):

@@ -277,3 +277,56 @@ def test_very_strong_ffr_bound_equals_strong_in_a_domain(tau_text):
             )
             assert strong.holds and very.holds, (scope, sc)
             assert very.bound == strong.bound, (scope, sc)
+
+
+def _beta_cells():
+    """Every cell whose beta is strong or very strong, in every scope."""
+    for scope in PropScope:
+        for kind in (PropKind.FFR, PropKind.WFFR, PropKind.IDF, PropKind.UFR):
+            alphas = IrreducibleKind if kind in (PropKind.IDF, PropKind.UFR) else (None,)
+            for alpha in alphas:
+                for beta in (AssociateKind.STRONG, AssociateKind.VERY_STRONG):
+                    yield PropertyId(kind, alpha, beta, scope)
+
+
+def test_strong_cells_match_a_fresh_decision():
+    """``Evaluator.verdict`` answers a strong cell from the associate one;
+    every strong and very-strong cell still equals ``check_property`` run
+    on a fresh evaluator that never answers ``verdict``."""
+    z, zz = build_ring_from_text("Z"), build_ring_from_text("prod(Z,Z)")
+    cases = [(ring, None, 4) for ring in small_finite_rings()]
+    cases.append((z, [a for a in range(-24, 25) if abs(a) > 1], 6))
+    zz_scope = [(a, b) for a in (-2, 3, 4, 6) for b in (2, -3, 5)] + [(2, 0), (0, 3)]
+    cases.append((zz, zz_scope, 6))
+    cells = list(_beta_cells())
+    for ring, scope, cap in cases:
+        for text in DEFAULT_TAUS:
+            tau = build_tau_from_text(text, ring)
+            sides = {False: tau, True: tau.regcap()}
+            memo = {k: Evaluator(ring, t, cap, scope) for k, t in sides.items()}
+            fresh = {k: Evaluator(ring, t, cap, scope) for k, t in sides.items()}
+            for prop in cells:
+                restricted = prop.scope.restricted
+                want = check_property(fresh[restricted], prop)
+                assert memo[restricted].verdict(prop) == want, (ring.spec_string(), text, prop.label())
+
+
+def test_a_failed_enumeration_is_raised_again_without_rerunning(monkeypatch):
+    """An axis element of prod(Z,Z) has infinitely many divisors: every
+    call raises a fresh error with the first one's message, and the
+    enumeration runs once."""
+    calls = []
+    engine = properties.enumerate_factorizations
+    monkeypatch.setattr(
+        properties, "enumerate_factorizations", lambda *a, **k: calls.append(1) or engine(*a, **k)
+    )
+    ring = build_ring_from_text("prod(Z,Z)")
+    ev = Evaluator(ring, build_tau(FullTau(), ring), scope=[(2, 0)])
+    errors = []
+    for _ in range(3):
+        with pytest.raises(UnsupportedOperationError) as info:
+            ev.fs((2, 0))
+        errors.append(info.value)
+    assert len(calls) == 1
+    assert len({str(e) for e in errors}) == 1 and "infinite" in str(errors[0])
+    assert len({id(e) for e in errors}) == 3

@@ -16,6 +16,7 @@ from taufact import (
     build_tau,
 )
 from taufact import relations
+from taufact.corpus import default_corpus_spec
 from taufact.factor import _associate_stable
 from taufact.properties import Evaluator
 from taufact.relations import normal_spec
@@ -123,7 +124,8 @@ def test_normal_spec_keeps_what_the_engine_branches_on():
     assert normal_spec(rc(RegularTau())) == RegularTau()
     assert normal_spec(rc(rc(rc(FullTau())))) == RegularTau()
     assert normal_spec(rc(rc(ComaximalTau()))) == rc(ComaximalTau())
-    for kept in (rc(EmptyTau()), rc(ZeroProductTau()), rc(ComaximalTau()), EmptyTau(), FullTau()):
+    assert normal_spec(rc(ZeroProductTau())) == rc(EmptyTau())
+    for kept in (rc(EmptyTau()), rc(ComaximalTau()), EmptyTau(), FullTau()):
         assert normal_spec(kept) == kept
     for ring in small_finite_rings():
         sharp = ring.nonzero_nonunits()
@@ -132,6 +134,21 @@ def test_normal_spec_keeps_what_the_engine_branches_on():
             assert norm.regular_only == tau.regular_only
             assert _associate_stable(norm.spec) == _associate_stable(tau.spec)
             assert all(tau.holds(a, b) == norm.holds(a, b) for a in sharp for b in sharp)
+
+
+@pytest.mark.parametrize("ring_str", ["Z", "prod(Z,Z)"])
+def test_regcap_zero_relates_the_pairs_regcap_empty_relates(ring_str):
+    """On the default scope of Z, and the part of prod(Z,Z)'s with
+    components in [-6, 6], neither restriction relates any pair: a product
+    of regular elements is nonzero."""
+    ring = build_ring_from_text(ring_str)
+    scope = default_corpus_spec()["scopes"][ring_str]
+    if ring_str == "prod(Z,Z)":
+        scope = [e for e in scope if max(map(abs, e)) <= 6]
+    sharp = [x for x in map(ring.element_from_json, scope) if not ring.is_unit(x)]
+    zero, empty = build_tau(RegCapTau(ZeroProductTau()), ring), build_tau(RegCapTau(EmptyTau()), ring)
+    assert len(sharp) > 100
+    assert [(a, b) for a in sharp for b in sharp if zero.holds(a, b) != empty.holds(a, b)] == []
 
 
 def _refinable_cases():
@@ -164,6 +181,37 @@ def _refinable_mismatches():
             assert any(set(r) == set(h) for r in replacements[y]), v.witness
             assert u in g and w in h and not tau.holds(u, w), v.witness
     return out
+
+
+def _block_scan(tau, targets, fs):
+    """Refinability decided block by block over every co-occurring pair,
+    with no pass over the unions of the blocks: the outcome and witness."""
+    ring = tau.ring
+    pairs = set()
+    for a in targets:
+        pairs.update(relations._position_pairs(fs(a).items))
+    for x, y in sorted(pairs):
+        gx, gy = ({frozenset(b) for b in relations._refinement_blocks(tau, v, fs)} for v in (x, y))
+        for g in sorted(gx):
+            for h in sorted(gy):
+                for u in g:
+                    for v in h:
+                        if not tau.holds(u, v):
+                            key = ring.sort_key
+                            return "fails", ((x, sorted(g, key=key)), (y, sorted(h, key=key)), (u, v))
+    return "holds", None
+
+
+def test_union_pass_names_the_block_scan_witness():
+    """The union pass gives the verdict and the witness of the block scan."""
+    failures = 0
+    for ring, spec in _refinable_cases():
+        ev = Evaluator(ring, build_tau(spec, ring), 3)
+        v = ev.refinable()
+        want = _block_scan(build_tau(spec, ring), ring.nonunits(), ev.fs)
+        assert (v.outcome, v.witness) == want, (ring.spec_string(), spec)
+        failures += v.outcome == "fails"
+    assert failures
 
 
 def test_refinable_matches_definition_oracle():
