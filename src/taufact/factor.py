@@ -34,7 +34,11 @@ from .relations import (
     TauRelation,
     ZeroProductTau,
     _in_sharp,
+    normal_spec,
 )
+
+# the normal forms of the relations that relate no pair
+_RELATES_NO_PAIR = (EmptyTau(), RegCapTau(EmptyTau()))
 
 
 class PreconditionError(ValueError):
@@ -205,21 +209,12 @@ def pump_factor(ring: Ring, tau: TauRelation, factors: tuple, product):
 
 
 def default_cap(ring: Ring, tau: TauRelation, target) -> int:
-    """max(8, number of associate classes of non-unit divisors + 1)."""
+    """max(8, number of associate classes of non-unit divisors + 1), or 8
+    when the divisor set is infinite."""
     try:
-        divs = ring.divisors(target)
+        return max(8, len(ring.divisor_classes(target)) + 1)
     except InfiniteSetError:
         return 8
-    keys = {ring.associate_key(d, AssociateKind.ASSOCIATE) for d in divs if not ring.is_unit(d)}
-    return max(8, len(keys) + 1)
-
-
-def _associate_reps(ring: Ring, xs) -> list:
-    """The first member of each associate class among ``xs``, in order."""
-    reps: dict = {}
-    for x in xs:
-        reps.setdefault(ring.associate_key(x, AssociateKind.ASSOCIATE), x)
-    return list(reps.values())
 
 
 def _associate_stable(spec) -> bool:
@@ -240,7 +235,10 @@ def _nontrivial_candidates(
     strongly associate rings, and for canonical views no finer than the
     strong-associate one), candidates shrink to one per associate class:
     any factorization normalizes factor-wise onto class representatives
-    with the unit slot absorbing the difference.
+    with the unit slot absorbing the difference.  They are the target's
+    ``Ring.divisor_classes`` without zero, the first member of each class
+    in ``sort_key`` order, which is the one a scan of the sorted divisors
+    keeps.
     """
     got = tau._cand_cache.get((target, reduce_assoc), False)
     if got is not False:
@@ -250,7 +248,8 @@ def _nontrivial_candidates(
                 "nontrivial factorizations cannot be enumerated"
             )
         return got
-    if isinstance(tau.spec, EmptyTau):
+    if normal_spec(tau.spec) in _RELATES_NO_PAIR:
+        # no candidate has a partner
         return []
     if tau.regular_only and not ring.is_regular(target):
         # a product of two or more pairwise-regular factors is regular
@@ -259,20 +258,20 @@ def _nontrivial_candidates(
         # pairwise zero products force the whole product to zero
         return []
     try:
-        divs = ring.divisors(target)
+        if reduce_assoc and _associate_stable(tau.spec) and ring.is_strongly_associate():
+            cands = [d for d in ring.divisor_classes(target) if d != ring.zero]
+        else:
+            cands = sorted(
+                (d for d in ring.divisors(target) if _in_sharp(ring, d)), key=ring.sort_key
+            )
     except InfiniteSetError:
         tau._cand_cache[(target, reduce_assoc)] = None
         raise UnsupportedOperationError(
             f"divisor set of {ring.format_element(target)} is infinite; "
             "nontrivial factorizations cannot be enumerated"
         )
-    cands = sorted(
-        (d for d in divs if _in_sharp(ring, d)), key=ring.sort_key
-    )
     if tau.regular_only:
         cands = [d for d in cands if ring.is_regular(d)]
-    if reduce_assoc and _associate_stable(tau.spec) and ring.is_strongly_associate():
-        cands = _associate_reps(ring, cands)
     # a factor needs at least one partner (possibly itself)
     cands = [x for x in cands if any(tau.holds(x, y) for y in cands)]
     tau._cand_cache[(target, reduce_assoc)] = cands
@@ -344,7 +343,7 @@ def enumerate_factorizations(
                 unit_cof[product] = got
             return got
 
-        divisor_set = set(ring.divisors(target))
+        divisor_set = ring.divisors(target)
 
         # depth-first over nondecreasing candidate index sequences
         def extend(pool: list, chosen: list, product) -> None:
@@ -416,7 +415,7 @@ def tau_divides(ring: Ring, tau: TauRelation, b, a, cap: Optional[int] = None) -
         cap = default_cap(ring, tau, a)
     zero = ring.zero
     mul = ring.mul
-    divisor_set = set(ring.divisors(a))
+    divisor_set = ring.divisors(a)
     unit_cof: dict = {}
 
     def completes(product) -> bool:

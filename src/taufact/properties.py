@@ -26,6 +26,7 @@ from typing import Callable, Optional
 from .factor import (
     FactorizationSet,
     PreconditionError,
+    _nontrivial_candidates,
     canonicalize,
     enumerate_factorizations,
     pump_factor,
@@ -348,8 +349,6 @@ class Evaluator:
         nontrivial factorization of the current one, so successors live among
         the nontrivial factor candidates; the poset height bounds every chain.
         """
-        from .factor import _nontrivial_candidates
-
         key = (a, regular_only)
         got = self._chain.get(key)
         if got is not None:

@@ -163,10 +163,11 @@ def normal_spec(spec: TauSpec) -> TauSpec:
     ``regcap(regcap(X))`` becomes ``regcap(X)``, and ``regcap(zero)``
     becomes ``regcap(empty)``: each pair holds on the same pairs (a product
     of regular elements is regular, so nonzero), is ``regular_only`` and is
-    associate-stable alike, and neither side is ``empty`` or ``zero`` at the
-    top level, where ``_nontrivial_candidates`` branches.  Nothing else is
-    rewritten.  ``regcap(empty)`` holds nowhere, as ``empty`` does, but it
-    is ``regular_only`` and ``empty`` is not, and the engine and the harness
+    associate-stable alike, and neither side is ``zero`` at the top level,
+    where ``_nontrivial_candidates`` branches; its test for a relation that
+    relates no pair reads this normal form.  Nothing else is rewritten.
+    ``regcap(empty)`` holds nowhere, as ``empty`` does, but it is
+    ``regular_only`` and ``empty`` is not, and the engine and the harness
     branch on that.
     """
     if not isinstance(spec, RegCapTau):

@@ -201,6 +201,7 @@ class Ring:
 
     def __init__(self):
         self._divisor_cache: dict = {}
+        self._divisor_class_cache: dict = {}
         self._unit_cache: list | None = None
         self._nonunit_cache: list | None = None
         self._unit_inverse_cache: dict = {}
@@ -328,6 +329,26 @@ class Ring:
         return frozenset(
             b for b in self.elements() if not self.cofactors(a, b).is_empty()
         )
+
+    def divisor_classes(self, a) -> tuple:
+        """One representative per associate class of a's non-unit divisors,
+        in ``sort_key`` order: the first member of each class in that order.
+
+        Every associate of a divisor is a divisor, so a class's first
+        divisor is its least member.  Raises InfiniteSetError as ``divisors``.
+        """
+        got = self._divisor_class_cache.get(a)
+        if got is None:
+            got = self._divisor_classes(a)
+            self._divisor_class_cache[a] = got
+        return got
+
+    def _divisor_classes(self, a) -> tuple:
+        reps: dict = {}
+        for d in sorted(self.divisors(a), key=self.sort_key):
+            if not self.is_unit(d):
+                reps.setdefault(self.associate_key(d, AssociateKind.ASSOCIATE), d)
+        return tuple(reps.values())
 
     def cofactors(self, a, b) -> CofactorSet:
         got = self._cofactor_cache.get((a, b))
@@ -603,6 +624,10 @@ class IntegerRing(Ring):
             d += 1
         return frozenset(divs)
 
+    def _divisor_classes(self, a) -> tuple:
+        # the class of d is {d, -d}, and d > 0 sorts first
+        return tuple(sorted(d for d in self.divisors(a) if d > 1))
+
     def _cofactors(self, a, b) -> CofactorSet:
         if b == 0:
             if a == 0:
@@ -731,6 +756,7 @@ class ProductRing(Ring):
         self.order = left.order * right.order if self.is_finite else None
         self.zero = (left.zero, right.zero)
         self.one = (left.one, right.one)
+        self._int_pair = isinstance(left, IntegerRing) and isinstance(right, IntegerRing)
 
     def add(self, a, b):
         return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
@@ -739,6 +765,8 @@ class ProductRing(Ring):
         return (self.left.neg(a[0]), self.right.neg(a[1]))
 
     def mul(self, a, b):
+        if self._int_pair:
+            return (a[0] * b[0], a[1] * b[1])
         return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
 
     def contains(self, a):
@@ -802,6 +830,18 @@ class ProductRing(Ring):
             for x in self.left.divisors(a[0])
             for y in self.right.divisors(a[1])
         )
+
+    def _divisor_classes(self, a) -> tuple:
+        # units and divisors are pairs, so a class is a pair of component
+        # classes (the unit class, named by the least unit, included) and
+        # its least member the pair of theirs; sort_key is lexicographic,
+        # so left-major order is sorted
+        one = self.units()[0]
+        sides = [
+            sorted((u,) + ring.divisor_classes(x), key=ring.sort_key)
+            for ring, x, u in zip((self.left, self.right), a, one)
+        ]
+        return tuple(p for p in itertools.product(*sides) if p != one)
 
     def _cofactors(self, a, b) -> CofactorSet:
         return CofactorSet.pair(

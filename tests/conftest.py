@@ -71,6 +71,21 @@ def small_finite_rings():
     return [build_ring(s) for s in specs]
 
 
+def divisor_class_cases():
+    """(ring, targets, oracle box) for the divisor-class checks: every
+    non-unit of the small finite rings (box: the whole ring), Z for
+    2 <= |a| <= 64, and prod(Z,Z) with both components nonzero in
+    [-12, 12].  Each box holds every divisor of its targets with the
+    cofactor, and every unit with its inverse."""
+    for ring in small_finite_rings():
+        yield ring, ring.nonunits(), None
+    zint = build_ring(IntegersSpec())
+    yield zint, [a for a in range(-64, 65) if abs(a) >= 2], range(-64, 65)
+    zz = build_ring(ProductSpec(IntegersSpec(), IntegersSpec()))
+    box = [(i, j) for i in range(-12, 13) for j in range(-12, 13)]
+    yield zz, [a for a in box if 0 not in a], box
+
+
 def evaluator(ring, tau, scope=None, cap=DEFAULT_PROPERTY_CAP, prop=None):
     """The evaluator a verdict of ``prop`` reads: on ``tau``, or on its
     restriction to regular pairs when ``prop``'s scope is restricted, over

@@ -6,6 +6,7 @@ class keys come from a scan of the whole ring rather than the unit orbit,
 and class equality is decided by explicit bijective matching.
 """
 
+import functools
 import itertools
 
 from taufact import AssociateKind
@@ -19,6 +20,36 @@ def oracle_class_key(ring, x, beta, pool=None):
         return (1, ring.sort_key(x))
     scan = ring.elements() if pool is None else pool
     return (0, min(ring.sort_key(y) for y in scan if ring.associated(x, y, beta)))
+
+
+@functools.lru_cache(maxsize=4)
+def _right_factors(ring, box):
+    """Each product r*b of two members of ``box``, mapped to the b's."""
+    out = {}
+    for r in box:
+        for b in box:
+            out.setdefault(ring.mul(r, b), set()).add(b)
+    return out
+
+
+def oracle_divisor_classes(ring, a, box=None):
+    """The associate classes of a's non-unit divisors, each named by its
+    least ``sort_key`` member, in ``sort_key`` order.
+
+    From the definitions alone: b divides a when r*b = a for some r, a unit
+    is an element with an inverse, and a class is a unit orbit {u*d}.  Every
+    search runs over ``box`` (default: the whole ring), which must hold
+    every divisor of a with its cofactor, and every unit with its inverse.
+    """
+    box = tuple(ring.elements()) if box is None else tuple(box)
+    table = _right_factors(ring, box)
+    units = table[ring.one]
+    reps = {
+        min((ring.mul(u, d) for u in units), key=ring.sort_key)
+        for d in table.get(a, ())
+        if d not in units
+    }
+    return tuple(sorted(reps, key=ring.sort_key))
 
 
 def _key_table(ring, beta):

@@ -13,6 +13,7 @@ from taufact import (
     IntegersSpec,
     ModIntSpec,
     PreconditionError,
+    ProductSpec,
     RegCapTau,
     RegularTau,
     Rejection,
@@ -30,8 +31,9 @@ from taufact import (
 )
 from taufact.corpus import DEFAULT_TAUS, default_corpus_spec
 from taufact.parsing import build_tau_from_text
-from conftest import small_finite_rings
-from oracles import matching_equivalent, oracle_classes_fast, oracle_factorization_classes
+from taufact.factor import _associate_stable, _nontrivial_candidates, default_cap
+from conftest import divisor_class_cases, small_finite_rings
+from oracles import matching_equivalent, oracle_classes_fast, oracle_divisor_classes, oracle_factorization_classes
 
 A, S, V = AssociateKind.ASSOCIATE, AssociateKind.STRONG, AssociateKind.VERY_STRONG
 
@@ -424,3 +426,66 @@ def test_exhaustive_enumerations_survive_a_higher_cap():
                 again = enumerate_factorizations(ring, tau, a, S, cap=cap + 3)
                 assert set(again.classes) == set(fs.classes), (ring.spec_string(), tau.spec_string(), a, cap)
     assert claims
+
+
+def test_default_cap_counts_the_oracle_classes():
+    for ring, targets, box in divisor_class_cases():
+        tau = build_tau(FullTau(), ring)
+        for a in targets:
+            expected = max(8, len(oracle_divisor_classes(ring, a, box)) + 1)
+            assert default_cap(ring, tau, a) == expected, (ring, a)
+    zz = build_ring(ProductSpec(IntegersSpec(), IntegersSpec()))
+    for a in ((0, 0), (2, 0), (0, -12)):
+        assert default_cap(zz, build_tau(FullTau(), zz), a) == 8
+
+
+def _old_candidates(ring, tau, a, reduce_assoc):
+    """``_nontrivial_candidates`` as built from the whole divisor set:
+    the sorted divisors in R#, then the regular filter, then the first
+    element of each associate class, then the partner filter.  None when
+    the divisor set is infinite."""
+    if isinstance(tau.spec, EmptyTau):
+        return []
+    if tau.regular_only and not ring.is_regular(a):
+        return []
+    if isinstance(tau.spec, ZeroProductTau) and a != ring.zero:
+        return []
+    try:
+        divs = ring.divisors(a)
+    except UnsupportedOperationError:
+        return None
+    cands = sorted((d for d in divs if d != ring.zero and not ring.is_unit(d)), key=ring.sort_key)
+    if tau.regular_only:
+        cands = [d for d in cands if ring.is_regular(d)]
+    if reduce_assoc and _associate_stable(tau.spec):
+        reps = {}
+        for d in cands:
+            reps.setdefault(ring.associate_key(d, A), d)
+        cands = list(reps.values())
+    return [x for x in cands if any(tau.holds(x, y) for y in cands)]
+
+
+def test_candidates_match_the_full_divisor_construction():
+    """The candidates read off the class table equal the old construction,
+    under the default relations, spellings of the one that relates no pair,
+    and seeded subset relations; on prod(Z,Z) over a smaller box, with axis
+    elements."""
+    rng = random.Random(16)
+    texts = DEFAULT_TAUS + ("regcap(zero)", "regcap(empty)", "regcap(regcap(zero))")
+    for ring, targets, _ in divisor_class_cases():
+        if ring.spec_string() == "prod(Z,Z)":
+            targets = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
+        sharp = [a for a in targets if a != ring.zero and not ring.is_unit(a)]
+        taus = [build_tau_from_text(text, ring) for text in texts]
+        for _ in range(3 if sharp else 0):
+            subset = rng.sample(sharp, rng.randint(1, min(len(sharp), 12)))
+            taus.append(build_tau(SubsetTau(tuple(sorted(subset, key=ring.sort_key))), ring))
+        for tau in taus:
+            for a in targets:
+                for reduce_assoc in (False, True):
+                    expected = _old_candidates(ring, tau, a, reduce_assoc)
+                    try:
+                        got = _nontrivial_candidates(ring, tau, a, reduce_assoc)
+                    except UnsupportedOperationError:
+                        got = None
+                    assert got == expected, (ring, tau, a, reduce_assoc)

@@ -19,8 +19,8 @@ from taufact import (
     enumerate_elements,
     ring_predicates,
 )
-from conftest import small_finite_rings
-from oracles import oracle_class_key
+from conftest import divisor_class_cases, small_finite_rings
+from oracles import oracle_class_key, oracle_divisor_classes
 
 A, S, V = AssociateKind.ASSOCIATE, AssociateKind.STRONG, AssociateKind.VERY_STRONG
 
@@ -391,3 +391,37 @@ def test_corpus_finite_rings_have_no_regular_nonunits():
         seen.add(ce.ring_str)
         for a in ce.ring.elements():
             assert ce.ring.classify(a) == _scan_class(ce.ring, a), (ce.ring_str, a)
+
+
+def test_divisor_classes_match_oracle():
+    """``divisor_classes`` equals the definition-built oracle, order
+    included."""
+    for ring, targets, box in divisor_class_cases():
+        for a in targets:
+            assert ring.divisor_classes(a) == oracle_divisor_classes(ring, a, box), (ring, a)
+
+
+def test_divisor_classes_of_axis_elements_raise():
+    zint = build_ring(IntegersSpec())
+    with pytest.raises(InfiniteSetError):
+        zint.divisor_classes(0)
+    zz = build_ring(ProductSpec(IntegersSpec(), IntegersSpec()))
+    for a in [(0, 0)] + [p for c in (1, 2, -6, 12) for p in ((c, 0), (0, c))]:
+        with pytest.raises(InfiniteSetError):
+            zz.divisor_classes(a)
+
+
+def test_no_ring_primitive_is_bound_per_instance():
+    """perfbench's tracer wraps ring primitives on the classes, so an
+    instance attribute of the same name would hide its calls."""
+    primitives = ("mul", "classify", "divisors", "cofactors", "associated", "comaximal", "units", "divisor_classes")
+    rings = [build_ring_from_text(s) for s in default_corpus_spec()["rings"]]
+    seen = 0
+    while rings:
+        ring = rings.pop()
+        ring.mul(ring.one, ring.one)
+        ring.divisor_classes(ring.one)
+        assert not set(primitives) & set(vars(ring)), ring
+        rings += [vars(ring)[side] for side in ("left", "right") if side in vars(ring)]
+        seen += 1
+    assert seen > len(default_corpus_spec()["rings"])
