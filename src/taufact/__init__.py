@@ -16,8 +16,6 @@ from .rings import (
     RingConstructionError,
     UnsupportedOperationError,
     build_ring,
-    enumerate_elements,
-    ring_predicates,
 )
 from .relations import (
     ComaximalTau,
@@ -37,12 +35,9 @@ from .factor import (
     FactorizationSet,
     PreconditionError,
     PumpWitness,
-    Rejection,
     canonicalize,
     enumerate_factorizations,
-    refine,
     tau_divides,
-    validate_factorization,
 )
 from .irreducibles import (
     Flag,
@@ -59,7 +54,6 @@ from .ufact import (
     phi,
     phi_inverse,
     u_partitions,
-    validate_u_factorization,
 )
 from .properties import (
     Elasticity,

@@ -418,15 +418,21 @@ def _catalog_group(payload):
         plain = context_evaluator(contexts, ring, tau.spec, scope, cap)
         domain, scoped = plain.domain()
         elements = []
+        read = []  # the caps of the enumerations the entry reads
         for a in domain:
             row = {"element": ring.element_to_json(a), "class": ring.classify(a).value}
             try:
-                row["flags"] = {k.value: v.value for k, v in plain.profile(a).flags.items()}
+                profile = plain.profile(a)
             except UnsupportedOperationError as exc:
                 row.update(flags="unsupported", note=str(exc))
+            else:
+                row["flags"] = {k.value: v.value for k, v in profile.flags.items()}
+                read.append(profile.cap)
             elements.append(row)
         props, elas = _property_vector(plain, context_evaluator(contexts, ring, RegCapTau(tau.spec), scope, cap))
-        return {"cap": cap, "scoped": scoped, "elements": elements, "properties": props, "elasticity": elas}
+        read.extend(v["cap"] for v in props if "cap" in v)
+        cap_read = max(read, default=cap)
+        return {"cap": cap_read, "scoped": scoped, "elements": elements, "properties": props, "elasticity": elas}
 
     bodies = per_context_spec(ring, taus, entry, lambda body, tau: body)
     return [{"ring": payload[0], "tau": t, **body} for t, body in zip(payload[1], bodies)]

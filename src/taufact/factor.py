@@ -58,9 +58,6 @@ class Factorization:
     def trivial(self) -> bool:
         return len(self.factors) == 1
 
-    def product(self):
-        return self.ring.product(self.factors)
-
     def to_json(self):
         r = self.ring
         return {
@@ -74,14 +71,6 @@ class Factorization:
         r = self.ring
         facs = "*".join(r.format_element(x) for x in self.factors)
         return f"{r.format_element(self.target)}={r.format_element(self.unit)}*{facs}"
-
-
-@dataclass(frozen=True)
-class Rejection:
-    """A refinement that is not a valid factorization; names the bad pair."""
-
-    pair: tuple
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -138,35 +127,6 @@ class FactorizationSet:
         if self.note:
             out["note"] = self.note
         return out
-
-
-def validate_factorization(tau: TauRelation, f: Factorization) -> Optional[str]:
-    """Re-check every invariant directly from the definitions.
-
-    Returns None when valid, else a human-readable violation.
-    """
-    ring = f.ring
-    if not ring.is_unit(f.unit):
-        return f"unit slot holds a non-unit: {ring.format_element(f.unit)}"
-    if not f.factors:
-        return "empty factor list"
-    for x in f.factors:
-        if ring.is_unit(x):
-            return f"factor {ring.format_element(x)} is a unit"
-    if ring.mul(f.unit, f.product()) != f.target:
-        return "unit * factors does not equal the target"
-    if len(f.factors) >= 2:
-        for i in range(len(f.factors)):
-            for j in range(i + 1, len(f.factors)):
-                x, y = f.factors[i], f.factors[j]
-                if not _in_sharp(ring, x) or not _in_sharp(ring, y):
-                    return "paired factor outside the nonzero non-units"
-                if not tau.holds(x, y):
-                    return (
-                        f"pair ({ring.format_element(x)}, {ring.format_element(y)})"
-                        " not related"
-                    )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +191,14 @@ def _nontrivial_candidates(
 ) -> list:
     """Elements that can appear in a factorization of length >= 2.
 
-    With ``reduce_assoc`` (sound only for associate-stable relations on
-    strongly associate rings, and for canonical views no finer than the
-    strong-associate one), candidates shrink to one per associate class:
-    any factorization normalizes factor-wise onto class representatives
-    with the unit slot absorbing the difference.  They are the target's
-    ``Ring.divisor_classes`` without zero, the first member of each class
-    in ``sort_key`` order, which is the one a scan of the sorted divisors
-    keeps.
+    With ``reduce_assoc`` (sound for associate-stable relations and views no
+    finer than the strong-associate one, as every constructible ring is
+    strongly associate: README, "Design notes"), candidates shrink to one
+    per associate class: any factorization normalizes factor-wise onto
+    class representatives with the unit slot absorbing the difference.
+    They are the target's ``Ring.divisor_classes`` without zero, the first
+    member of each class in ``sort_key`` order, which is the one a scan of
+    the sorted divisors keeps.
     """
     got = tau._cand_cache.get((target, reduce_assoc), False)
     if got is not False:
@@ -258,7 +218,7 @@ def _nontrivial_candidates(
         # pairwise zero products force the whole product to zero
         return []
     try:
-        if reduce_assoc and _associate_stable(tau.spec) and ring.is_strongly_associate():
+        if reduce_assoc and _associate_stable(tau.spec):
             cands = [d for d in ring.divisor_classes(target) if d != ring.zero]
         else:
             cands = sorted(
@@ -450,35 +410,3 @@ def tau_divides(ring: Ring, tau: TauRelation, b, a, cap: Optional[int] = None) -
     pool0 = [y for y in candidates if tau.holds(b, y)]
     return search(pool0, 1, b)
 
-
-def refine(ring: Ring, tau: TauRelation, f: Factorization, x, sub: Factorization):
-    """Replace one occurrence of factor x by sub's factors; unit slots multiply.
-
-    Returns the refined Factorization, or a Rejection naming a violating pair
-    (a rejection is a result, not an error: it witnesses non-refinability).
-    """
-    if x not in f.factors:
-        raise PreconditionError(f"{ring.format_element(x)} is not a factor")
-    if sub.target != x:
-        raise PreconditionError("substitute factorization has the wrong target")
-    factors = list(f.factors)
-    factors.remove(x)
-    factors.extend(sub.factors)
-    factors.sort(key=ring.sort_key)
-    refined = Factorization(
-        ring=ring,
-        unit=ring.mul(f.unit, sub.unit),
-        factors=tuple(factors),
-        target=f.target,
-    )
-    if len(refined.factors) >= 2:
-        for i in range(len(refined.factors)):
-            for j in range(i + 1, len(refined.factors)):
-                a, b = refined.factors[i], refined.factors[j]
-                if (
-                    not _in_sharp(ring, a)
-                    or not _in_sharp(ring, b)
-                    or not tau.holds(a, b)
-                ):
-                    return Rejection(pair=(a, b), reason="pair not related")
-    return refined

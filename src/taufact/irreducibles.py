@@ -126,25 +126,24 @@ def classify(
     return IrreducibilityProfile(element=a, flags=flags, cap=fs.cap)
 
 
-# (from_kind, to_kind, needs_strongly_associate_ring)
+# (from_kind, to_kind); M => STRONG holds because every constructible ring
+# is strongly associate (README, "Design notes")
 HIERARCHY_ARROWS = (
-    (IrreducibleKind.VERY_STRONG, IrreducibleKind.UNREFINABLE, False),
-    (IrreducibleKind.UNREFINABLE, IrreducibleKind.STRONG, False),
-    (IrreducibleKind.STRONG, IrreducibleKind.IRREDUCIBLE, False),
-    (IrreducibleKind.M, IrreducibleKind.IRREDUCIBLE, False),
-    (IrreducibleKind.M, IrreducibleKind.STRONG, True),
+    (IrreducibleKind.VERY_STRONG, IrreducibleKind.UNREFINABLE),
+    (IrreducibleKind.UNREFINABLE, IrreducibleKind.STRONG),
+    (IrreducibleKind.STRONG, IrreducibleKind.IRREDUCIBLE),
+    (IrreducibleKind.M, IrreducibleKind.IRREDUCIBLE),
+    (IrreducibleKind.M, IrreducibleKind.STRONG),
 )
 
 
-def hierarchy_violations(profile: IrreducibilityProfile, strongly_associate: bool):
+def hierarchy_violations(profile: IrreducibilityProfile):
     """Arrows of the irreducibility hierarchy violated by decided flags."""
-    out = []
-    for src, dst, conditional in HIERARCHY_ARROWS:
-        if conditional and not strongly_associate:
-            continue
-        if profile[src] == Flag.TRUE and profile[dst] == Flag.FALSE:
-            out.append((src, dst))
-    return out
+    return [
+        (src, dst)
+        for src, dst in HIERARCHY_ARROWS
+        if profile[src] == Flag.TRUE and profile[dst] == Flag.FALSE
+    ]
 
 
 @dataclass

@@ -223,10 +223,11 @@ class Evaluator:
         """``check_property`` of ``prop``, decided once."""
         got = self._verdicts.get(prop)
         if got is None:
-            if prop.beta == AssociateKind.STRONG and self.ring.is_strongly_associate():
-                # one orbit key for both kinds, and beta reaches every
-                # predicate only through that key (very-strong keys split
-                # orbits, so those cells are decided on their own)
+            if prop.beta == AssociateKind.STRONG:
+                # every constructible ring is strongly associate (README,
+                # "Design notes"), so both kinds share one orbit key, and beta
+                # reaches every predicate only through that key (very-strong
+                # keys split orbits, so those cells are decided on their own)
                 got = replace(self.verdict(replace(prop, beta=AssociateKind.ASSOCIATE)), prop=prop)
             else:
                 got = check_property(self, prop)
@@ -559,10 +560,19 @@ def _resolve_domain(ring: Ring, scope_elements):
 def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
     """Decide one ring-level property over ``ev``'s scope at its cap;
     exhaustive on finite rings, scoped (and flagged as such) on infinite
-    ones.  ``ev`` is on the relation the property's scope reads."""
-    ring, cap = ev.ring, ev.cap
+    ones.  ``ev`` is on the relation the property's scope reads.
+
+    The verdict records the largest cap of the domain enumerations it read
+    (``Evaluator.fs`` picks its own on an infinite ring), or ``ev.cap`` when
+    it read none (ACCP, or an empty scope).
+    """
+    ring = ev.ring
     domain, scoped = ev.domain(prop.scope == PropScope.REGULAR)
     view = SPLIT_VIEW if prop.scope == PropScope.REGCAP_U else PLAIN_VIEW
+    read = []  # the caps of the domain enumerations the verdict reads
+    # an element outcome that returns has run ``ev.fs``, so its memo holds
+    # the enumeration; ACCP reads divisor chains only
+    memo = ev._fs if prop.kind != PropKind.ACCP else None
 
     def element_outcome(a) -> _ElementOutcome:
         k = prop.kind
@@ -595,11 +605,13 @@ def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
                 skipped += 1
                 unknown_note = f"element {ring.format_element(a)} skipped: {exc}"
                 continue
+            if memo is not None:
+                read.append(memo[a].cap)
             if out.status == "fails":
                 return PropertyVerdict(
                     prop_id, "fails",
                     witness=out.witness if out.witness is not None else a,
-                    cap=cap, scoped=scoped, note=out.note,
+                    cap=max(read, default=ev.cap), scoped=scoped, note=out.note,
                 )
             if out.status == "unknown":
                 unknown_note = out.note or unknown_note
@@ -610,9 +622,9 @@ def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
             note = unknown_note or "atomicity unknown at cap"
             if skipped:
                 note += f" ({skipped} elements undecided)"
-            return PropertyVerdict(prop_id, "unknown", cap=cap, scoped=scoped, note=note)
+            return PropertyVerdict(prop_id, "unknown", cap=max(read, default=ev.cap), scoped=scoped, note=note)
         note = "vacuous: empty scope" if not domain else ""
-        return PropertyVerdict(prop_id, "holds", bound=bound, cap=cap, scoped=scoped, note=note)
+        return PropertyVerdict(prop_id, "holds", bound=bound, cap=max(read, default=ev.cap), scoped=scoped, note=note)
 
     # HFR and UFR also require atomicity of the whole scope, read from the
     # evaluator's atomic outcomes
@@ -621,10 +633,7 @@ def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
         atomic_id = PropertyId(PropKind.ATOMIC, alpha=prop.alpha, scope=prop.scope)
         atomic = aggregate(atomic_id, lambda a: ev.atomic(view, a, prop.alpha))
         if atomic.outcome == "fails":
-            return PropertyVerdict(
-                prop, "fails", witness=atomic.witness, cap=cap, scoped=scoped,
-                note="not atomic for this flavor",
-            )
+            return replace(atomic, prop=prop, note="not atomic for this flavor")
         atomic_unknown = atomic.outcome == "unknown"
     return aggregate(prop, element_outcome, atomic_unknown)
 
@@ -659,11 +668,11 @@ class Elasticity:
 
 def elasticity(ev: Evaluator) -> Elasticity:
     """Per-element ratio of longest to shortest atomic factorization length
-    over the regular non-units of ``ev``'s scope, and its supremum."""
-    cap = ev.cap
+    over the regular non-units of ``ev``'s scope, and its supremum, with
+    the cap recorded as ``check_property`` records it."""
     domain, scoped = ev.domain(regular=True)
     if not domain:
-        return Elasticity("undefined-empty-scope", {}, cap, scoped)
+        return Elasticity("undefined-empty-scope", {}, ev.cap, scoped)
     per: dict = {}
     infinite = False
     note = ""
@@ -683,6 +692,7 @@ def elasticity(ev: Evaluator) -> Elasticity:
         if not lengths:
             continue  # no atomic factorization: no ratio contribution
         per[a] = Fraction(max(lengths), min(lengths))
+    cap = max(ev._fs[a].cap for a in domain)  # every element ran ``ev.fs``
     if infinite:
         return Elasticity("infinite", per, cap, scoped, note)
     finite_vals = [v for v in per.values() if isinstance(v, Fraction)]

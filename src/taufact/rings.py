@@ -133,13 +133,6 @@ class CofactorSet:
             return not self.elems
         return self.left.is_empty() or self.right.is_empty()
 
-    def is_all(self) -> bool:
-        if self.kind == _ALL:
-            return True
-        if self.kind == _PAIR:
-            return self.left.is_all() and self.right.is_all()
-        return False
-
     def contains_unit(self) -> bool:
         if self.kind == _ALL:
             return True  # 1 is in the ring
@@ -172,20 +165,6 @@ class CofactorSet:
         if lu is None or ru is None:
             return None
         return (lu, ru)
-
-    def as_frozenset(self) -> frozenset:
-        """Materialize; raises InfiniteSetError when the set is infinite."""
-        if self.kind == _FINITE:
-            return self.elems
-        if self.kind == _ALL:
-            if not self.ring.is_finite:
-                raise InfiniteSetError("cofactor set is all of an infinite ring")
-            return frozenset(self.ring.elements())
-        return frozenset(
-            (l, r)
-            for l in self.left.as_frozenset()
-            for r in self.right.as_frozenset()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +368,14 @@ class Ring:
     def associate_key(self, x, kind: AssociateKind) -> tuple:
         """Class key of x: the least ``sort_key`` over its kind-associates.
 
-        The ring is strongly associate (``is_strongly_associate``), so the
-        associates of x are exactly its unit multiples, and the key is
-        ``(0, min sort_key(u*x))`` over the units u.  Under VERY_STRONG an x
-        that is not very-strongly associate to itself is its own class,
-        ``(1, sort_key(x))``.  One that is relates very strongly to every
-        unit multiple y = u*x, so its class is the whole orbit: if x = r*y
-        then x = (r*u)*x, so r*u and with it r is a unit.  So every kind
-        shares one orbit key per x, memoized once.
+        Every constructible ring is strongly associate (README, "Design
+        notes"), so the associates of x are exactly its unit multiples, and
+        the key is ``(0, min sort_key(u*x))`` over the units u.  Under
+        VERY_STRONG an x that is not very-strongly associate to itself is
+        its own class, ``(1, sort_key(x))``.  One that is relates very
+        strongly to every unit multiple y = u*x, so its class is the whole
+        orbit: if x = r*y then x = (r*u)*x, so r*u and with it r is a unit.
+        So every kind shares one orbit key per x, memoized once.
         """
         if kind == AssociateKind.VERY_STRONG and not self.associated(x, x, kind):
             return (1, self.sort_key(x))
@@ -410,44 +389,6 @@ class Ring:
         """The least ``sort_key(u*x)`` over the units u; constructions with a
         closed form override the scan."""
         return min(self.sort_key(self.mul(u, x)) for u in self.units())
-
-    def is_strongly_associate(self) -> bool:
-        """a ~ b forces a = (unit)*b, for every pair.
-
-        True for every constructible ring (Anderson & Valdes-Leon, Rocky
-        Mountain J. Math. 26, 1996), so this needs no scan:
-
-        - Z/nZ and F_p[x]/(f) are finite, and a finite commutative ring is a
-          product of local rings.  In a local ring let a = r*b and b = s*a.
-          If r or s is a unit, a and b are unit multiples of each other.
-          Otherwise rs lies in the maximal ideal, so 1 - rs is a unit, and
-          (1 - rs)*a = 0 gives a = 0 = b.
-        - Z is an integral domain: a = r*b, b = s*a with a != 0 give rs = 1.
-        - In a product, (a) = (b) holds component by component, and the
-          pair of component units is a unit.
-
-        ``ring_predicates`` keeps the exhaustive scan as the oracle.
-        """
-        return True
-
-    def _scan_presimplifiable(self) -> bool:
-        for x in self.elements():
-            if x == self.zero:
-                continue
-            for y in self.elements():
-                if self.mul(x, y) == x and not self.is_unit(y):
-                    return False
-        return True
-
-    def _scan_strongly_associate(self) -> bool:
-        elems = list(self.elements())
-        for a in elems:
-            for b in elems:
-                if self.associated(a, b, AssociateKind.ASSOCIATE) and not self.associated(
-                    a, b, AssociateKind.STRONG
-                ):
-                    return False
-        return True
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -869,20 +810,3 @@ def build_ring(spec: RingSpec) -> Ring:
         return ProductRing(build_ring(spec.left), build_ring(spec.right))
     raise RingConstructionError(f"unknown ring spec: {spec!r}")
 
-
-def enumerate_elements(ring: Ring) -> list:
-    """Every element exactly once, lexicographically on encodings."""
-    if not ring.is_finite:
-        raise InfiniteSetError("infinite ring")
-    return list(ring.elements())
-
-
-def ring_predicates(ring: Ring) -> dict:
-    """Exhaustive presimplifiable / strongly-associate scan (finite rings
-    only); the oracle that ``Ring.is_strongly_associate`` is tested against."""
-    if not ring.is_finite:
-        raise UnsupportedOperationError("ring predicates require a finite ring")
-    return {
-        "presimplifiable": ring._scan_presimplifiable(),
-        "strongly_associate": ring._scan_strongly_associate(),
-    }

@@ -282,7 +282,7 @@ class EntryChecker:
             except UnsupportedOperationError:
                 skipped += 1
                 continue
-            bad = hierarchy_violations(profile, self.ring.is_strongly_associate())
+            bad = hierarchy_violations(profile)
             if bad:
                 self.emit(
                     theorem,

@@ -74,32 +74,6 @@ def _inessential_index(ring: Ring, essential: tuple) -> Optional[int]:
     return None
 
 
-# A separate re-check from the definitions: tests take it as the reference for u_partitions.
-def validate_u_factorization(u: UFactorization) -> Optional[str]:
-    ring = u.ring
-    if not ring.is_unit(u.unit):
-        return "unit slot holds a non-unit"
-    if not u.essential:
-        return "essential block is empty"
-    total = ring.mul(
-        u.unit, ring.mul(ring.product(u.inessential), ring.product(u.essential))
-    )
-    if total != u.target:
-        return "blocks do not multiply to the target"
-    ep = ring.product(u.essential)
-    for x in u.inessential:
-        if not _ideal_fixed(ring, x, ep):
-            return f"inessential factor {ring.format_element(x)} moves the ideal"
-    for i in range(len(u.essential)):
-        rest = ring.product(u.essential[:i] + u.essential[i + 1 :])
-        if _ideal_fixed(ring, u.essential[i], rest):
-            return (
-                f"essential factor {ring.format_element(u.essential[i])}"
-                " does not move the ideal"
-            )
-    return None
-
-
 def u_partitions(ring: Ring, f: Factorization) -> tuple:
     """All valid (inessential, essential) splits of a factorization's factors."""
     values = sorted(set(f.factors), key=ring.sort_key)

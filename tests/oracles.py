@@ -3,13 +3,16 @@
 These deliberately avoid the engine's divisor-restricted search: candidate
 factors are all nonzero non-units, multisets are generated by itertools,
 class keys come from a scan of the whole ring rather than the unit orbit,
-and class equality is decided by explicit bijective matching.
+and class equality is decided by explicit bijective matching.  The
+validators and ring predicates work from the definitions on finite rings:
+units by a scan for an inverse, products by ``ring.mul``, ideal equality by
+a scan for a cofactor.
 """
 
 import functools
 import itertools
 
-from taufact import AssociateKind
+from taufact import AssociateKind, UFactorization
 
 
 def oracle_class_key(ring, x, beta, pool=None):
@@ -243,3 +246,102 @@ def oracle_refinable(ring, tau, cap):
                     if not _pairwise_related(tau, refined):
                         return False, replacements
     return True, replacements
+
+
+# ---------------------------------------------------------------------------
+# Validators and ring predicates from the definitions (finite rings only)
+
+
+def _is_unit(ring, x):
+    return any(ring.mul(x, y) == ring.one for y in ring.elements())
+
+
+def _product(ring, factors):
+    return functools.reduce(ring.mul, factors, ring.one)
+
+
+def _ideal_fixed(ring, x, p):
+    """(x*p) = (p): (x*p) lies in (p) always, and p in (x*p) when some r
+    has r*x*p = p."""
+    xp = ring.mul(x, p)
+    return any(ring.mul(r, xp) == p for r in ring.elements())
+
+
+def oracle_validate_factorization(tau, f):
+    """None when f is a factorization under tau, else the violation: the
+    unit slot holds a unit, the factors are non-units, unit times factors is
+    the target, and every two positions hold nonzero non-units related by
+    tau."""
+    ring = f.ring
+    if not _is_unit(ring, f.unit):
+        return f"unit slot holds a non-unit: {ring.format_element(f.unit)}"
+    if not f.factors:
+        return "empty factor list"
+    for x in f.factors:
+        if _is_unit(ring, x):
+            return f"factor {ring.format_element(x)} is a unit"
+    if ring.mul(f.unit, _product(ring, f.factors)) != f.target:
+        return "unit * factors does not equal the target"
+    for x, y in itertools.combinations(f.factors, 2):
+        if ring.zero in (x, y):
+            return "paired factor outside the nonzero non-units"
+        if not tau.holds(x, y):
+            return f"pair ({ring.format_element(x)}, {ring.format_element(y)}) not related"
+    return None
+
+
+def oracle_validate_u_factorization(u):
+    """None when u is a valid split, else the violation: a unit slot, a
+    nonempty essential block, blocks that multiply to the target, each
+    inessential factor fixing the ideal of the essential product, and each
+    essential factor moving the ideal of the others' product."""
+    ring = u.ring
+    if not _is_unit(ring, u.unit):
+        return "unit slot holds a non-unit"
+    if not u.essential:
+        return "essential block is empty"
+    ep = _product(ring, u.essential)
+    if ring.mul(u.unit, ring.mul(_product(ring, u.inessential), ep)) != u.target:
+        return "blocks do not multiply to the target"
+    for x in u.inessential:
+        if not _ideal_fixed(ring, x, ep):
+            return f"inessential factor {ring.format_element(x)} moves the ideal"
+    for i, x in enumerate(u.essential):
+        if _ideal_fixed(ring, x, _product(ring, u.essential[:i] + u.essential[i + 1 :])):
+            return f"essential factor {ring.format_element(x)} does not move the ideal"
+    return None
+
+
+def oracle_u_partitions(ring, f):
+    """Every (inessential, essential) split of f's factors that the
+    definition admits, each block sorted by ``sort_key``."""
+    n = len(f.factors)
+    out = set()
+    for k in range(1, n + 1):
+        for ess_idx in itertools.combinations(range(n), k):
+            ess = tuple(f.factors[i] for i in ess_idx)
+            ines = tuple(f.factors[i] for i in range(n) if i not in ess_idx)
+            u = UFactorization(ring=ring, unit=f.unit, inessential=ines, essential=ess, target=f.target)
+            if oracle_validate_u_factorization(u) is None:
+                out.add((tuple(sorted(ines, key=ring.sort_key)), tuple(sorted(ess, key=ring.sort_key))))
+    return out
+
+
+def oracle_ring_predicates(ring):
+    """Whether the ring is presimplifiable (x = x*y with x nonzero forces y
+    to be a unit) and strongly associate ((a) = (b) forces a = u*b for a
+    unit u), by scans of the whole ring."""
+    elems = list(ring.elements())
+    units = {u for u in elems if _is_unit(ring, u)}
+    multiples = {b: {ring.mul(r, b) for r in elems} for b in elems}
+    unit_multiples = {b: {ring.mul(u, b) for u in units} for b in elems}
+    presimplifiable = all(
+        ring.mul(x, y) != x or y in units for x in elems if x != ring.zero for y in elems
+    )
+    strongly_associate = all(
+        a in unit_multiples[b]
+        for a in elems
+        for b in elems
+        if a in multiples[b] and b in multiples[a]
+    )
+    return {"presimplifiable": presimplifiable, "strongly_associate": strongly_associate}

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from taufact import cli, theorems
 from taufact.cli import main
 from taufact.corpus import DEFAULT_TAUS, CorpusEntry, default_corpus_spec, generate_corpus
+from taufact.factor import default_cap
 from taufact.irreducibles import classify
 from taufact.parsing import build_ring_from_text, build_tau_from_text, parse_tau_spec
 from taufact.properties import Evaluator, _resolve_domain
@@ -329,6 +330,26 @@ def test_properties_cap_as_given(capsys):
     assert set(caps()) == {6}
     assert 0 in caps("--cap", "0") and 6 not in caps("--cap", "0")
     assert set(caps("--cap", "3")) == {3}
+
+
+def test_properties_caps_on_an_infinite_ring(capsys):
+    """On Z a cell records the largest cap its enumerations ran at: the
+    per-element default cap, 10 for 512 = 2^9 with its nine divisor
+    classes.  ACCP reads divisor chains only, and an empty scope reads
+    nothing, so those cells record the given cap."""
+    def run(scope):
+        code, out, _ = run_cli(capsys, "properties", "--ring", "Z", "--tau", "full", "--scope", scope)
+        assert code == 0
+        payload = json.loads(out)
+        return {v["property"]: v for v in payload["properties"]}, payload["elasticity"]
+
+    cells, elas = run("[512]")
+    assert (cells["bfr/plain"]["bound"], cells["bfr/plain"]["cap"]) == (9, 10)
+    assert {v["cap"] for k, v in cells.items() if not k.startswith("accp/")} == {10}
+    assert {v["cap"] for k, v in cells.items() if k.startswith("accp/")} == {6}
+    assert elas["cap"] == 10
+    cells, elas = run("[1,-1]")
+    assert {v["cap"] for v in cells.values()} == {6} and elas["cap"] == 6
 
 
 def test_capped_search_claims_nothing(capsys):
@@ -699,7 +720,9 @@ def test_empty_corpus_is_valid():
 def _direct_atlas(corpus):
     """Each catalog entry on its own: a fresh ring, a fresh evaluator on the
     entry's relation and one on its restriction, over the corpus scope as
-    written, with no context spec applied."""
+    written, with no context spec applied.  The entry's cap is the largest
+    its flags and verdicts read: an infinite ring's elements enumerate at
+    the per-element default cap."""
     entries, meta = generate_corpus(corpus)
     cap = meta["cap"]
     out = []
@@ -708,21 +731,24 @@ def _direct_atlas(corpus):
         tau = build_tau_from_text(ce.tau_str, ring)
         domain, scoped = _resolve_domain(ring, ce.scope)
         elements = []
+        read = []
         for a in domain:
             row = {"element": ring.element_to_json(a), "class": ring.classify(a).value}
             try:
                 row["flags"] = {k.value: v.value for k, v in classify(ring, tau, a, cap=cap).flags.items()}
+                read.append(cap if ring.is_finite else default_cap(ring, tau, a))
             except UnsupportedOperationError as exc:
                 row.update(flags="unsupported", note=str(exc))
             elements.append(row)
         props, elas = cli._property_vector(
             Evaluator(ring, tau, cap, ce.scope), Evaluator(ring, tau.regcap(), cap, ce.scope)
         )
+        read += [v["cap"] for v in props if "cap" in v]
         out.append(
             {
                 "ring": ce.ring_str,
                 "tau": ce.tau_str,
-                "cap": cap,
+                "cap": max(read, default=cap),
                 "scoped": scoped,
                 "elements": elements,
                 "properties": props,

@@ -16,7 +16,6 @@ from taufact import (
     ProductSpec,
     RegCapTau,
     RegularTau,
-    Rejection,
     Ring,
     SubsetTau,
     UnsupportedOperationError,
@@ -25,15 +24,19 @@ from taufact import (
     build_tau,
     canonicalize,
     enumerate_factorizations,
-    refine,
     tau_divides,
-    validate_factorization,
 )
 from taufact.corpus import DEFAULT_TAUS, default_corpus_spec
 from taufact.parsing import build_tau_from_text
 from taufact.factor import _associate_stable, _nontrivial_candidates, default_cap
 from conftest import divisor_class_cases, small_finite_rings
-from oracles import matching_equivalent, oracle_classes_fast, oracle_divisor_classes, oracle_factorization_classes
+from oracles import (
+    matching_equivalent,
+    oracle_classes_fast,
+    oracle_divisor_classes,
+    oracle_factorization_classes,
+    oracle_validate_factorization,
+)
 
 A, S, V = AssociateKind.ASSOCIATE, AssociateKind.STRONG, AssociateKind.VERY_STRONG
 
@@ -114,7 +117,7 @@ def test_emitted_factorizations_validate():
             for a in ring.nonunits():
                 fs = enumerate_factorizations(ring, tau, a, S, cap=4)
                 for f in fs.items:
-                    assert validate_factorization(tau, f) is None
+                    assert oracle_validate_factorization(tau, f) is None
                     assert set(f.factors) <= set(ring.divisors(a))
 
 
@@ -162,13 +165,13 @@ def test_pump_witness_constructs_longer_factorization(z6):
             target=a,
         )
         # inserting the pump keeps pairwise validity; the unit slot adapts
-        err = validate_factorization(tau, pumped)
+        err = oracle_validate_factorization(tau, pumped)
         if err is not None:
-            prod = pumped.product()
+            prod = z6.product(pumped.factors)
             u = z6.cofactors(a, prod).pick_unit()
             assert u is not None
             pumped = Factorization(ring=z6, unit=u, factors=pumped.factors, target=a)
-            assert validate_factorization(tau, pumped) is None
+            assert oracle_validate_factorization(tau, pumped) is None
 
 
 def test_tau_divides_examples(zint, z6):
@@ -253,35 +256,18 @@ def test_enumeration_matches_divisor_oracle_on_scoped_integers(zint, text):
             assert fs.unbounded == ("no" if longest < cap else "unknown"), (text, a)
 
 
-def test_refine_examples(zint, z6):
-    full = build_tau(FullTau(), zint)
-    f = Factorization(ring=zint, unit=1, factors=(2, 6), target=12)
-    sub = Factorization(ring=zint, unit=1, factors=(2, 3), target=6)
-    refined = refine(zint, full, f, 6, sub)
-    assert refined.factors == (2, 2, 3)
-    comax = build_tau(ComaximalTau(), zint)
-    f2 = Factorization(ring=zint, unit=1, factors=(3, 4), target=12)
-    sub2 = Factorization(ring=zint, unit=1, factors=(2, 2), target=4)
-    rej = refine(zint, comax, f2, 4, sub2)
-    assert isinstance(rej, Rejection) and rej.pair == (2, 2)
-    # brute-forced variant of the stated example: 2 = 1*2*4 in Z/6
-    fullz6 = build_tau(FullTau(), z6)
-    f3 = Factorization(ring=z6, unit=1, factors=(2, 2), target=4)
-    sub3 = Factorization(ring=z6, unit=1, factors=(2, 4), target=2)
-    assert validate_factorization(fullz6, sub3) is None
-    refined3 = refine(z6, fullz6, f3, 2, sub3)
-    assert refined3.factors == (2, 2, 4) and refined3.target == 4
-    assert validate_factorization(fullz6, refined3) is None
-
-
-def test_refine_preconditions(z6):
+def test_validate_factorization_examples(z6):
+    # brute-forced variant of the stated example: 2 = 1*2*4 in Z/6, and
+    # 4 = 1*2*2*4 after substituting it for one 2 of 4 = 1*2*2
     full = build_tau(FullTau(), z6)
-    f = Factorization(ring=z6, unit=1, factors=(2, 2), target=4)
-    bad_sub = Factorization(ring=z6, unit=1, factors=(3,), target=3)
-    with pytest.raises(PreconditionError):
-        refine(z6, full, f, 2, bad_sub)
-    with pytest.raises(PreconditionError):
-        refine(z6, full, f, 3, bad_sub)
+    assert oracle_validate_factorization(full, Factorization(ring=z6, unit=1, factors=(2, 4), target=2)) is None
+    refined = Factorization(ring=z6, unit=1, factors=(2, 2, 4), target=4)
+    assert oracle_validate_factorization(full, refined) is None
+    # the validator can fail: a wrong target, a unit factor, an unrelated pair
+    assert oracle_validate_factorization(full, Factorization(ring=z6, unit=1, factors=(2, 4), target=4))
+    assert oracle_validate_factorization(full, Factorization(ring=z6, unit=1, factors=(5, 2), target=4))
+    comax = build_tau(ComaximalTau(), z6)
+    assert oracle_validate_factorization(comax, refined)
 
 
 def test_canonicalize_rearrangement(z6):
@@ -331,7 +317,7 @@ def test_factorization_validity_is_permutation_invariant(data, z8):
     f = data.draw(st.sampled_from(items))
     perm = data.draw(st.permutations(list(f.factors)))
     g = Factorization(ring=z8, unit=f.unit, factors=tuple(perm), target=f.target)
-    assert validate_factorization(tau, g) is None
+    assert oracle_validate_factorization(tau, g) is None
 
 
 def test_pumping_soundness_at_cap_plus_one():
@@ -353,7 +339,7 @@ def test_pumping_soundness_at_cap_plus_one():
                 unit = ring.cofactors(a, prod).pick_unit()
                 assert unit is not None, (ring.spec_string(), a, pump)
                 pumped = Factorization(ring=ring, unit=unit, factors=factors, target=a)
-                assert validate_factorization(tau, pumped) is None
+                assert oracle_validate_factorization(tau, pumped) is None
 
 
 def test_bounded_verdicts_are_actually_bounded():

@@ -12,9 +12,10 @@ from taufact import (
     phi,
     phi_inverse,
     u_partitions,
-    validate_u_factorization,
 )
+from taufact import ufact
 from conftest import small_finite_rings
+from oracles import oracle_u_partitions, oracle_validate_u_factorization
 
 
 def test_two_way_split_example(z6):
@@ -24,7 +25,7 @@ def test_two_way_split_example(z6):
     # the all-essential split fails: dropping 2 leaves (4) = (2*4)
     assert shapes == {((4,), (2,)), ((2,), (4,))}
     for p in parts:
-        assert validate_u_factorization(p) is None
+        assert oracle_validate_u_factorization(p) is None
 
 
 def test_trivial_forced_split(z6):
@@ -81,7 +82,7 @@ def test_splits_revalidate_everywhere():
             fs = enumerate_factorizations(ring, tau, a, AssociateKind.STRONG, cap=4)
             for f in fs.items:
                 for u in u_partitions(ring, f):
-                    assert validate_u_factorization(u) is None
+                    assert oracle_validate_u_factorization(u) is None
                     assert phi(u).target == a
 
 
@@ -102,3 +103,40 @@ def test_phi_inverse_flags_nonessential_factor(z6):
     f = Factorization(ring=z6, unit=1, factors=(2, 4), target=2)
     with pytest.raises(UDomainError):
         phi_inverse(z6, rc, f)
+
+
+def _split_mismatches(spec):
+    """(ring, factorization) wherever ``u_partitions`` and the oracle's
+    splits differ as sets, over the small rings' enumerations at cap 4."""
+    out = []
+    for ring in small_finite_rings()[:6]:
+        tau = build_tau(spec, ring)
+        for a in ring.nonunits():
+            fs = enumerate_factorizations(ring, tau, a, AssociateKind.STRONG, cap=4)
+            for f in fs.items:
+                got = {(u.inessential, u.essential) for u in u_partitions(ring, f)}
+                if got != oracle_u_partitions(ring, f):
+                    out.append((ring.spec_string(), f))
+    return out
+
+
+def test_splits_match_oracle():
+    for spec in (FullTau(), RegCapTau(FullTau())):
+        assert _split_mismatches(spec) == [], spec
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda ring, x, p: True,
+        # (x*p) <= (p), which always holds, instead of (p) <= (x*p)
+        lambda ring, x, p: not ring.cofactors(ring.mul(x, p), p).is_empty(),
+        lambda ring, x, p: False,
+    ],
+    ids=["always-fixed", "wrong-inclusion", "never-fixed"],
+)
+def test_split_oracle_sees_a_wrong_ideal_test(monkeypatch, fault):
+    """A wrong essentiality test, whether it drops valid splits or admits
+    bad ones, makes the split comparison fail."""
+    monkeypatch.setattr(ufact, "_ideal_fixed", fault)
+    assert _split_mismatches(FullTau())
