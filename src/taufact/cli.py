@@ -28,9 +28,9 @@ from .properties import (
     PropScope,
     elasticity,
 )
-from .relations import RegCapTau, TauConstructionError
+from .relations import RegCapTau, TauConstructionError, normal_spec
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
-from .theorems import context_evaluator, context_spec, per_context_spec, summarize, verify_corpus_entries
+from .theorems import context_evaluator, per_context_spec, summarize, verify_corpus_entries
 
 BETA_NAMES = {
     "associate": AssociateKind.ASSOCIATE,
@@ -383,7 +383,7 @@ def _load_corpus(name: str) -> dict:
 
 
 # The ring a process built last, with the evaluators of its entries keyed by
-# context spec: [(ring_str, scope_json, cap), ring, contexts], or empty.
+# context key: [(ring_str, scope_json, cap), ring, contexts], or empty.
 _ring_slot: list = []
 
 
@@ -401,21 +401,19 @@ def _slot_unit(payload):
 
 def _verify_group(payload):
     """Worker: the theorem rows of each entry of one pool unit."""
-    ring, taus, scope, cap, contexts = _slot_unit(payload)
-    return [
-        [e.to_json() for e in rows]
-        for rows in verify_corpus_entries(ring, taus, scope, cap, contexts)
-    ]
+    return verify_corpus_entries(*_slot_unit(payload))
 
 
 def _catalog_group(payload):
     """Worker: the atlas entries of one pool unit.  An atlas entry depends
-    on its relation only through the context spec and the ``tau`` label, as
+    on its relation only through its evaluator and the ``tau`` label, as
     verify's rows do."""
     ring, taus, scope, cap, contexts = _slot_unit(payload)
 
+    evaluator = lambda spec: context_evaluator(contexts, ring, spec, scope, cap)
+
     def entry(tau):
-        plain = context_evaluator(contexts, ring, tau.spec, scope, cap)
+        plain = evaluator(tau.spec)
         domain, scoped = plain.domain()
         elements = []
         read = []  # the caps of the enumerations the entry reads
@@ -429,30 +427,31 @@ def _catalog_group(payload):
                 row["flags"] = {k.value: v.value for k, v in profile.flags.items()}
                 read.append(profile.cap)
             elements.append(row)
-        props, elas = _property_vector(plain, context_evaluator(contexts, ring, RegCapTau(tau.spec), scope, cap))
+        props, elas = _property_vector(plain, evaluator(RegCapTau(tau.spec)))
         read.extend(v["cap"] for v in props if "cap" in v)
         cap_read = max(read, default=cap)
         return {"cap": cap_read, "scoped": scoped, "elements": elements, "properties": props, "elasticity": elas}
 
-    bodies = per_context_spec(ring, taus, entry, lambda body, tau: body)
+    bodies = per_context_spec(taus, evaluator, entry, lambda body, tau: body)
     return [{"ring": payload[0], "tau": t, **body} for t, body in zip(payload[1], bodies)]
 
 
 def _pool_units(corpus_entries) -> list:
     """Entry indices per pool unit: the entries of one ring with one
-    restricted context spec (``context_spec(RegCapTau(spec), ring)``), in
-    the order of their first entry.
+    restricted context key (``theorems.context_spec`` of the relation's
+    ``regcap``), in the order of their first entry.
 
     These are the connected groups of entries whose plain or restricted
-    context specs overlap.  The restricted spec depends only on the plain
-    spec.  A plain spec that equals another entry's restricted spec is
-    regular-only, so it is its own restriction.  So two entries that
-    overlap have equal restricted specs, and entries with equal restricted
-    specs overlap.
+    context keys overlap.  On a finite ring every restriction relates no
+    pair of R#, so all entries form one unit.  On an infinite ring the
+    restricted spec depends only on the plain spec, and a plain spec that
+    equals another entry's restricted spec is regular-only, so it is its
+    own restriction: two entries overlap iff their restricted specs match.
     """
     units: dict = {}
     for i, ce in enumerate(corpus_entries):
-        units.setdefault((ce.ring_str, context_spec(RegCapTau(ce.tau.spec), ce.ring)), []).append(i)
+        key = (ce.ring_str, None if ce.ring.is_finite else normal_spec(RegCapTau(ce.tau.spec)))
+        units.setdefault(key, []).append(i)
     return list(units.values())
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .parsing import build_ring_from_text, build_tau_from_text
 from .rings import Ring
-from .relations import TauRelation
+from .relations import TauRelation, pair_table
 
 
 class CorpusError(ValueError):
@@ -86,8 +86,9 @@ def _is_names(value) -> bool:
 def generate_corpus(spec: dict):
     """Materialize a corpus spec into entries plus metadata.
 
-    Deduplicates nothing but notes, per finite ring, which relation specs
-    coincide extensionally.
+    Every (ring, relation) pair is an entry; the metadata notes, per finite
+    ring, which relation specs share a pair table on R#, and verify and
+    catalog compute each such group once (``theorems.context_spec``).
     """
     if not isinstance(spec, dict):
         raise CorpusError("a corpus must be a JSON object")
@@ -143,7 +144,7 @@ def generate_corpus(spec: dict):
             built.append((tau_str, tau))
             entries.append(CorpusEntry(ring_str, tau_str, scope, ring, tau))
         if ring.is_finite:
-            groups = _extensional_groups(ring, built)
+            groups = _extensional_groups(built)
             if groups:
                 dup_notes[ring_str] = groups
     meta = {
@@ -157,16 +158,9 @@ def generate_corpus(spec: dict):
     return entries, meta
 
 
-def _extensional_groups(ring: Ring, built) -> list:
-    """Groups of relation specs that agree on every pair of R# elements."""
-    sharp = ring.nonzero_nonunits()
-
-    def table(tau):
-        return tuple(
-            tau.holds(a, b) for i, a in enumerate(sharp) for b in sharp[i:]
-        )
-
+def _extensional_groups(built) -> list:
+    """Groups of relation specs with one pair table on R#."""
     by_table: dict = {}
     for tau_str, tau in built:
-        by_table.setdefault(table(tau), []).append(tau_str)
+        by_table.setdefault(pair_table(tau), []).append(tau_str)
     return sorted(g for g in by_table.values() if len(g) > 1)

@@ -186,7 +186,7 @@ class Evaluator:
 
     A verdict depends only on the relation, the property, the scope and the
     cap, so every reader of one relation on one ring, scope and cap (the
-    corpus entries whose plain or restricted side has its context spec, the
+    corpus entries whose plain or restricted side has its context key, the
     baseline rows, the property vector) shares one evaluator.
     """
 

@@ -156,6 +156,13 @@ def build_tau(spec: TauSpec, ring: Ring) -> TauRelation:
     return TauRelation(spec, ring)
 
 
+def pair_table(tau: TauRelation) -> tuple:
+    """Whether ``tau`` relates each unordered pair of R#, in the order of
+    ``nonzero_nonunits()``; finite rings only."""
+    sharp = tau.ring.nonzero_nonunits()
+    return tuple(tau.holds(a, b) for i, a in enumerate(sharp) for b in sharp[i:])
+
+
 def normal_spec(spec: TauSpec) -> TauSpec:
     """One spec per relation the engine cannot tell apart.
 

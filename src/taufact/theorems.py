@@ -9,7 +9,7 @@ asserted).  Verdicts never promote unknown inputs to universal claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .factor import PreconditionError
@@ -37,6 +37,7 @@ from .relations import (
     TauRelation,
     build_tau,
     normal_spec,
+    pair_table,
 )
 from .rings import (
     AssociateKind,
@@ -94,59 +95,61 @@ def _tristate(v: PropertyVerdict):
     return None
 
 
-def context_spec(spec, ring: Ring):
-    """One spec per relation the engine can tell apart on ``ring``: the
-    normal form (``relations.normal_spec``), and on a finite ring
-    ``regular`` for every regular-only relation.
-
-    A non-unit of a finite ring is a zero divisor (see ``Ring._classify``),
-    so R# has no regular element and a regular-only relation holds on no
-    pair of R#, whatever it restricts.  The engine tells such relations
-    apart nowhere else: every target is a non-unit, so not regular, and
-    ``_nontrivial_candidates`` returns [] for it before it reaches
-    ``_associate_stable``; ``_tau_subset_of_regular`` returns True for every
-    regular-only relation.
-    """
-    spec = normal_spec(spec)
-    if ring.is_finite and isinstance(spec, RegCapTau):
-        return RegularTau()  # the regular-only specs besides ``regular``
-    return spec
+def context_spec(tau: TauRelation):
+    """The key of a relation's evaluator among its ring's contexts: the
+    normal spec (``relations.normal_spec``) on an infinite ring, and the
+    pair table on R# (``relations.pair_table``) on a finite one, where R#
+    has no regular element (``Ring._classify``), so no target is regular.
+    The engine reads pairs but for six spec tests, each alike within a
+    table (full proof in README, "Design notes"): ``_RELATES_NO_PAIR`` and
+    the regular-only shortcut leave no candidate, as the partner filter
+    does under a table that relates no pair; under ``zero``'s table a
+    nonzero target has only trivial factorizations and no pump, and the
+    ``candidates`` the ``ZeroProductTau`` shortcut drops change no closure
+    and give ``chain_bound`` no proper step; a ``subset`` with a stable
+    relation's table relates all of R# or no pair, and the reduction behind
+    ``_associate_stable`` keeps each class, first member, pump and cut;
+    ``phi_inverse`` and ``_tau_subset_of_regular`` give a regular-only
+    relation its table's answer.  Computed tables carry this, not the
+    paper's claim about regular targets."""
+    if tau.ring.is_finite:
+        return pair_table(tau)
+    return normal_spec(tau.spec)
 
 
 def context_evaluator(contexts: dict, ring: Ring, spec, scope, cap: int) -> Evaluator:
-    """The evaluator of a relation spec in ``contexts``, which maps context
-    specs to the evaluators of ``ring`` at one scope and cap, built on first
-    use: on the relation of its context spec, over ``scope`` (None for all of
-    a finite ring), at ``cap``."""
-    spec = context_spec(spec, ring)
+    """The evaluator of a relation spec in ``contexts``, which maps the
+    context keys (``context_spec``) of ``ring`` at one scope and cap, and
+    the normal specs that reached them, to evaluators; each is built on the
+    relation its key was first read from, over ``scope``, at ``cap``."""
+    spec = normal_spec(spec)
     got = contexts.get(spec)
     if got is None:
-        got = contexts[spec] = Evaluator(ring, build_tau(spec, ring), cap, scope)
+        tau = build_tau(spec, ring)
+        key = context_spec(tau)
+        if key not in contexts:
+            contexts[key] = Evaluator(ring, tau, cap, scope)
+        got = contexts[spec] = contexts[key]
     return got
 
 
-def per_context_spec(ring: Ring, taus, compute, relabel) -> list:
-    """``compute(tau)`` for each relation of ``ring``, computed once per
-    context spec: a relation whose context spec an earlier one had gets
-    ``relabel(result, tau)`` of that one's result instead."""
-    by_spec: dict = {}
+def per_context_spec(taus, evaluator, compute, relabel) -> list:
+    """``compute(tau)`` for each relation, computed once per evaluator
+    (``evaluator(spec)``): a relation whose evaluator an earlier one had
+    gets ``relabel(result, tau)`` of that one's result instead."""
+    by_ev: dict = {}
     out = []
     for tau in taus:
-        spec = context_spec(tau.spec, ring)
-        got = by_spec.get(spec)
-        if got is None:
-            got = by_spec[spec] = compute(tau)
-        else:
-            got = relabel(got, tau)
-        out.append(got)
+        ev = evaluator(tau.spec)
+        out.append(relabel(by_ev[ev], tau) if ev in by_ev else by_ev.setdefault(ev, compute(tau)))
     return out
 
 
 class EntryChecker:
     """Runs every theorem family for one corpus entry.
 
-    ``contexts`` maps context specs (``context_spec``) to the evaluators of
-    one ring, scope and cap; the checker adds the ones it needs.  An entry
+    ``contexts`` holds the evaluators of one ring, scope and cap
+    (``context_evaluator``); the checker adds the ones it needs.  An entry
     reads its relation's evaluator (``plain``), its restriction's to regular
     pairs (``restricted``), and for the baseline rows the ``regular`` and
     ``full`` ones.
@@ -719,14 +722,15 @@ def verify_corpus_entry(ring: Ring, tau: TauRelation, scope, cap: int, contexts:
 
 
 def verify_corpus_entries(ring: Ring, taus, scope, cap: int, contexts: dict) -> list:
-    """The rows of each entry of one ring.  Rows depend on the relation
-    only through its context spec and the ``tau`` label, so an entry whose
-    context spec an earlier one had gets that entry's rows, relabelled."""
+    """The JSON rows of each entry of one ring.  Rows depend on the relation
+    only through its evaluator (which fixes its restriction's) and the
+    ``tau`` label, so an entry whose evaluator an earlier one had gets its
+    rows, relabelled."""
     return per_context_spec(
-        ring,
         taus,
-        lambda tau: verify_corpus_entry(ring, tau, scope, cap, contexts),
-        lambda rows, tau: [replace(e, tau=tau.spec_string()) for e in rows],
+        lambda spec: context_evaluator(contexts, ring, spec, scope, cap),
+        lambda tau: [e.to_json() for e in verify_corpus_entry(ring, tau, scope, cap, contexts)],
+        lambda rows, tau: [{**row, "tau": tau.spec_string()} for row in rows],
     )
 
 

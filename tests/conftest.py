@@ -92,3 +92,29 @@ def evaluator(ring, tau, scope=None, cap=DEFAULT_PROPERTY_CAP, prop=None):
     ``scope`` at ``cap``."""
     restricted = prop is not None and prop.scope.restricted
     return Evaluator(ring, tau.regcap() if restricted else tau, cap, scope)
+
+
+# A ring for each shape of class of relations that relate the same pairs of
+# R#, with two relations that the class joins there.
+CLASS_SHAPES = {
+    "GFq(2,[1,1,1])": ("full", "regcap(comax)"),  # a field: all seven
+    "Zn(9)": ("full", "zero"),  # R# * R# = 0
+    "GFq(2,[0,0,1])": ("full", "zero"),
+    "Zn(8)": ("comax", "empty"),  # local
+    "prod(Zn(2),Zn(3))": ("zero", "comax"),  # reduced
+}
+
+
+def class_shape_corpora():
+    """One corpus per ring of ``CLASS_SHAPES``: the default relations and,
+    where R# is not empty, ``subset`` of all of R# (which joins ``full``),
+    at cap 5."""
+    from taufact.corpus import DEFAULT_TAUS
+    from taufact.parsing import build_ring_from_text
+    from taufact.relations import SubsetTau, format_tau_spec
+
+    for ring_str in CLASS_SHAPES:
+        ring = build_ring_from_text(ring_str)
+        sharp = ring.nonzero_nonunits()
+        subset = [format_tau_spec(SubsetTau(tuple(sharp)), ring)] if sharp else []
+        yield {"schema": 1, "rings": [ring_str], "taus": list(DEFAULT_TAUS) + subset, "cap": 5}

@@ -24,7 +24,7 @@ from taufact.properties import Evaluator, _resolve_domain
 from taufact.relations import ComaximalTau, RegCapTau, SubsetTau, build_tau, format_tau_spec, normal_spec
 from taufact.rings import AssociateKind, UnsupportedOperationError
 from taufact.theorems import context_spec
-from conftest import small_finite_rings
+from conftest import class_shape_corpora, small_finite_rings
 
 
 def run_cli(capsys, *argv):
@@ -470,10 +470,7 @@ def _seeded_entries(seed):
 def _overlap_components(entries):
     """The connected groups of entries of one ring whose plain or restricted
     context specs overlap, in order of their first entry."""
-    specs = [
-        {context_spec(ce.tau.spec, ce.ring), context_spec(RegCapTau(ce.tau.spec), ce.ring)}
-        for ce in entries
-    ]
+    specs = [{context_spec(ce.tau), context_spec(ce.tau.regcap())} for ce in entries]
     seen, units = set(), []
     for i in range(len(entries)):
         if i in seen:
@@ -500,7 +497,7 @@ def test_pool_units_are_the_overlap_components():
         assert cli._pool_units(entries) == want, seed
         by_plain: dict = {}
         for i, ce in enumerate(entries):
-            by_plain.setdefault((ce.ring_str, context_spec(ce.tau.spec, ce.ring)), []).append(i)
+            by_plain.setdefault((ce.ring_str, context_spec(ce.tau)), []).append(i)
         plain_keyed_differs |= list(by_plain.values()) != want
     assert plain_keyed_differs
 
@@ -787,11 +784,18 @@ def _scoped_catalog_corpus():
 
 
 def test_catalog_shared_evaluators_match_direct_entries():
-    """Atlas entries read from evaluators shared by context spec, and copied
-    between entries with one context spec, equal entries built per entry
-    with their own evaluator pair."""
+    """Atlas entries read from evaluators shared by context key, and copied
+    between entries with one context key, equal entries built per entry
+    with their own evaluator pair, also on a ring of each shape of class
+    the finite key joins; there, with the relations in reverse order, each
+    (ring, tau) gets the same entry."""
     for corpus in list(_finite_catalog_corpora()) + [_scoped_catalog_corpus()]:
         assert _shared_atlas(corpus) == _direct_atlas(corpus), corpus["rings"]
+    for corpus in class_shape_corpora():
+        shared = _shared_atlas(corpus)
+        assert shared == _direct_atlas(corpus), corpus["rings"]
+        backwards = _shared_atlas({**corpus, "taus": corpus["taus"][::-1]})
+        assert backwards == shared[::-1], corpus["rings"]
 
 
 @pytest.mark.parametrize(
@@ -803,14 +807,16 @@ def test_catalog_shared_evaluators_match_direct_entries():
     ids=["finite", "scoped"],
 )
 def test_catalog_sees_a_wrong_context_spec(corpus, monkeypatch):
-    """A context key that sends ``regcap(comax)`` to ``comax`` makes the
-    shared atlas differ from the direct one."""
+    """A context key that sends ``regcap(comax)`` to the key of ``comax``
+    makes the shared atlas differ from the direct one."""
     direct = _direct_atlas(corpus)
     assert _shared_atlas(corpus) == direct
     real = theorems.context_spec
 
-    def wrong(spec, ring):
-        return ComaximalTau() if normal_spec(spec) == RegCapTau(ComaximalTau()) else real(spec, ring)
+    def wrong(tau):
+        if normal_spec(tau.spec) == RegCapTau(ComaximalTau()):
+            return real(build_tau(ComaximalTau(), tau.ring))
+        return real(tau)
 
     monkeypatch.setattr(theorems, "context_spec", wrong)
     assert _shared_atlas(corpus) != direct

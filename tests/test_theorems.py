@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -19,13 +20,12 @@ from taufact import (
     verify_corpus_entry,
 )
 from taufact.corpus import DEFAULT_TAUS, default_corpus_spec, generate_corpus
-from taufact.parsing import build_ring_from_text, build_tau_from_text
-from taufact.factor import _nontrivial_candidates
+from taufact.parsing import build_ring_from_text, build_tau_from_text, parse_tau_spec
 from taufact.relations import EmptyTau, RegularTau, SubsetTau, format_tau_spec, normal_spec
 from taufact.factor import PreconditionError
 from taufact.properties import REGULAR_PROPS, Evaluator, PropertyVerdict
 from taufact.theorems import EntryChecker, context_spec
-from conftest import small_finite_rings
+from conftest import CLASS_SHAPES, class_shape_corpora, small_finite_rings
 
 from taufact import PolyQuotSpec
 
@@ -187,7 +187,7 @@ def _direct_rows(corpus, monkeypatch):
     rows = []
     with monkeypatch.context() as m:
         m.setattr(theorems, "normal_spec", lambda spec: spec)
-        m.setattr(theorems, "context_spec", lambda spec, ring: spec)
+        m.setattr(theorems, "context_spec", lambda tau: tau.spec)
         for ce in entries:
             ring = build_ring_from_text(ce.ring_str)
             tau = build_tau_from_text(ce.tau_str, ring)
@@ -214,12 +214,39 @@ def _scoped_corpus(taus=DEFAULT_TAUS):
     }
 
 
-@pytest.mark.parametrize("corpus", [_finite_default_corpus(), _scoped_corpus()], ids=["finite-default", "scoped"])
+@pytest.mark.parametrize(
+    "corpus",
+    [_finite_default_corpus(), _scoped_corpus(), *class_shape_corpora()],
+    ids=["finite-default", "scoped", *CLASS_SHAPES],
+)
 def test_shared_contexts_match_direct_rows(corpus, monkeypatch):
     """Rows from relation contexts shared across entries, and copied
-    between entries with one normal relation, equal rows computed per entry
-    on its own."""
+    between entries with one context key, equal rows computed per entry
+    on its own, also on a ring of each shape of class the finite key
+    joins."""
     assert cli.run_verification(corpus)["entries"] == _direct_rows(corpus, monkeypatch)
+
+
+def _rows_by_entry(entries) -> dict:
+    out: dict = {}
+    for row in entries:
+        out.setdefault((row["ring"], row["tau"]), []).append(row)
+    return out
+
+
+@pytest.mark.parametrize("corpus", list(class_shape_corpora()), ids=list(CLASS_SHAPES))
+def test_reversed_relations_give_each_entry_the_same_rows(corpus):
+    """The class-shape corpora join the classes they are named for (and
+    ``subset`` of all of R# joins ``full``), and with the relations in
+    reverse order, so that another member builds a class's evaluator,
+    every (ring, tau) gets the same rows."""
+    ring_str = corpus["rings"][0]
+    groups = [set(g) for g in generate_corpus(corpus)[1]["extensionally_equal_taus"][ring_str]]
+    assert any(set(CLASS_SHAPES[ring_str]) <= g for g in groups)
+    assert all(any({"full", t} <= g for g in groups) for t in corpus["taus"] if t.startswith("subset"))
+    forwards = cli.run_verification(corpus)["entries"]
+    backwards = cli.run_verification({**corpus, "taus": corpus["taus"][::-1]})["entries"]
+    assert _rows_by_entry(backwards) == _rows_by_entry(forwards)
 
 
 @pytest.mark.parametrize(
@@ -243,44 +270,60 @@ def test_shared_rows_see_a_wrong_normal_form(wrong, corpus, monkeypatch):
     assert cli.run_verification(corpus)["entries"] != direct
 
 
-def test_context_spec_merges_regular_only_relations_on_finite_rings():
-    """On a finite ring every regular-only relation gets the ``regular``
-    context, and the facts the docstring's proof rests on hold: such a
-    relation relates no pair of R#, and no non-unit has a nontrivial
-    candidate under it.  Infinite rings keep the normal form."""
-    specs = [FullTau(), EmptyTau(), ZeroProductTau(), ComaximalTau(), RegularTau()]
-    specs += [RegCapTau(s) for s in specs] + [RegCapTau(RegCapTau(ComaximalTau()))]
+def test_context_spec_keys_finite_rings_by_pair_table():
+    """On a finite ring two relations get one context key exactly when they
+    relate the same ordered pairs of R#: the default relations, their
+    ``regcap``s and seeded ``subset`` relations with theirs.  Infinite rings
+    keep the normal form."""
+    rng = random.Random(20261019)
+    specs = [parse_tau_spec(t, None) for t in DEFAULT_TAUS]
+    specs += [RegCapTau(s) for s in specs]
     for ring in small_finite_rings():
         sharp = ring.nonzero_nonunits()
-        # regcap(subset) is the one regular-only spec that is not associate-stable
-        subsets = [RegCapTau(SubsetTau(tuple(sharp[:2])))] if sharp else []
-        for spec in specs + subsets:
+        subsets = [SubsetTau(tuple(sharp))] if sharp else []
+        subsets += [SubsetTau(tuple(rng.sample(sharp, rng.randint(1, len(sharp))))) for _ in range(3) if sharp]
+        keys, tables = [], []
+        for spec in specs + subsets + [RegCapTau(s) for s in subsets]:
             tau = build_tau(spec, ring)
-            key = context_spec(spec, ring)
-            assert (key == RegularTau()) == tau.regular_only, (ring.spec_string(), spec)
-            if tau.regular_only:
-                assert not any(tau.holds(a, b) for a in sharp for b in sharp)
-                assert all(_nontrivial_candidates(ring, tau, a) == [] for a in ring.nonunits())
-            else:
-                assert key == normal_spec(spec)
-    for text in ("Z", "prod(Z,Z)"):
+            keys.append(context_spec(tau))
+            tables.append(frozenset((a, b) for a in sharp for b in sharp if tau.holds(a, b)))
+        for i in range(len(keys)):
+            for j in range(i):
+                assert (keys[i] == keys[j]) == (tables[i] == tables[j]), (ring.spec_string(), i, j)
+    for text, subset in (("Z", SubsetTau((2, 3))), ("prod(Z,Z)", SubsetTau(((2, 0), (1, 3))))):
         ring = build_ring_from_text(text)
-        for spec in specs:
-            assert context_spec(spec, ring) == normal_spec(spec)
+        for spec in specs + [subset, RegCapTau(subset)]:
+            assert context_spec(build_tau(spec, ring)) == normal_spec(spec)
 
 
-def test_shared_rows_see_a_context_key_that_fires_on_infinite_rings(monkeypatch):
-    """A context key that also merges regular-only relations on an infinite
-    ring puts ``regcap(empty)`` in the ``regular`` context on scoped
-    ``prod(Z,Z)``, and the shared rows then differ from the direct ones."""
-    corpus = _scoped_corpus(["regcap(empty)"])
-    corpus["rings"] = ["prod(Z,Z)"]
+def test_shared_rows_see_a_key_that_skips_a_pair(monkeypatch):
+    """A pair table that leaves out the last element of R# joins ``full``
+    and ``empty`` on Z/4, where R# is {2}, and the shared rows then differ
+    from the direct ones."""
+    corpus = {"schema": 1, "rings": ["Zn(4)"], "taus": ["full", "empty"], "cap": 5}
     direct = _direct_rows(corpus, monkeypatch)
     assert cli.run_verification(corpus)["entries"] == direct
 
-    def everywhere(spec, ring):
-        spec = normal_spec(spec)
-        return RegularTau() if isinstance(spec, RegCapTau) else spec
+    def skipping(tau):
+        sharp = tau.ring.nonzero_nonunits()[:-1]
+        return tuple(tau.holds(a, b) for i, a in enumerate(sharp) for b in sharp[i:])
+
+    monkeypatch.setattr(theorems, "pair_table", skipping)
+    assert cli.run_verification(corpus)["entries"] != direct
+
+
+def test_shared_rows_see_a_context_key_that_fires_on_infinite_rings(monkeypatch):
+    """A context key that merges regular-only relations on an infinite
+    ring too puts ``regcap(empty)`` in the context of ``regular`` on scoped
+    ``prod(Z,Z)``, and the shared rows then differ from the direct ones."""
+    corpus = _scoped_corpus(["regular", "regcap(empty)"])
+    corpus["rings"] = ["prod(Z,Z)"]
+    direct = _direct_rows(corpus, monkeypatch)
+    assert cli.run_verification(corpus)["entries"] == direct
+    real = theorems.context_spec
+
+    def everywhere(tau):
+        return RegularTau() if isinstance(normal_spec(tau.spec), RegCapTau) else real(tau)
 
     monkeypatch.setattr(theorems, "context_spec", everywhere)
     assert cli.run_verification(corpus)["entries"] != direct
