@@ -447,6 +447,12 @@ def _pool_units(corpus_entries) -> list:
     restricted spec depends only on the plain spec, and a plain spec that
     equals another entry's restricted spec is regular-only, so it is its
     own restriction: two entries overlap iff their restricted specs match.
+
+    The units are not independent: every entry's baseline rows also read
+    the ring's ``regular`` and ``full`` evaluators, which ``_ring_slot``
+    keeps per process, so every worker that runs a unit of a ring builds
+    those two evaluators for itself, even where another worker has built
+    them already.
     """
     units: dict = {}
     for i, ce in enumerate(corpus_entries):

@@ -93,7 +93,6 @@ class FactorizationSet:
     max_length: int
     unbounded: str  # "no" | "yes" | "unknown"
     pump: Optional[PumpWitness]
-    note: str = ""
 
     def __post_init__(self):
         # the class representatives, shorter first, then by canonical key
@@ -124,8 +123,6 @@ class FactorizationSet:
                 "x": self.ring.element_to_json(self.pump.x),
                 "base": self.pump.base.to_json(),
             }
-        if self.note:
-            out["note"] = self.note
         return out
 
 

@@ -69,6 +69,13 @@ class PropScope(enum.Enum):
         pairs rather than the relation itself."""
         return self in (PropScope.REGCAP, PropScope.REGCAP_U)
 
+    @property
+    def reading(self) -> "PropScope":
+        """The scope whose verdict this one reuses on one evaluator:
+        ``regcap-all`` reads as ``plain``, as both read the same domain, view
+        and ACCP chain there; every other scope reads itself."""
+        return PropScope.PLAIN if self == PropScope.REGCAP else self
+
 
 _TAKES_ALPHA = {PropKind.ATOMIC, PropKind.IDF, PropKind.HFR, PropKind.UFR}
 _TAKES_BETA = {PropKind.FFR, PropKind.WFFR, PropKind.IDF, PropKind.UFR}
@@ -86,6 +93,14 @@ class PropertyId:
             raise ValueError(f"{self.kind.value} takes alpha iff it is parameterized by it")
         if (self.beta is not None) != (self.kind in _TAKES_BETA):
             raise ValueError(f"{self.kind.value} takes beta iff it is parameterized by it")
+
+    def reading(self) -> "PropertyId":
+        """The cell whose verdict this one reuses: the scope's reading, and
+        ``associate`` for a strong beta (every constructible ring is strongly
+        associate, README "Design notes", so beta reaches every predicate
+        through one orbit key; very-strong keys split orbits)."""
+        beta = AssociateKind.ASSOCIATE if self.beta == AssociateKind.STRONG else self.beta
+        return replace(self, beta=beta, scope=self.scope.reading)
 
     def label(self) -> str:
         bits = [self.kind.value]
@@ -200,7 +215,6 @@ class Evaluator:
         self._upools: dict = {}
         self._chain: dict = {}
         self._alpha_items: dict = {}
-        self._atomic: dict = {}
         self._verdicts: dict = {}
         self._domains: dict = {}
         self._refinable: Optional[TauPropertyVerdict] = None
@@ -220,17 +234,15 @@ class Evaluator:
         return got
 
     def verdict(self, prop: PropertyId) -> PropertyVerdict:
-        """``check_property`` of ``prop``, decided once."""
+        """``check_property`` of ``prop``'s reading, decided once and
+        labelled ``prop``."""
         got = self._verdicts.get(prop)
         if got is None:
-            if prop.beta == AssociateKind.STRONG:
-                # every constructible ring is strongly associate (README,
-                # "Design notes"), so both kinds share one orbit key, and beta
-                # reaches every predicate only through that key (very-strong
-                # keys split orbits, so those cells are decided on their own)
-                got = replace(self.verdict(replace(prop, beta=AssociateKind.ASSOCIATE)), prop=prop)
-            else:
+            reading = prop.reading()
+            if reading == prop:
                 got = check_property(self, prop)
+            else:
+                got = replace(self.verdict(reading), prop=prop)
             self._verdicts[prop] = got
         return got
 
@@ -315,15 +327,6 @@ class Evaluator:
             self._alpha_items[key] = got
         return got
 
-    def atomic(self, view: "FactorView", a, alpha: IrreducibleKind) -> "_ElementOutcome":
-        """Whether a has an alpha-atomic piece in ``view``, decided once."""
-        key = (view.name, a, alpha)
-        got = self._atomic.get(key)
-        if got is None:
-            got = _atomic_element(self, view, a, alpha)
-            self._atomic[key] = got
-        return got
-
     def pumped_atomic(self, view: "FactorView", a, alpha: IrreducibleKind):
         """A certainly alpha-atomic piece of a with a factor that pumps it, as
         (piece, factor), or None.
@@ -357,12 +360,16 @@ class Evaluator:
         self._chain[key] = 1  # proper containment forbids cycles
         ring = self.ring
         best = 1
-        for b in _nontrivial_candidates(ring, self.tau, a, reduce_assoc=True):
-            if regular_only and not ring.is_regular(b):
-                continue
-            if not ring.cofactors(b, a).is_empty():
-                continue  # a divides b back: same ideal, not a proper step
-            best = max(best, 1 + self.chain_bound(b, regular_only))
+        try:
+            for b in _nontrivial_candidates(ring, self.tau, a, reduce_assoc=True):
+                if regular_only and not ring.is_regular(b):
+                    continue
+                if not ring.cofactors(b, a).is_empty():
+                    continue  # a divides b back: same ideal, not a proper step
+                best = max(best, 1 + self.chain_bound(b, regular_only))
+        except UnsupportedOperationError:
+            del self._chain[key]  # a later read must raise again, not see 1
+            raise
         self._chain[key] = best
         return best
 
@@ -476,30 +483,15 @@ def _wffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
     for p in view.pieces(ev, a):
         if not p.trivial:
             values.update(view.atoms(p))
-    count = _beta_class_count(ev.ring, values, beta)
-    note = "" if ev.exhaustive(a) else "count taken at cap"
-    return _ElementOutcome("holds", bound=count, note=note)
+    return _ElementOutcome("holds", bound=_beta_class_count(ev.ring, values, beta))
 
 
 def _idf_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOutcome:
     values = set()
     for p in view.pieces(ev, a):
         values.update(view.atoms(p))
-    atoms = []
-    saw_unknown = False
-    for x in values:
-        flag = ev.atom_flag(x, alpha)
-        if flag == Flag.TRUE:
-            atoms.append(x)
-        elif flag == Flag.UNKNOWN:
-            saw_unknown = True
-    count = _beta_class_count(ev.ring, atoms, beta)
-    notes = []
-    if not ev.exhaustive(a):
-        notes.append("count taken at cap")
-    if saw_unknown:
-        notes.append("some divisor flags unknown")
-    return _ElementOutcome("holds", bound=count, note="; ".join(notes))
+    atoms = [x for x in values if ev.atom_flag(x, alpha) == Flag.TRUE]
+    return _ElementOutcome("holds", bound=_beta_class_count(ev.ring, atoms, beta))
 
 
 def _hfr_element(ev: Evaluator, view: FactorView, a, alpha) -> _ElementOutcome:
@@ -577,7 +569,7 @@ def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
     def element_outcome(a) -> _ElementOutcome:
         k = prop.kind
         if k == PropKind.ATOMIC:
-            return ev.atomic(view, a, prop.alpha)
+            return _atomic_element(ev, view, a, prop.alpha)
         if k == PropKind.ACCP:
             return _accp_element(ev, a, prop.scope == PropScope.REGULAR)
         if k == PropKind.BFR:
@@ -594,48 +586,45 @@ def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
             return _ufr_element(ev, view, a, prop.alpha, prop.beta)
         raise ValueError(f"unknown property kind {k!r}")
 
-    def aggregate(prop_id, outcome, atomic_unknown=False) -> PropertyVerdict:
-        bound = 0
-        unknown_note = ""
-        skipped = 0
-        for a in domain:
-            try:
-                out = outcome(a)
-            except UnsupportedOperationError as exc:
-                skipped += 1
-                unknown_note = f"element {ring.format_element(a)} skipped: {exc}"
-                continue
-            if memo is not None:
-                read.append(memo[a].cap)
-            if out.status == "fails":
-                return PropertyVerdict(
-                    prop_id, "fails",
-                    witness=out.witness if out.witness is not None else a,
-                    cap=max(read, default=ev.cap), scoped=scoped, note=out.note,
-                )
-            if out.status == "unknown":
-                unknown_note = out.note or unknown_note
-                skipped += 1
-            elif out.bound is not None:
-                bound = max(bound, out.bound)
-        if skipped or atomic_unknown:
-            note = unknown_note or "atomicity unknown at cap"
-            if skipped:
-                note += f" ({skipped} elements undecided)"
-            return PropertyVerdict(prop_id, "unknown", cap=max(read, default=ev.cap), scoped=scoped, note=note)
-        note = "vacuous: empty scope" if not domain else ""
-        return PropertyVerdict(prop_id, "holds", bound=bound, cap=max(read, default=ev.cap), scoped=scoped, note=note)
-
     # HFR and UFR also require atomicity of the whole scope, read from the
-    # evaluator's atomic outcomes
+    # evaluator's ATOMIC verdict, which reads every element they read
     atomic_unknown = False
     if prop.kind in (PropKind.HFR, PropKind.UFR):
-        atomic_id = PropertyId(PropKind.ATOMIC, alpha=prop.alpha, scope=prop.scope)
-        atomic = aggregate(atomic_id, lambda a: ev.atomic(view, a, prop.alpha))
+        atomic = ev.verdict(PropertyId(PropKind.ATOMIC, alpha=prop.alpha, scope=prop.scope))
         if atomic.outcome == "fails":
             return replace(atomic, prop=prop, note="not atomic for this flavor")
         atomic_unknown = atomic.outcome == "unknown"
-    return aggregate(prop, element_outcome, atomic_unknown)
+        read.append(atomic.cap)
+    bound = 0
+    unknown_note = ""
+    skipped = 0
+    for a in domain:
+        try:
+            out = element_outcome(a)
+        except UnsupportedOperationError as exc:
+            skipped += 1
+            unknown_note = f"element {ring.format_element(a)} skipped: {exc}"
+            continue
+        if memo is not None:
+            read.append(memo[a].cap)
+        if out.status == "fails":
+            return PropertyVerdict(
+                prop, "fails",
+                witness=out.witness if out.witness is not None else a,
+                cap=max(read, default=ev.cap), scoped=scoped,
+            )
+        if out.status == "unknown":
+            unknown_note = out.note or unknown_note
+            skipped += 1
+        elif out.bound is not None:
+            bound = max(bound, out.bound)
+    if skipped or atomic_unknown:
+        note = unknown_note or "atomicity unknown at cap"
+        if skipped:
+            note += f" ({skipped} elements undecided)"
+        return PropertyVerdict(prop, "unknown", cap=max(read, default=ev.cap), scoped=scoped, note=note)
+    note = "vacuous: empty scope" if not domain else ""
+    return PropertyVerdict(prop, "holds", bound=bound, cap=max(read, default=ev.cap), scoped=scoped, note=note)
 
 
 # ---------------------------------------------------------------------------

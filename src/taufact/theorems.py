@@ -531,8 +531,7 @@ class EntryChecker:
             # R# of a finite ring holds no regular element (see
             # ``context_spec``), so the relation stays within regular pairs
             # exactly when it relates no pair of R#
-            sharp = ring.nonzero_nonunits()
-            return not any(tau.holds(a, b) for a in sharp for b in sharp)
+            return not any(pair_table(tau))
         # Z is a domain, so its nonzero elements are regular; the other
         # infinite rings are products, where two nonzero components
         # annihilate each other

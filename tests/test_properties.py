@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,8 +181,6 @@ def test_split_view_agrees_with_plain_view():
     regcap-all scope read through the splits: each catalog property must
     agree with its twin in outcome and bound, on every finite default ring
     and relation and on the integers with their default scope."""
-    from dataclasses import replace
-
     from taufact.cli import _CATALOG_PROPS
     from taufact.corpus import default_corpus_spec
     from taufact.parsing import build_ring_from_text, build_tau_from_text
@@ -212,14 +211,6 @@ def test_split_view_agrees_with_plain_view():
     assert pairs == 52 * 7 * 8
 
 
-class _Unmemoized(Evaluator):
-    """An evaluator whose atomic memo is cleared before every call."""
-
-    def atomic(self, view, a, alpha):
-        self._atomic.clear()
-        return super().atomic(view, a, alpha)
-
-
 def _atomic_reading_props():
     for scope in PropScope:
         for alpha in IrreducibleKind:
@@ -228,35 +219,33 @@ def _atomic_reading_props():
             yield PropertyId(PropKind.UFR, alpha=alpha, beta=A, scope=scope)
 
 
-def test_memoized_atomic_outcomes_match_unmemoized(monkeypatch):
-    """Every verdict that reads atomic outcomes (ATOMIC, and the atomicity
-    prerequisite of HFR and UFR) is the same from one evaluator's memo as
-    from a fresh evaluator that decides each outcome anew."""
+def test_hfr_and_ufr_add_no_atomic_outcomes(monkeypatch):
+    """HFR and UFR read their atomicity prerequisite from the evaluator's
+    ATOMIC verdict: deciding every ATOMIC, HFR and UFR cell of one
+    evaluator asks for exactly the atomic outcomes that its ATOMIC cells
+    alone ask for."""
     calls = []
     engine = properties._atomic_element
     monkeypatch.setattr(
-        properties, "_atomic_element", lambda *args: calls.append(1) or engine(*args)
+        properties, "_atomic_element", lambda *args: calls.append(args[1:]) or engine(*args)
     )
     z = build_ring_from_text("Z")
     cases = [(ring, None, 4) for ring in small_finite_rings()]
     cases.append((z, [a for a in range(-30, 31) if abs(a) > 1], 6))
-    memo_calls = plain_calls = 0
+    props = list(_atomic_reading_props())
+    atomic_only = [p for p in props if p.kind == PropKind.ATOMIC]
     for ring, scope, cap in cases:
         for text in DEFAULT_TAUS:
             tau = build_tau_from_text(text, ring)
-            sides = {False: tau, True: tau.regcap()}
-            memo = {k: Evaluator(ring, t, cap, scope) for k, t in sides.items()}
-            for prop in _atomic_reading_props():
-                regcap = prop.scope in (PropScope.REGCAP, PropScope.REGCAP_U)
-                del calls[:]
-                got = check_property(memo[regcap], prop)
-                memo_calls += len(calls)
-                del calls[:]
-                fresh = _Unmemoized(ring, sides[regcap], cap, scope)
-                want = check_property(fresh, prop)
-                plain_calls += len(calls)
-                assert got == want, (ring.spec_string(), text, prop.label())
-    assert memo_calls < plain_calls
+            for side in (tau, tau.regcap()):
+                asked = []
+                for cells in (atomic_only, props):
+                    del calls[:]
+                    ev = Evaluator(ring, side, cap, scope)
+                    for prop in cells:
+                        ev.verdict(prop)
+                    asked.append(sorted(map(repr, calls)))
+                assert asked[0] == asked[1], (ring.spec_string(), text)
 
 
 @pytest.mark.parametrize("tau_text", ["full", "comax"])
@@ -279,36 +268,91 @@ def test_very_strong_ffr_bound_equals_strong_in_a_domain(tau_text):
             assert very.bound == strong.bound, (scope, sc)
 
 
-def _beta_cells():
-    """Every cell whose beta is strong or very strong, in every scope."""
+def _all_cells():
+    """Every cell: each property kind with every alpha and beta it takes,
+    in every scope."""
     for scope in PropScope:
-        for kind in (PropKind.FFR, PropKind.WFFR, PropKind.IDF, PropKind.UFR):
-            alphas = IrreducibleKind if kind in (PropKind.IDF, PropKind.UFR) else (None,)
+        for kind in PropKind:
+            alphas = IrreducibleKind if kind in properties._TAKES_ALPHA else (None,)
+            betas = AssociateKind if kind in properties._TAKES_BETA else (None,)
             for alpha in alphas:
-                for beta in (AssociateKind.STRONG, AssociateKind.VERY_STRONG):
+                for beta in betas:
                     yield PropertyId(kind, alpha, beta, scope)
 
 
-def test_strong_cells_match_a_fresh_decision():
-    """``Evaluator.verdict`` answers a strong cell from the associate one;
-    every strong and very-strong cell still equals ``check_property`` run
-    on a fresh evaluator that never answers ``verdict``."""
+class _Fresh(Evaluator):
+    """An evaluator that decides every cell it is asked for, HFR's and
+    UFR's atomicity prerequisite included, by ``check_property`` on the
+    cell itself: no reading rule and no verdict memo."""
+
+    def verdict(self, prop):
+        return check_property(self, prop)
+
+
+def _reading_cases():
     z, zz = build_ring_from_text("Z"), build_ring_from_text("prod(Z,Z)")
     cases = [(ring, None, 4) for ring in small_finite_rings()]
     cases.append((z, [a for a in range(-24, 25) if abs(a) > 1], 6))
     zz_scope = [(a, b) for a in (-2, 3, 4, 6) for b in (2, -3, 5)] + [(2, 0), (0, 3)]
     cases.append((zz, zz_scope, 6))
-    cells = list(_beta_cells())
+    return cases
+
+
+def _reading_mismatches(cases):
+    """The cells whose ``Evaluator.verdict`` differs from a fresh decision
+    on one evaluator, under every default relation and under its
+    restriction.  The reading rule holds on any one evaluator, so every
+    cell is read on both, whichever relation its scope names."""
+    cells = list(_all_cells())
     for ring, scope, cap in cases:
         for text in DEFAULT_TAUS:
             tau = build_tau_from_text(text, ring)
-            sides = {False: tau, True: tau.regcap()}
-            memo = {k: Evaluator(ring, t, cap, scope) for k, t in sides.items()}
-            fresh = {k: Evaluator(ring, t, cap, scope) for k, t in sides.items()}
-            for prop in cells:
-                restricted = prop.scope.restricted
-                want = check_property(fresh[restricted], prop)
-                assert memo[restricted].verdict(prop) == want, (ring.spec_string(), text, prop.label())
+            for side in (tau, tau.regcap()):
+                memo, fresh = Evaluator(ring, side, cap, scope), _Fresh(ring, side, cap, scope)
+                for prop in cells:
+                    if memo.verdict(prop) != check_property(fresh, prop):
+                        yield ring.spec_string(), side.spec_string(), prop.label()
+
+
+def test_every_cell_matches_a_fresh_decision():
+    """``Evaluator.verdict`` reads a strong cell as its associate twin and
+    a ``regcap-all`` cell as its ``plain`` twin; every cell still equals
+    ``check_property`` on a fresh evaluator that applies no reading rule."""
+    assert sum(1 for _ in _all_cells()) == 4 * (5 + 1 + 1 + 3 + 3 + 15 + 5 + 15)
+    assert list(_reading_mismatches(_reading_cases())) == []
+
+
+@pytest.mark.parametrize(
+    "also",
+    [PropScope.REGCAP_U, PropScope.REGULAR, AssociateKind.VERY_STRONG],
+    ids=["regcap-u", "regular-elements", "very-strong"],
+)
+def test_fresh_decisions_see_a_wider_reading_rule(monkeypatch, also):
+    """A reading rule that also reads ``regcap-u`` or ``regular-elements``
+    as ``plain``, or very-strong cells as associate ones, makes some cell
+    differ from its fresh decision on the small finite rings."""
+    engine = PropertyId.reading
+
+    def wider(prop):
+        if prop.scope == also:
+            return engine(replace(prop, scope=PropScope.PLAIN))
+        if prop.beta == also:
+            return engine(replace(prop, beta=A))
+        return engine(prop)
+
+    monkeypatch.setattr(PropertyId, "reading", wider)
+    cases = [(ring, None, 4) for ring in small_finite_rings()]
+    assert next(_reading_mismatches(cases), None) is not None
+
+
+def test_a_failed_chain_is_raised_again():
+    """A divisor chain whose search raised leaves no entry behind: a second
+    read raises again instead of reading a chain of height 1."""
+    ring = build_ring_from_text("prod(Z,Z)")
+    ev = Evaluator(ring, build_tau(FullTau(), ring), scope=[(2, 0)])
+    for _ in range(2):
+        with pytest.raises(UnsupportedOperationError):
+            ev.chain_bound((2, 0), False)
 
 
 def test_a_failed_enumeration_is_raised_again_without_rerunning(monkeypatch):

@@ -486,14 +486,20 @@ def test_one_way_to_a_verdict():
     """Evaluators are built by the two drivers, and property verdicts,
     refinability, domains and element profiles are each reached through one
     ``Evaluator`` method (``cmd_classify`` answers a query at its own
-    ``--cap``)."""
-    assert _callers(["Evaluator", "check_property", "check_tau_property", "_resolve_domain", "classify"]) == {
+    ``--cap``); atomic outcomes are read only by ``check_property``, so HFR
+    and UFR reach them through the ATOMIC verdict."""
+    names = ["Evaluator", "check_property", "check_tau_property", "_resolve_domain", "classify", "_atomic_element"]
+    assert _callers(names) == {
         "Evaluator": {"theorems.context_evaluator", "cli.cmd_properties"},
         "check_property": {"properties.Evaluator.verdict"},
         "check_tau_property": {"properties.Evaluator.refinable"},
         "_resolve_domain": {"properties.Evaluator.domain"},
         "classify": {"properties.Evaluator.profile", "cli.cmd_classify"},
+        "_atomic_element": {"properties.check_property.element_outcome"},
     }
+    tree = ast.parse(Path(properties.__file__).read_text())
+    named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_atomic_element"]
+    assert len(named) == 1  # one call, and no second path such as a memo
 
 
 def test_harness_rules_stated_once():
