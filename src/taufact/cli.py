@@ -13,24 +13,19 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
+# Only what ``main`` and the element queries need is imported here; each
+# other command imports its engine when it runs (README, "Design notes").
 from .corpus import CorpusError, default_corpus_spec, generate_corpus
 from .factor import PreconditionError, enumerate_factorizations
-from .irreducibles import classify
 from .parsing import ParseError, build_ring_from_text, build_tau_from_text, parse_element
-from .properties import (
-    DEFAULT_PROPERTY_CAP,
-    REGULAR_PROPS,
-    Evaluator,
-    PropScope,
-    elasticity,
-)
 from .relations import RegCapTau, TauConstructionError, normal_spec
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
-from .theorems import context_evaluator, per_context_spec, summarize, verify_corpus_entries
+
+if TYPE_CHECKING:
+    from .properties import Evaluator
 
 BETA_NAMES = {
     "associate": AssociateKind.ASSOCIATE,
@@ -254,6 +249,8 @@ def _load_inputs(args, element=True):
 
 
 def cmd_classify(args) -> int:
+    from .irreducibles import classify
+
     ring, tau, el = _load_inputs(args)
     profile = classify(ring, tau, el, cap=args.cap)
     payload = {"schema": 1, "ring": args.ring, "tau": tau.spec_string()}
@@ -318,17 +315,13 @@ def cmd_ufact(args) -> int:
     return 0
 
 
-# The regular-scope properties in every scope, scope by scope.
-_CATALOG_PROPS = tuple(
-    replace(prop, scope=scope) for scope in PropScope for prop in REGULAR_PROPS.values()
-)
-
-
 def _property_vector(plain: Evaluator, restricted: Evaluator):
     """The property cells of a relation, read from its evaluator and its
     restriction's, and its elasticity."""
+    from .properties import CATALOG_PROPS, elasticity
+
     out = []
-    for prop in _CATALOG_PROPS:
+    for prop in CATALOG_PROPS:
         try:
             v = (restricted if prop.scope.restricted else plain).verdict(prop)
             out.append(v.to_json(plain.ring))
@@ -343,6 +336,8 @@ def _property_vector(plain: Evaluator, restricted: Evaluator):
 
 
 def cmd_properties(args) -> int:
+    from .properties import DEFAULT_PROPERTY_CAP, Evaluator
+
     ring, tau, _ = _load_inputs(args, element=False)
     scope = None
     if args.scope is not None:
@@ -401,6 +396,8 @@ def _slot_unit(payload):
 
 def _verify_group(payload):
     """Worker: the theorem rows of each entry of one pool unit."""
+    from .theorems import verify_corpus_entries
+
     return verify_corpus_entries(*_slot_unit(payload))
 
 
@@ -408,6 +405,8 @@ def _catalog_group(payload):
     """Worker: the atlas entries of one pool unit.  An atlas entry depends
     on its relation only through its evaluator and the ``tau`` label, as
     verify's rows do."""
+    from .theorems import context_evaluator, per_context_spec
+
     ring, taus, scope, cap, contexts = _slot_unit(payload)
 
     evaluator = lambda spec: context_evaluator(contexts, ring, spec, scope, cap)
@@ -476,6 +475,8 @@ def _run_corpus(corpus_spec: dict, cap, jobs: int, worker):
         payloads.append((ring_str, tau_strs, scopes.get(ring_str), cap))
     try:
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             # one task per unit, handed to whichever worker is free
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(worker, payloads, chunksize=1))
@@ -491,6 +492,9 @@ def _run_corpus(corpus_spec: dict, cap, jobs: int, worker):
 
 
 def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
+    # imported before the pool starts, so that forked workers inherit it
+    from .theorems import summarize
+
     meta, cap, per_entry = _run_corpus(corpus_spec, cap, jobs, _verify_group)
     rows = [r for chunk in per_entry for r in chunk]
     return {

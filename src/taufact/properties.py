@@ -132,6 +132,10 @@ REGULAR_PROPS = {
     )
 }
 
+# The regular-scope properties in every scope, scope by scope: the property
+# vector of ``taufact properties`` and of each atlas entry.
+CATALOG_PROPS = tuple(replace(prop, scope=scope) for scope in PropScope for prop in REGULAR_PROPS.values())
+
 
 @dataclass
 class PropertyVerdict:
@@ -215,6 +219,7 @@ class Evaluator:
         self._upools: dict = {}
         self._chain: dict = {}
         self._alpha_items: dict = {}
+        self._atom_sets: dict = {}
         self._verdicts: dict = {}
         self._domains: dict = {}
         self._refinable: Optional[TauPropertyVerdict] = None
@@ -325,6 +330,19 @@ class Evaluator:
                     maybe = True
             got = (certain, maybe)
             self._alpha_items[key] = got
+        return got
+
+    def atom_set(self, view: "FactorView", a, nontrivial: bool) -> frozenset:
+        """The factors that ``view`` requires irreducible, over the pieces of
+        a (only its nontrivial pieces with ``nontrivial``), collected once."""
+        key = (view.name, a, nontrivial)
+        got = self._atom_sets.get(key)
+        if got is None:
+            got = set()
+            for p in view.pieces(self, a):
+                if not (nontrivial and p.trivial):
+                    got.update(view.atoms(p))
+            got = self._atom_sets[key] = frozenset(got)
         return got
 
     def pumped_atomic(self, view: "FactorView", a, alpha: IrreducibleKind):
@@ -479,18 +497,12 @@ def _ffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
 
 
 def _wffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
-    values = set()
-    for p in view.pieces(ev, a):
-        if not p.trivial:
-            values.update(view.atoms(p))
+    values = ev.atom_set(view, a, nontrivial=True)
     return _ElementOutcome("holds", bound=_beta_class_count(ev.ring, values, beta))
 
 
 def _idf_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOutcome:
-    values = set()
-    for p in view.pieces(ev, a):
-        values.update(view.atoms(p))
-    atoms = [x for x in values if ev.atom_flag(x, alpha) == Flag.TRUE]
+    atoms = [x for x in ev.atom_set(view, a, nontrivial=False) if ev.atom_flag(x, alpha) == Flag.TRUE]
     return _ElementOutcome("holds", bound=_beta_class_count(ev.ring, atoms, beta))
 
 

@@ -120,15 +120,17 @@ def context_spec(tau: TauRelation):
 def context_evaluator(contexts: dict, ring: Ring, spec, scope, cap: int) -> Evaluator:
     """The evaluator of a relation spec in ``contexts``, which maps the
     context keys (``context_spec``) of ``ring`` at one scope and cap, and
-    the normal specs that reached them, to evaluators; each is built on the
-    relation its key was first read from, over ``scope``, at ``cap``."""
+    the normal specs that reached them, to evaluators, and each evaluator
+    back to its key; each is built on the relation its key was first read
+    from, over ``scope``, at ``cap``."""
     spec = normal_spec(spec)
     got = contexts.get(spec)
     if got is None:
         tau = build_tau(spec, ring)
         key = context_spec(tau)
         if key not in contexts:
-            contexts[key] = Evaluator(ring, tau, cap, scope)
+            ev = contexts[key] = Evaluator(ring, tau, cap, scope)
+            contexts[ev] = key
         got = contexts[spec] = contexts[key]
     return got
 
@@ -157,6 +159,7 @@ class EntryChecker:
 
     def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict):
         self.ring = ring
+        self.ring_label = ring.spec_string()
         self.label = tau.spec_string()
         self.scope = scope
         self.cap = cap
@@ -187,7 +190,7 @@ class EntryChecker:
     def emit(self, theorem, instance, outcome, witness=None, note=""):
         self.entries.append(
             TheoremEntry(
-                ring=self.ring.spec_string(),
+                ring=self.ring_label,
                 tau=self.label,
                 theorem=theorem,
                 instance=instance,
@@ -530,8 +533,9 @@ class EntryChecker:
         if ring.is_finite:
             # R# of a finite ring holds no regular element (see
             # ``context_spec``), so the relation stays within regular pairs
-            # exactly when it relates no pair of R#
-            return not any(pair_table(tau))
+            # exactly when it relates no pair of R#: when no pair of its
+            # context key, the pair table, holds
+            return not any(self.contexts[self.plain])
         # Z is a domain, so its nonzero elements are regular; the other
         # infinite rings are products, where two nonzero components
         # annihilate each other
@@ -729,8 +733,14 @@ def verify_corpus_entries(ring: Ring, taus, scope, cap: int, contexts: dict) -> 
         taus,
         lambda spec: context_evaluator(contexts, ring, spec, scope, cap),
         lambda tau: [e.to_json() for e in verify_corpus_entry(ring, tau, scope, cap, contexts)],
-        lambda rows, tau: [{**row, "tau": tau.spec_string()} for row in rows],
+        _relabel,
     )
+
+
+def _relabel(rows, tau) -> list:
+    """``rows`` with the ``tau`` label of ``tau``."""
+    label = tau.spec_string()
+    return [{**row, "tau": label} for row in rows]
 
 
 def summarize(outcomes) -> dict:

@@ -124,6 +124,108 @@ def test_properties_scope(capsys):
     assert by_label["ufr/irreducible/associate/regular-elements"]["scoped"] is True
 
 
+# --pretty renders, one expected text per command
+
+
+def test_classify_pretty(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--ring", "Zn(6)", "--tau", "full", "--element", "2", "--pretty")
+    assert code == 0
+    assert out == (
+        "element 2 under full on Zn(6):\n"
+        "  irreducible                      true\n"
+        "  strongly-irreducible             true\n"
+        "  m-irreducible                    true\n"
+        "  unrefinably-irreducible          false\n"
+        "  very-strongly-irreducible        false\n"
+    )
+
+
+def test_factorizations_pretty(capsys):
+    code, out, _ = run_cli(capsys, "factorizations", "--ring", "Z", "--tau", "comax", "--element", "12", "--pretty")
+    assert code == 0
+    assert out == (
+        "2 classes (cap 8, complete True, unbounded no):\n"
+        "  12 = 1 * 12\n"
+        "  12 = 1 * 3 * 4\n"
+    )
+
+
+def test_ufact_pretty(capsys):
+    code, out, _ = run_cli(capsys, "ufact", "--ring", "Zn(6)", "--tau", "zero", "--element", "2", "--pretty")
+    assert code == 0
+    assert out == "1 splits:\n  unit 1 | inessential (none) | essential <2>\n"
+
+
+def test_properties_pretty(capsys):
+    code, out, _ = run_cli(capsys, "properties", "--ring", "Zn(4)", "--tau", "full", "--pretty")
+    assert code == 0
+    rows = {
+        "plain": [
+            "atomic/irreducible/plain                     holds bound=2",
+            "accp/plain                                   holds bound=2",
+            "bfr/plain                                    fails",
+            "ffr/associate/plain                          fails",
+            "wffr/associate/plain                         holds bound=1",
+            "idf/irreducible/associate/plain              holds bound=1",
+            "hfr/irreducible/plain                        fails",
+            "ufr/irreducible/associate/plain              fails",
+        ],
+        "regular-elements": [f"{label:44s} holds bound=0" for label in (
+            "atomic/irreducible/regular-elements",
+            "accp/regular-elements",
+            "bfr/regular-elements",
+            "ffr/associate/regular-elements",
+            "wffr/associate/regular-elements",
+            "idf/irreducible/associate/regular-elements",
+            "hfr/irreducible/regular-elements",
+            "ufr/irreducible/associate/regular-elements",
+        )],
+    }
+    for scope in ("regcap-all", "regcap-u"):
+        rows[scope] = [
+            f"{label:44s} holds bound={bound}"
+            for label, bound in (
+                (f"atomic/irreducible/{scope}", 1),
+                (f"accp/{scope}", 1),
+                (f"bfr/{scope}", 1),
+                (f"ffr/associate/{scope}", 0),
+                (f"wffr/associate/{scope}", 0),
+                (f"idf/irreducible/associate/{scope}", 1),
+                (f"hfr/irreducible/{scope}", 1),
+                (f"ufr/irreducible/associate/{scope}", 1),
+            )
+        ]
+    lines = ["properties of full on Zn(4):"]
+    lines += ["  " + row for scope_rows in rows.values() for row in scope_rows]
+    lines.append("  elasticity: undefined-empty-scope")
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_verify_pretty(tmp_path, capsys, monkeypatch):
+    """The summary line, then one line per violated row."""
+    cpath = tmp_path / "corpus.json"
+    cpath.write_text(json.dumps({"schema": 1, "rings": ["Zn(4)"], "taus": ["full"]}))
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(cpath), "--pretty")
+    assert code == 0
+    assert out == "entries: 171  verified: 160  inapplicable: 1  violated: 0  skipped: 0  informational: 10\n"
+
+    verification = cli.run_verification
+
+    def one_violated(*args, **kwargs):
+        report = verification(*args, **kwargs)
+        report["entries"][1]["outcome"] = "violated"
+        report["summary"] = theorems.summarize(r["outcome"] for r in report["entries"])
+        return report
+
+    monkeypatch.setattr(cli, "run_verification", one_violated)
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(cpath), "--pretty")
+    assert code == 2
+    assert out == (
+        "entries: 171  verified: 159  inapplicable: 1  violated: 1  skipped: 0  informational: 10\n"
+        "VIOLATED Zn(4) full irreducible-hierarchy/arrows\n"
+    )
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "classify", "--ring", "Zn(6)")
     assert code == 1

@@ -20,7 +20,7 @@ from taufact import (
 from taufact import properties
 from taufact.corpus import DEFAULT_TAUS
 from taufact.parsing import build_ring_from_text, build_tau_from_text
-from taufact.properties import Evaluator
+from taufact.properties import CATALOG_PROPS, Evaluator
 from conftest import evaluator, small_finite_rings
 from oracles import oracle_atomic
 
@@ -181,7 +181,6 @@ def test_split_view_agrees_with_plain_view():
     regcap-all scope read through the splits: each catalog property must
     agree with its twin in outcome and bound, on every finite default ring
     and relation and on the integers with their default scope."""
-    from taufact.cli import _CATALOG_PROPS
     from taufact.corpus import default_corpus_spec
     from taufact.parsing import build_ring_from_text, build_tau_from_text
     from taufact.properties import Evaluator
@@ -198,7 +197,7 @@ def test_split_view_agrees_with_plain_view():
         for tau_str in spec["taus"]:
             tau = build_tau_from_text(tau_str, ring)
             ev = Evaluator(ring, tau.regcap(), spec["cap"], scope)
-            for prop in _CATALOG_PROPS:
+            for prop in CATALOG_PROPS:
                 if prop.scope != PropScope.REGCAP_U:
                     continue
                 split = check_property(ev, prop)

@@ -21,7 +21,7 @@ from taufact import (
 )
 from taufact.corpus import DEFAULT_TAUS, default_corpus_spec, generate_corpus
 from taufact.parsing import build_ring_from_text, build_tau_from_text, parse_tau_spec
-from taufact.relations import EmptyTau, RegularTau, SubsetTau, format_tau_spec, normal_spec
+from taufact.relations import EmptyTau, RegularTau, SubsetTau, format_tau_spec, normal_spec, pair_table
 from taufact.factor import PreconditionError
 from taufact.properties import REGULAR_PROPS, Evaluator, PropertyVerdict
 from taufact.theorems import EntryChecker, context_spec
@@ -182,12 +182,22 @@ def test_split_equivalences_can_fail(monkeypatch):
 def _direct_rows(corpus, monkeypatch):
     """Each entry on a fresh ring, with a fresh checker and no shared
     context, and with relation specs used as written: neither the normal
-    form nor the finite-ring context key applies."""
+    form nor the finite-ring context key applies, so on a finite ring the
+    regular-pairs hypothesis is read from the relation's own pair table."""
     entries, meta = generate_corpus(corpus)
     rows = []
+    within_regular = EntryChecker._tau_subset_of_regular
+
+    def within_regular_by_table(checker):
+        tau = checker.plain.tau
+        if checker.ring.is_finite and not tau.regular_only:
+            return not any(pair_table(tau))
+        return within_regular(checker)
+
     with monkeypatch.context() as m:
         m.setattr(theorems, "normal_spec", lambda spec: spec)
         m.setattr(theorems, "context_spec", lambda tau: tau.spec)
+        m.setattr(EntryChecker, "_tau_subset_of_regular", within_regular_by_table)
         for ce in entries:
             ring = build_ring_from_text(ce.ring_str)
             tau = build_tau_from_text(ce.tau_str, ring)
@@ -268,6 +278,26 @@ def test_shared_rows_see_a_wrong_normal_form(wrong, corpus, monkeypatch):
 
     monkeypatch.setattr(theorems, "normal_spec", normal)
     assert cli.run_verification(corpus)["entries"] != direct
+
+
+def test_regular_pairs_hypothesis_reads_the_context_key(monkeypatch):
+    """On a finite ring ``regular-relation-baseline`` reads whether the
+    relation relates no pair of R# off the entry's context key, the pair
+    table: it asks the relation no pair again, and answers as the relation's
+    own table does."""
+    specs = [parse_tau_spec(t, None) for t in DEFAULT_TAUS]
+    for text, subset in (("Zn(6)", (2, 3)), ("Zn(9)", (3,)), ("prod(Zn(2),Zn(3))", ((0, 1),))):
+        ring = build_ring_from_text(text)
+        contexts: dict = {}
+        for spec in specs + [SubsetTau(subset)]:
+            checker = EntryChecker(ring, build_tau(spec, ring), None, 4, contexts)
+            asked = []
+            with monkeypatch.context() as m:
+                m.setattr(type(checker.plain.tau), "holds", lambda tau, a, b: asked.append((a, b)))
+                got = checker._tau_subset_of_regular()
+            assert asked == [], (text, spec)
+            tau = build_tau(spec, ring)
+            assert got == (tau.regular_only or not any(pair_table(tau))), (text, spec)
 
 
 def test_context_spec_keys_finite_rings_by_pair_table():
