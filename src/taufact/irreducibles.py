@@ -148,10 +148,8 @@ def hierarchy_violations(profile: IrreducibilityProfile):
 
 @dataclass
 class TauRAtomResult:
-    element: object
     is_atom: bool
     conditions: tuple  # the five equivalent characterizations, evaluated independently
-    cap: int
 
 
 def tau_r_atom(
@@ -185,6 +183,4 @@ def tau_r_atom(
     c5 = ring.associated(a, a, AssociateKind.VERY_STRONG) and all(
         any(rel(x, AssociateKind.VERY_STRONG) for x in f.factors) for f in items
     )
-    return TauRAtomResult(
-        element=a, is_atom=c4, conditions=(c1, c2, c3, c4, c5), cap=fs.cap
-    )
+    return TauRAtomResult(is_atom=c4, conditions=(c1, c2, c3, c4, c5))

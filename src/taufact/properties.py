@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .factor import (
@@ -42,7 +41,7 @@ from .rings import (
     Ring,
     UnsupportedOperationError,
 )
-from .relations import TauPropertyVerdict, TauRelation, check_tau_property
+from .relations import TauRelation, check_tau_property
 from .ufact import UFactorization, u_partitions
 
 
@@ -222,7 +221,7 @@ class Evaluator:
         self._atom_sets: dict = {}
         self._verdicts: dict = {}
         self._domains: dict = {}
-        self._refinable: Optional[TauPropertyVerdict] = None
+        self._refinable: Optional[bool] = None
 
     def domain(self, regular: bool = False):
         """``_resolve_domain`` over the evaluator's scope, resolved once, and
@@ -251,14 +250,14 @@ class Evaluator:
             self._verdicts[prop] = got
         return got
 
-    def refinable(self) -> TauPropertyVerdict:
+    def refinable(self) -> bool:
         """Whether the relation is refinable, decided once from the
         evaluator's enumerations: of every non-unit of a finite ring, whatever
         the scope, and of the scope's non-units on an infinite one."""
         if self._refinable is None:
             ring = self.ring
             targets = ring.nonunits() if ring.is_finite else self.domain()[0]
-            self._refinable = check_tau_property(self.tau, targets, not ring.is_finite, self.cap, self.fs)
+            self._refinable = check_tau_property(self.tau, targets, self.fs)
         return self._refinable
 
     def fs(self, a) -> FactorizationSet:
@@ -645,7 +644,7 @@ def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
 
 @dataclass
 class Elasticity:
-    value: object  # Fraction | "infinite" | "undefined-empty-scope"
+    value: object  # Fraction | "undefined-empty-scope"
     per_element: dict
     cap: int
     scoped: bool = False
@@ -653,7 +652,7 @@ class Elasticity:
 
     def to_json(self, ring: Ring):
         def enc(v):
-            return str(v) if isinstance(v, Fraction) else v
+            return v if isinstance(v, str) else str(v)
 
         return {
             "value": enc(self.value),
@@ -670,20 +669,20 @@ class Elasticity:
 def elasticity(ev: Evaluator) -> Elasticity:
     """Per-element ratio of longest to shortest atomic factorization length
     over the regular non-units of ``ev``'s scope, and its supremum, with
-    the cap recorded as ``check_property`` records it."""
+    the cap recorded as ``check_property`` records it.
+
+    A regular target never pumps (README, "Design notes"), so no element's
+    ratio is infinite: one whose search stopped at the cap is undecided."""
+    from fractions import Fraction
+
     domain, scoped = ev.domain(regular=True)
     if not domain:
         return Elasticity("undefined-empty-scope", {}, ev.cap, scoped)
     per: dict = {}
-    infinite = False
     note = ""
     for a in domain:
         certain, maybe = ev.alpha_items(PLAIN_VIEW, a, IrreducibleKind.IRREDUCIBLE)
         if not ev.exhaustive(a):
-            if ev.pumped_atomic(PLAIN_VIEW, a, IrreducibleKind.IRREDUCIBLE) is not None:
-                infinite = True
-                per[a] = "infinite"
-                continue
             note = "some elements undecided at cap"
             continue
         if maybe:
@@ -694,9 +693,6 @@ def elasticity(ev: Evaluator) -> Elasticity:
             continue  # no atomic factorization: no ratio contribution
         per[a] = Fraction(max(lengths), min(lengths))
     cap = max(ev._fs[a].cap for a in domain)  # every element ran ``ev.fs``
-    if infinite:
-        return Elasticity("infinite", per, cap, scoped, note)
-    finite_vals = [v for v in per.values() if isinstance(v, Fraction)]
-    if not finite_vals:
+    if not per:
         return Elasticity("undefined-empty-scope", per, cap, scoped, note or "no atomic factorizations in scope")
-    return Elasticity(max(finite_vals), per, cap, scoped, note)
+    return Elasticity(max(per.values()), per, cap, scoped, note)

@@ -4,10 +4,10 @@ Built-in constructors: the full relation, the empty relation, restriction to
 a subset S (a rel b iff both in S), comaximality, zero products, regularity
 of both arguments, and the regular-restriction combinator rel & (Reg x Reg).
 
-Refinability, the one relation-level predicate the harness reads, is
-decided over the targets and enumerations ``properties.Evaluator.refinable``
-hands it: every non-unit of a finite ring, or an explicit element scope on
-an infinite one (flagged as scoped).
+Refinability, the one relation-level predicate the harness reads, is a
+yes/no answer decided over the targets and enumerations
+``properties.Evaluator.refinable`` hands it: every non-unit of a finite
+ring, or an explicit element scope on an infinite one.
 """
 
 from __future__ import annotations
@@ -189,39 +189,32 @@ def normal_spec(spec: TauSpec) -> TauSpec:
     return RegCapTau(inner)
 
 
-@dataclass
-class TauPropertyVerdict:
-    """Whether a relation is refinable, with a failing refinement as
-    witness."""
+def check_tau_property(tau: TauRelation, targets, fs) -> bool:
+    """Whether ``tau`` is refinable, decided from ``fs(a)``, the
+    factorizations of each of ``targets`` and of their factors.
 
-    outcome: str  # "holds" | "fails"
-    witness: Optional[tuple] = None
-    cap: Optional[int] = None
-    scoped: bool = False
-
-    @property
-    def holds(self) -> bool:
-        return self.outcome == "holds"
-
-
-def check_tau_property(tau: TauRelation, targets, scoped: bool, cap: int, fs) -> TauPropertyVerdict:
-    """Decide refinability from ``fs(a)``, the factorizations of each of
-    ``targets`` and of their factors.
-
-    The verdict records the largest cap of the enumerations it read (``fs``
-    may choose its own, as ``Evaluator.fs`` does on an infinite ring), or
-    ``cap`` when it read none.
+    A refinement replaces every position by a factorization of it; its new
+    pair conditions decompose over pairs of original positions, so it is
+    enough to check the cross pairs of the replacement blocks of every two
+    co-occurring positions.  Block factors are nonzero non-units by
+    construction, so compatibility only depends on the relation, and every
+    block of x is compatible with every block of y iff every factor in a
+    block of x relates to every factor in a block of y: one test over those
+    unions decides each pair.
     """
-    read = []  # the caps of the enumerations the check reads
-
-    def fs_read(a):
-        got = fs(a)
-        read.append(got.cap)
-        return got
-
-    verdict = _check_refinable(tau, targets, scoped, fs_read)
-    verdict.cap = max(read, default=cap)
-    return verdict
+    pairs = set()
+    for a in targets:
+        try:
+            pairs.update(_position_pairs(fs(a).items))
+        except UnsupportedOperationError:
+            continue
+    pairs = sorted(pairs)
+    unions = {v: _refinement_blocks(tau, v, fs) for v in dict.fromkeys(v for pair in pairs for v in pair)}
+    for x, y in pairs:
+        ux, uy = unions[x], unions[y]
+        if ux is not None and uy is not None and not all(tau.holds(u, v) for u in ux for v in uy):
+            return False
+    return True
 
 
 def _in_sharp(ring: Ring, x) -> bool:
@@ -242,59 +235,14 @@ def _position_pairs(items):
 
 
 def _refinement_blocks(tau, x, fs):
-    """Factor multisets that can replace one position holding x: the factor
-    lists of x's factorizations, with trivial ones expanded over all units."""
+    """The factors of every multiset that can replace one position holding
+    x: those of x's nontrivial factorizations and its unit variants
+    ``u^-1 x``; None when x cannot be enumerated."""
     ring = tau.ring
     try:
         items = fs(x).items
     except UnsupportedOperationError:
         return None
-    blocks = [f.factors for f in items if not f.trivial]
-    for u in ring.units():
-        blocks.append((ring.mul(ring.unit_inverse(u), x),))
-    return sorted(set(blocks))
-
-
-def _check_refinable(tau, targets, scoped, fs) -> TauPropertyVerdict:
-    """A refinement replaces every position by a factorization of it; its new
-    pair conditions decompose over pairs of original positions, so it is
-    enough to check the cross pairs of the replacement blocks of every two
-    co-occurring positions.
-
-    Block factors are nonzero non-units by construction, so compatibility
-    only depends on the relation, and only those cross pairs are asked.
-    Every block of x is compatible with every block of y iff every factor
-    in a block of x relates to every factor in a block of y, so a pair is
-    checked once over those unions, and block by block only to name a
-    witness.
-    """
-    ring = tau.ring
-    pairs = set()
-    for a in targets:
-        try:
-            pairs.update(_position_pairs(fs(a).items))
-        except UnsupportedOperationError:
-            continue
-    pairs = sorted(pairs)
-    block_sets = {}  # value -> list of distinct factor-value frozensets
-    unions = {}  # value -> the factors of all its blocks
-    for v in dict.fromkeys(v for pair in pairs for v in pair):
-        blocks = _refinement_blocks(tau, v, fs)
-        block_sets[v] = None if blocks is None else sorted({frozenset(b) for b in blocks})
-        unions[v] = None if blocks is None else frozenset().union(*block_sets[v])
-    for x, y in pairs:
-        gx, gy = block_sets[x], block_sets[y]
-        if gx is None or gy is None:
-            continue
-        if all(tau.holds(u, v) for u in unions[x] for v in unions[y]):
-            continue
-        for g in gx:
-            for h in gy:
-                bad = next(((u, v) for u in g for v in h if not tau.holds(u, v)), None)
-                if bad is not None:
-                    return TauPropertyVerdict(
-                        "fails",
-                        witness=((x, sorted(g, key=ring.sort_key)), (y, sorted(h, key=ring.sort_key)), bad),
-                        scoped=scoped,
-                    )
-    return TauPropertyVerdict("holds", scoped=scoped)
+    out = {v for f in items if not f.trivial for v in f.factors}
+    out.update(ring.mul(ring.unit_inverse(u), x) for u in ring.units())
+    return frozenset(out)

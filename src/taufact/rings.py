@@ -191,17 +191,8 @@ class Ring:
 
     # -- arithmetic (overridden per construction)
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
     def mul(self, a, b):
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def product(self, factors) -> Element:
         out = self.one
@@ -418,12 +409,6 @@ class ModRing(Ring):
         self.one = 1
         self._comax_cache: dict = {}
 
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
-
     def mul(self, a, b):
         return (a * b) % self.n
 
@@ -511,12 +496,6 @@ class IntegerRing(Ring):
         self.zero = 0
         self.one = 1
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
     def mul(self, a, b):
         return a * b
 
@@ -589,6 +568,28 @@ class IntegerRing(Ring):
         return "Z"
 
 
+def _poly_gcd(p: int, a, b) -> list:
+    """A gcd over F_p of two coefficient sequences (low to high), as a
+    list with no trailing zeros; [] is the zero polynomial."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a <- a mod b
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * y) % p
+            a = _poly_trim(a)
+        a, b = b, a
+    return a
+
+
+def _poly_trim(a) -> list:
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 class PolyQuotRing(Ring):
     """F_p[x]/(f) for a monic f of degree >= 1.
 
@@ -618,12 +619,6 @@ class PolyQuotRing(Ring):
         self.zero = (0,) * self.deg
         self.one = tuple([1] + [0] * (self.deg - 1)) if self.deg > 1 else (1,)
         self._comax_cache: dict = {}
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
         d = self.deg
@@ -673,11 +668,11 @@ class PolyQuotRing(Ring):
         )
 
     def comaximal(self, a, b) -> bool:
+        # aR + bR is the image of the ideal (a, b, f) of F_p[x], a PID, so it
+        # is all of R iff gcd(a, b, f) is a nonzero constant
         got = self._comax_cache.get((a, b))
         if got is None:
-            # a*x + b*y = 1 for some y iff 1 - a*x lies in the ideal bR
-            b_ideal = {self.mul(b, y) for y in self.elements()}
-            got = any(self.sub(self.one, self.mul(a, x)) in b_ideal for x in self.elements())
+            got = len(_poly_gcd(self.p, _poly_gcd(self.p, self.f, a), b)) == 1
             self._comax_cache[(a, b)] = got
         return got
 
@@ -698,12 +693,6 @@ class ProductRing(Ring):
         self.zero = (left.zero, right.zero)
         self.one = (left.one, right.one)
         self._int_pair = isinstance(left, IntegerRing) and isinstance(right, IntegerRing)
-
-    def add(self, a, b):
-        return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.left.neg(a[0]), self.right.neg(a[1]))
 
     def mul(self, a, b):
         if self._int_pair:

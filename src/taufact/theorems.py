@@ -218,7 +218,7 @@ class EntryChecker:
         that is not refinable, skipped when a side is undecided, violated
         (informational when only flagged) when lhs => rhs fails, or with
         ``both_ways`` when lhs <=> rhs does, else verified."""
-        if gated and not self.refinable.holds:
+        if gated and not self.refinable:
             self.emit(theorem, instance, INAPPLICABLE, note="relation not refinable")
             return
         l, r = _tristate(lhs), _tristate(rhs)
@@ -260,7 +260,7 @@ class EntryChecker:
             "relation-predicates",
             "refinable",
             INFORMATIONAL,
-            note=f"refinable: {self.refinable.outcome}",
+            note=f"refinable: {'holds' if self.refinable else 'fails'}",
         )
         self.family_hierarchy()
         self.family_trivial_associates()
@@ -420,7 +420,9 @@ class EntryChecker:
 
     def _atomic_class_finiteness(self) -> Optional[bool]:
         """Condition: every regular non-unit has finitely many atomic
-        factorizations up to rearrangement and associates."""
+        factorizations up to rearrangement and associates.  True, or None
+        when some element is undecided: a regular target never pumps
+        (README, "Design notes"), so nothing here can show infinitely many."""
         ev = self.plain
         irr = IrreducibleKind.IRREDUCIBLE
         for a in self.regular_domain:
@@ -428,8 +430,6 @@ class EntryChecker:
                 _, maybe = ev.alpha_items(PLAIN_VIEW, a, irr)
             except UnsupportedOperationError:
                 return None
-            if ev.pumped_atomic(PLAIN_VIEW, a, irr) is not None:
-                return False
             if not ev.exhaustive(a) or maybe:
                 return None
         return True
@@ -447,7 +447,7 @@ class EntryChecker:
 
     def family_eight_way(self):
         theorem = "refinable-finiteness-eight-way"
-        if not self.refinable.holds:
+        if not self.refinable:
             self.emit(theorem, "conditions", INAPPLICABLE, note="relation not refinable")
             return
         c1, c2, atomic, idf = (_tristate(self.prop(n)) for n in ("ffr", "wffr", "atomic", "idf"))
@@ -712,11 +712,7 @@ def _combine_and(a: PropertyVerdict, b: PropertyVerdict) -> PropertyVerdict:
         outcome, witness = "unknown", None
     else:
         outcome, witness = "holds", None
-    out = PropertyVerdict(
-        prop=a.prop, outcome=outcome, witness=witness, cap=a.cap, scoped=a.scoped,
-        note=f"conjunction({a.prop.label()}, {b.prop.label()})",
-    )
-    return out
+    return PropertyVerdict(prop=a.prop, outcome=outcome, witness=witness, cap=a.cap, scoped=a.scoped)
 
 
 def verify_corpus_entry(ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict) -> list:

@@ -248,6 +248,33 @@ def oracle_refinable(ring, tau, cap):
     return True, replacements
 
 
+def oracle_unbounded(ring, tau, cap):
+    """The non-units of a finite ring with a factorization of length at most
+    ``cap`` that holds some factor x at least m + p times, where
+    x^m = x^(m+p) with m, p >= 1 least (the powers of x cycle, as the ring
+    is finite).
+
+    Each has factorizations of unbounded length: x^c = x^(c+p) for c >= m,
+    so p more copies of x keep the product, and every new pair (x with x,
+    or x with a factor beside it) is a pair the factorization relates."""
+    sharp = ring.nonzero_nonunits()
+    units = [u for u in ring.elements() if _is_unit(ring, u)]
+    need = {}
+    for x in sharp:
+        first, power, j = {}, x, 1
+        while power not in first:
+            first[power] = j
+            power, j = ring.mul(power, x), j + 1
+        need[x] = j  # x^j is the first repeated power, so j = m + p
+    out = set()
+    for k in range(2, cap + 1):
+        for combo in itertools.combinations_with_replacement(sharp, k):
+            if any(combo.count(x) >= need[x] for x in set(combo)) and _pairwise_related(tau, combo):
+                prod = _product(ring, combo)
+                out.update(ring.mul(u, prod) for u in units)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Validators and ring predicates from the definitions (finite rings only)
 

@@ -35,8 +35,10 @@ from oracles import (
     oracle_classes_fast,
     oracle_divisor_classes,
     oracle_factorization_classes,
+    oracle_unbounded,
     oracle_validate_factorization,
 )
+from taufact import factor
 
 A, S, V = AssociateKind.ASSOCIATE, AssociateKind.STRONG, AssociateKind.VERY_STRONG
 
@@ -318,6 +320,46 @@ def test_factorization_validity_is_permutation_invariant(data, z8):
     perm = data.draw(st.permutations(list(f.factors)))
     g = Factorization(ring=z8, unit=f.unit, factors=tuple(perm), target=f.target)
     assert oracle_validate_factorization(tau, g) is None
+
+
+def _unbounded_mismatches(cap=4):
+    """The (ring, relation) pairs of the small finite rings, under the
+    default relations and four seeded subset relations each, where the
+    elements enumeration calls unbounded at ``cap`` differ from
+    ``oracle_unbounded``'s, and how many elements the oracle names."""
+    rng = random.Random(20261018)
+    bad, named = [], 0
+    for ring in small_finite_rings():
+        sharp = ring.nonzero_nonunits()
+        specs = list(TAUS)
+        for _ in range(4 if sharp else 0):
+            specs.append(SubsetTau(tuple(sorted(rng.sample(sharp, rng.randint(1, len(sharp))), key=ring.sort_key))))
+        for spec in specs:
+            tau = build_tau(spec, ring)
+            want = oracle_unbounded(ring, tau, cap)
+            got = {
+                a for a in ring.nonunits()
+                if enumerate_factorizations(ring, tau, a, S, cap=cap).unbounded == "yes"
+            }
+            named += len(want)
+            if got != want:
+                bad.append((ring.spec_string(), spec))
+    return bad, named
+
+
+def test_unbounded_matches_repeated_power_oracle():
+    bad, named = _unbounded_mismatches()
+    assert bad == [] and named > 100
+
+
+def test_unbounded_oracle_sees_a_skipped_pump_check(monkeypatch):
+    """With no factor ever pumping, enumeration calls those elements
+    undecided at the cap, and the oracle comparison says so.  No verify row
+    turns violated under this fault: the verdicts that read the pump go
+    from fails to unknown, so their rows go from verified to skipped."""
+    monkeypatch.setattr(factor, "pump_factor", lambda *args: None)
+    bad, _ = _unbounded_mismatches()
+    assert bad
 
 
 def test_pumping_soundness_at_cap_plus_one():

@@ -1,6 +1,7 @@
 """What a process loads to start a command: ``import taufact`` loads no
 submodule, ``taufact.cli`` loads only what ``main`` and the element queries
-run, and every name the package exports is still the module's own."""
+run, a verify run loads no module only the property vector reads, and every
+name the package exports is still the module's own."""
 
 import importlib
 import json
@@ -64,17 +65,28 @@ after_cli = sorted(sys.modules)
 print(json.dumps({"package": after_package, "cli": after_cli}))
 """
 
+_VERIFY_PROBE = """
+import json, sys
+from taufact import cli
+report = cli.run_verification({"schema": 1, "rings": ["Zn(4)", "prod(Zn(2),Zn(3))"], "cap": 4})
+print(json.dumps({"entries": len(report["entries"]), "modules": sorted(sys.modules)}))
+"""
 
-def test_start_up_loads_only_what_a_query_runs():
+
+def _probe(code):
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_start_up_loads_only_what_a_query_runs():
+    loaded = _probe(_PROBE)
     assert loaded["package"] == []
     assert [m for m in NOT_AT_START if m in loaded["cli"]] == []
     # ``main`` catches ``CorpusError``, and perfbench's tracer finds
@@ -93,3 +105,11 @@ def test_exports_are_the_modules_own():
     assert Evaluator is taufact.properties.Evaluator
     assert (cli, theorems) == (sys.modules["taufact.cli"], sys.modules["taufact.theorems"])
     assert set(taufact.__all__) <= set(dir(taufact))
+
+
+def test_verify_leaves_fractions_unloaded():
+    """Only ``elasticity`` reads ``Fraction``, and no theorem family calls
+    it, so a verify run never imports ``fractions``."""
+    loaded = _probe(_VERIFY_PROBE)
+    assert loaded["entries"] > 0 and "taufact.theorems" in loaded["modules"]
+    assert "fractions" not in loaded["modules"]
