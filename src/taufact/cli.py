@@ -1,5 +1,6 @@
 """Command-line surface: classification, factorization listings, splits,
-ring properties, theorem verification over corpora, and atlas generation.
+ring properties, and theorem verification over corpora, which also writes
+the atlas of each (ring, relation) from the same run.
 
 All commands print JSON on stdout (--pretty renders a readable view
 instead); exit status is 0 on success, 1 on usage or parse errors, 2 when
@@ -89,11 +90,7 @@ def _build_parser() -> _Parser:
     add("--strict", action="store_true")
     add("--pretty", action="store_true")
     add("--out", default=None, help="write the report to a file as well")
-    add = command("catalog", "emit a per-(ring, relation) atlas")
-    add("--corpus", default="default")
-    add("--out", required=True)
-    add("--cap", type=int, default=None)
-    add("--pretty", action="store_true")
+    add("--atlas-out", default=None, help="write the per-(ring, relation) atlas to a file")
     return p
 
 
@@ -349,7 +346,9 @@ def cmd_properties(args) -> int:
         except ValueError as exc:
             raise ParseError(args.scope, 0, f"--scope: {exc}") from None
     cap = DEFAULT_PROPERTY_CAP if args.cap is None else args.cap
-    props, elas = _property_vector(Evaluator(ring, tau, cap, scope), Evaluator(ring, tau.regcap(), cap, scope))
+    plain = Evaluator(ring, tau, cap, scope)
+    plain.domain()  # a scope the ring cannot take is an input error
+    props, elas = _property_vector(plain, Evaluator(ring, tau.regcap(), cap, scope))
     payload = {
         "schema": 1,
         "ring": args.ring,
@@ -382,32 +381,28 @@ def _load_corpus(name: str) -> dict:
 _ring_slot: list = []
 
 
-def _slot_unit(payload):
-    """The ring, relations, scope, cap and evaluator contexts of one pool
-    unit.  The ring and its contexts stay in the slot while the next unit
-    names the same ring, scope and cap."""
-    ring_str, tau_strs, scope_json, cap = payload
+def _verify_group(payload):
+    """Worker: the theorem rows of each entry of one pool unit, each paired
+    with the entry's atlas entry when the payload asks for the atlas, else
+    with None.
+
+    The ring and its evaluator contexts stay in the slot while the next
+    unit names the same ring, scope and cap.  An atlas entry depends on its
+    relation only through its evaluator and the ``tau`` label, as the rows
+    do, so it is computed once per context key, from the evaluators the
+    rows have just read.
+    """
+    from .theorems import context_evaluator, per_context_spec, verify_corpus_entries
+
+    ring_str, tau_strs, scope_json, cap, atlas = payload
     if not _ring_slot or _ring_slot[0] != (ring_str, scope_json, cap):
         _ring_slot[:] = [(ring_str, scope_json, cap), build_ring_from_text(ring_str), {}]
     _, ring, contexts = _ring_slot
     scope = None if scope_json is None else [ring.element_from_json(e) for e in scope_json]
-    return ring, [build_tau_from_text(t, ring) for t in tau_strs], scope, cap, contexts
-
-
-def _verify_group(payload):
-    """Worker: the theorem rows of each entry of one pool unit."""
-    from .theorems import verify_corpus_entries
-
-    return verify_corpus_entries(*_slot_unit(payload))
-
-
-def _catalog_group(payload):
-    """Worker: the atlas entries of one pool unit.  An atlas entry depends
-    on its relation only through its evaluator and the ``tau`` label, as
-    verify's rows do."""
-    from .theorems import context_evaluator, per_context_spec
-
-    ring, taus, scope, cap, contexts = _slot_unit(payload)
+    taus = [build_tau_from_text(t, ring) for t in tau_strs]
+    rows = verify_corpus_entries(ring, taus, scope, cap, contexts)
+    if not atlas:
+        return [(r, None) for r in rows]
 
     evaluator = lambda spec: context_evaluator(contexts, ring, spec, scope, cap)
 
@@ -432,7 +427,7 @@ def _catalog_group(payload):
         return {"cap": cap_read, "scoped": scoped, "elements": elements, "properties": props, "elasticity": elas}
 
     bodies = per_context_spec(taus, evaluator, entry, lambda body, tau: body)
-    return [{"ring": payload[0], "tau": t, **body} for t, body in zip(payload[1], bodies)]
+    return [(r, {"ring": ring_str, "tau": t, **body}) for r, t, body in zip(rows, tau_strs, bodies)]
 
 
 def _pool_units(corpus_entries) -> list:
@@ -460,10 +455,13 @@ def _pool_units(corpus_entries) -> list:
     return list(units.values())
 
 
-def _run_corpus(corpus_spec: dict, cap, jobs: int, worker):
-    """The corpus metadata, the cap, and ``worker``'s result per corpus entry
-    in corpus order.  ``worker`` maps one pool unit's payload to a result per
-    relation; with ``jobs`` > 1 each unit is one task on a process pool."""
+def run_verification(corpus_spec: dict, cap=None, jobs: int = 1, atlas: bool = False):
+    """The report of a corpus run, with rows in corpus order; with ``atlas``,
+    the report and the atlas.  With ``jobs`` > 1 each pool unit is one task
+    on a process pool."""
+    # imported before the pool starts, so that forked workers inherit it
+    from .theorems import summarize
+
     corpus_entries, meta = generate_corpus(corpus_spec)
     cap = cap if cap is not None else meta["cap"]
     scopes = corpus_spec.get("scopes", {})
@@ -472,43 +470,43 @@ def _run_corpus(corpus_spec: dict, cap, jobs: int, worker):
     for unit in units:
         ring_str = corpus_entries[unit[0]].ring_str
         tau_strs = tuple(corpus_entries[i].tau_str for i in unit)
-        payloads.append((ring_str, tau_strs, scopes.get(ring_str), cap))
+        payloads.append((ring_str, tau_strs, scopes.get(ring_str), cap, atlas))
     try:
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             # one task per unit, handed to whichever worker is free
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(worker, payloads, chunksize=1))
+                results = list(pool.map(_verify_group, payloads, chunksize=1))
         else:
-            results = [worker(payload) for payload in payloads]
+            results = [_verify_group(payload) for payload in payloads]
     finally:
         _ring_slot.clear()
     per_entry: list = [None] * len(corpus_entries)
-    for unit, chunks in zip(units, results):
-        for i, chunk in zip(unit, chunks):
-            per_entry[i] = chunk
-    return meta, cap, per_entry
-
-
-def run_verification(corpus_spec: dict, cap=None, jobs: int = 1):
-    # imported before the pool starts, so that forked workers inherit it
-    from .theorems import summarize
-
-    meta, cap, per_entry = _run_corpus(corpus_spec, cap, jobs, _verify_group)
-    rows = [r for chunk in per_entry for r in chunk]
-    return {
+    for unit, pairs in zip(units, results):
+        for i, pair in zip(unit, pairs):
+            per_entry[i] = pair
+    rows = [r for chunk, _ in per_entry for r in chunk]
+    report = {
         "schema": 1,
         "corpus": meta,
         "cap": cap,
         "entries": rows,
         "summary": summarize(r["outcome"] for r in rows),
     }
+    if not atlas:
+        return report
+    return report, {"schema": 1, "corpus": meta, "entries": [e for _, e in per_entry]}
 
 
 def cmd_verify(args) -> int:
     corpus_spec = _load_corpus(args.corpus)
-    report = run_verification(corpus_spec, cap=args.cap, jobs=args.jobs)
+    if args.atlas_out:
+        report, atlas = run_verification(corpus_spec, cap=args.cap, jobs=args.jobs, atlas=True)
+        with open(args.atlas_out, "w") as fh:
+            fh.write(dumps_indent2(atlas) + "\n")
+    else:
+        report = run_verification(corpus_spec, cap=args.cap, jobs=args.jobs)
     text = dumps_indent2(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -532,18 +530,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_catalog(args) -> int:
-    meta, _, atlas_entries = _run_corpus(_load_corpus(args.corpus), args.cap, 1, _catalog_group)
-    atlas = {"schema": 1, "corpus": meta, "entries": atlas_entries}
-    with open(args.out, "w") as fh:
-        fh.write(dumps_indent2(atlas) + "\n")
-    if args.pretty:
-        print(f"wrote {len(atlas_entries)} atlas entries to {args.out}")
-    else:
-        print(json.dumps({"schema": 1, "written": args.out, "entries": len(atlas_entries)}))
-    return 0
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -559,7 +545,6 @@ def main(argv=None) -> int:
         "ufact": cmd_ufact,
         "properties": cmd_properties,
         "verify": cmd_verify,
-        "catalog": cmd_catalog,
     }
     try:
         return commands[args.command](args)

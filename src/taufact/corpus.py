@@ -87,8 +87,9 @@ def generate_corpus(spec: dict):
     """Materialize a corpus spec into entries plus metadata.
 
     Every (ring, relation) pair is an entry; the metadata notes, per finite
-    ring, which relation specs share a pair table on R#, and verify and
-    catalog compute each such group once (``theorems.context_spec``).
+    ring, which relation specs share a pair table on R#, and verify computes
+    the rows and atlas entries of each such group once
+    (``theorems.context_spec``).
     """
     if not isinstance(spec, dict):
         raise CorpusError("a corpus must be a JSON object")

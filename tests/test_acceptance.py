@@ -5,7 +5,9 @@ corpus scopes only.  Stated time budgets are printed with each line and
 asserted with slack for slower machines.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 from fractions import Fraction
@@ -35,8 +37,10 @@ from taufact import (
     hierarchy_violations,
     tau_r_atom,
 )
+from taufact import factor
 from taufact.cli import main, run_verification
 from taufact.corpus import default_corpus_spec, generate_corpus
+from taufact.parsing import build_ring_from_text
 from taufact.properties import Evaluator
 from conftest import evaluator
 from oracles import oracle_classes_fast, oracle_validate_factorization
@@ -60,14 +64,23 @@ def corpus_entries():
 
 
 @pytest.fixture(scope="session")
-def default_reports():
-    """Two full verification runs of the default corpus (criterion 10 needs
-    both; the others read the first)."""
-    spec = default_corpus_spec()
+def default_reports(tmp_path_factory):
+    """Two full verification runs of the default corpus, at ``--jobs 1`` and
+    ``--jobs 2``, each writing the report and the atlas: the report parsed,
+    then the bytes of each report file and of each atlas file, and the time
+    both runs took (criterion 10 and the atlas digest read both runs; the
+    others read the parsed report)."""
+    out = tmp_path_factory.mktemp("default")
+    reports, atlases = [], []
     t0 = time.time()
-    first = json.dumps(run_verification(spec, jobs=2), indent=2)
-    second = json.dumps(run_verification(spec, jobs=2), indent=2)
-    return json.loads(first), first, second, time.time() - t0
+    for jobs in ("1", "2"):
+        report, atlas = out / f"report-{jobs}.json", out / f"atlas-{jobs}.json"
+        argv = ["verify", "--corpus", "default", "--jobs", jobs, "--pretty", "--out", str(report), "--atlas-out", str(atlas)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        reports.append(report.read_bytes())
+        atlases.append(atlas.read_bytes())
+    return json.loads(reports[0]), reports, atlases, time.time() - t0
 
 
 def test_criterion_01_oracle_equivalence(corpus_entries, capsys):
@@ -319,11 +332,11 @@ GOLDEN_SHA256 = "d56db7e8b7a3688ee291d677e7bfff31350a719a0924e4ceb34cc93327bd432
 
 
 def test_criterion_10_determinism(default_reports, capsys):
-    """Two runs of the full default-corpus verification produce
-    byte-identical reports, equal to the golden report, with zero
-    violations."""
-    report, first, second, elapsed = default_reports
-    digest = hashlib.sha256((first + "\n").encode()).hexdigest()
+    """Two runs of the full default-corpus verification, at ``--jobs 1`` and
+    ``--jobs 2``, produce byte-identical reports, equal to the golden
+    report, with zero violations."""
+    report, (first, second), _, elapsed = default_reports
+    digest = hashlib.sha256(first).hexdigest()
     ok = first == second and digest == GOLDEN_SHA256 and report["summary"]["violated"] == 0
     _line(
         capsys, "10 determinism", ok, elapsed,
@@ -334,17 +347,42 @@ def test_criterion_10_determinism(default_reports, capsys):
     assert report["summary"]["violated"] == 0
 
 
-# sha256 of the default-corpus atlas as ``taufact catalog --out`` writes it
+def _skipped_on_finite_rings(report) -> list:
+    """The skipped rows of ``report`` on a finite ring.  Enumeration there
+    is exhaustive, so a cell left undecided is a decision the engine lost,
+    such as a pump check."""
+    skipped = [r for r in report["entries"] if r["outcome"] == "skipped"]
+    finite = {s for s in {r["ring"] for r in skipped} if build_ring_from_text(s).is_finite}
+    return [r for r in skipped if r["ring"] in finite]
+
+
+def test_no_skipped_row_on_a_finite_ring(default_reports):
+    """Every skipped default row is on an infinite ring."""
+    report = default_reports[0]
+    assert report["summary"]["skipped"] > 0
+    assert _skipped_on_finite_rings(report) == []
+
+
+def test_finite_ring_skips_see_a_lost_pump_check(monkeypatch):
+    """With no factor ever pumping, no row turns violated, but rows on
+    finite rings turn skipped, and the check above says so."""
+    corpus = {"schema": 1, "rings": ["Zn(4)", "Zn(8)", "prod(Zn(2),Zn(4))"], "cap": 5}
+    assert _skipped_on_finite_rings(run_verification(corpus)) == []
+    monkeypatch.setattr(factor, "pump_factor", lambda *args: None)
+    report = run_verification(corpus)
+    assert report["summary"]["violated"] == 0
+    assert _skipped_on_finite_rings(report)
+
+
+# sha256 of the default-corpus atlas as ``taufact verify --atlas-out`` writes it
 ATLAS_SHA256 = "878a90902f41d1dbcc042ab7321d442836a09ac63a9ac5059847ffbbcb954e31"
 
 
-def test_default_atlas_digest(tmp_path, capsys):
-    """The default-corpus atlas is pinned byte for byte, as the report is."""
-    out = tmp_path / "atlas.json"
-    t0 = time.time()
-    code = main(["catalog", "--corpus", "default", "--out", str(out)])
-    capsys.readouterr()
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    _line(capsys, "default atlas", code == 0 and digest == ATLAS_SHA256, time.time() - t0)
-    assert code == 0
+def test_default_atlas_digest(default_reports, capsys):
+    """The default-corpus atlas is pinned byte for byte, as the report is,
+    and is the same at ``--jobs 1`` and ``--jobs 2``."""
+    _, _, (first, second), elapsed = default_reports
+    digest = hashlib.sha256(first).hexdigest()
+    _line(capsys, "default atlas", first == second and digest == ATLAS_SHA256, elapsed)
+    assert first == second
     assert digest == ATLAS_SHA256

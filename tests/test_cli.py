@@ -318,7 +318,7 @@ _QUERY_TAIL = ["--ring", "prod(Zn(2),Zn(4))", "--tau", "regcap(comax)", "--eleme
         ["classify", "--pretty", "--element", "-54", "--tau", "full", "--ring", "Z"],
         ["properties", "--ring", "Z", "--tau", "full", "--scope", "[2,3]"],
         ["verify", "--corpus", "F", "--jobs", "2", "--out", "F"],
-        ["catalog", "--pretty", "--out", "F"],
+        ["verify", "--pretty", "--atlas-out", "F"],
     ],
 )
 def test_fast_args_take_well_formed_requests(argv):
@@ -339,7 +339,7 @@ def test_fast_args_take_well_formed_requests(argv):
         ["classify", "--ring", "Z", "--tau", "full", "--element", "2", "-h"],
         ["classify", "--ring", "Z", "--tau", "full", "--", "--element", "2"],
         ["classify", "--ring", "Z", "--tau", "full"],
-        ["catalog"],
+        ["verify", "--atlas-out"],
         ["--help"],
         [],
     ],
@@ -398,8 +398,8 @@ def test_module_entry_point():
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, corpus, message):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(corpus))
-    for command in ("verify", "catalog"):
-        code, _, err = run_cli(capsys, command, "--corpus", str(path), "--out", str(tmp_path / "out.json"))
+    for out in ("--out", "--atlas-out"):
+        code, _, err = run_cli(capsys, "verify", "--corpus", str(path), out, str(tmp_path / "out.json"))
         assert code == 1 and err.startswith("error:") and message in err
 
 
@@ -418,6 +418,15 @@ def test_json_booleans_are_not_elements(capsys, ring, scope):
     ``int``: the scope is refused, not read as 1 or 0."""
     code, out, err = run_cli(capsys, "properties", "--ring", ring, "--tau", "full", "--scope", scope)
     assert (code, out) == (1, "") and err.startswith("error:") and "--scope" in err
+
+
+@pytest.mark.parametrize("scope", [[], ["--scope", "[0,2]"]], ids=["no-scope", "zero"])
+def test_properties_on_an_infinite_ring_need_a_scope_without_zero(capsys, scope):
+    """An infinite ring needs an explicit scope, and 0 is no element of one:
+    either is an input error, not a vector of unsupported cells."""
+    code, out, err = run_cli(capsys, "properties", "--ring", "Z", "--tau", "full", *scope)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_properties_cap_as_given(capsys):
@@ -616,17 +625,35 @@ def test_catalog_roundtrip(tmp_path, capsys):
     cpath = tmp_path / "corpus.json"
     cpath.write_text(json.dumps(corpus))
     apath = tmp_path / "atlas.json"
-    code, out, _ = run_cli(capsys, "catalog", "--corpus", str(cpath), "--out", str(apath))
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(cpath), "--atlas-out", str(apath))
     assert code == 0
     atlas = json.loads(apath.read_text())
     assert atlas["schema"] == 1
     entry = atlas["entries"][0]
     assert entry["ring"] == "Zn(6)" and entry["tau"] == "full"
     assert any(e["element"] == 2 for e in entry["elements"])
-    # regenerating produces identical bytes
+    # regenerating produces identical bytes, and the atlas leaves the report as it is
     apath2 = tmp_path / "atlas2.json"
-    run_cli(capsys, "catalog", "--corpus", str(cpath), "--out", str(apath2))
+    code, out2, _ = run_cli(capsys, "verify", "--corpus", str(cpath), "--atlas-out", str(apath2), "--jobs", "2")
+    assert code == 0
     assert apath.read_text() == apath2.read_text()
+    assert out == out2 == run_cli(capsys, "verify", "--corpus", str(cpath))[1]
+
+
+def test_verify_without_atlas_out_builds_no_atlas(tmp_path, capsys, monkeypatch):
+    """A verify run without ``--atlas-out`` computes no atlas entry: nothing
+    reads the property vector, whose cells the atlas alone needs."""
+
+    def no_vector(*args):
+        raise AssertionError("property vector built")
+
+    monkeypatch.setattr(cli, "_property_vector", no_vector)
+    cpath = tmp_path / "corpus.json"
+    cpath.write_text(json.dumps(_SLOT_CORPUS))
+    assert run_cli(capsys, "verify", "--corpus", str(cpath))[0] == 0
+    assert cli.run_verification(_SLOT_CORPUS)["summary"]["violated"] == 0
+    with pytest.raises(AssertionError):
+        cli.run_verification(_SLOT_CORPUS, atlas=True)
 
 
 def test_corpus_budget_enforced(tmp_path, capsys):
@@ -678,7 +705,7 @@ def test_catalog_partial_scope_entry_is_scoped(tmp_path, capsys):
     cpath = tmp_path / "corpus.json"
     cpath.write_text(json.dumps(corpus))
     apath = tmp_path / "atlas.json"
-    assert run_cli(capsys, "catalog", "--corpus", str(cpath), "--out", str(apath))[0] == 0
+    assert run_cli(capsys, "verify", "--corpus", str(cpath), "--atlas-out", str(apath))[0] == 0
     (entry,) = json.loads(apath.read_text())["entries"]
     assert entry["scoped"] is True
     assert all(v["scoped"] for v in entry["properties"] if "scoped" in v)
@@ -766,12 +793,11 @@ def test_every_emit_site_writes_stdlib_indent2_bytes(tmp_path, capsys):
     cpath = tmp_path / "corpus.json"
     cpath.write_text(json.dumps(corpus))
     report = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "verify", "--corpus", str(cpath), "--out", str(report))
+    atlas = tmp_path / "atlas.json"
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(cpath), "--out", str(report), "--atlas-out", str(atlas))
     assert code == 0
     same_as_stdlib(out)
     same_as_stdlib(report.read_text())
-    atlas = tmp_path / "atlas.json"
-    assert run_cli(capsys, "catalog", "--corpus", str(cpath), "--out", str(atlas))[0] == 0
     same_as_stdlib(atlas.read_text())
 
 
@@ -817,7 +843,7 @@ def test_empty_corpus_is_valid():
 
 
 def _direct_atlas(corpus):
-    """Each catalog entry on its own: a fresh ring, a fresh evaluator on the
+    """Each atlas entry on its own: a fresh ring, a fresh evaluator on the
     entry's relation and one on its restriction, over the corpus scope as
     written, with no context spec applied.  The entry's cap is the largest
     its flags and verdicts read: an infinite ring's elements enumerate at
@@ -858,7 +884,7 @@ def _direct_atlas(corpus):
 
 
 def _shared_atlas(corpus):
-    return cli._run_corpus(corpus, None, 1, cli._catalog_group)[2]
+    return cli.run_verification(corpus, atlas=True)[1]["entries"]
 
 
 def _finite_catalog_corpora():
@@ -910,8 +936,12 @@ def test_catalog_shared_evaluators_match_direct_entries():
 )
 def test_catalog_sees_a_wrong_context_spec(corpus, monkeypatch):
     """A context key that sends ``regcap(comax)`` to the key of ``comax``
-    makes the shared atlas differ from the direct one."""
+    makes the shared atlas differ from the direct one.  The rows are
+    stubbed out, so that the fault reaches the atlas alone (the harness
+    raises on it first); without them the atlas is the same."""
     direct = _direct_atlas(corpus)
+    assert _shared_atlas(corpus) == direct
+    monkeypatch.setattr(theorems, "verify_corpus_entries", lambda ring, taus, *args: [[] for _ in taus])
     assert _shared_atlas(corpus) == direct
     real = theorems.context_spec
 
@@ -925,7 +955,7 @@ def test_catalog_sees_a_wrong_context_spec(corpus, monkeypatch):
 
 
 def test_catalog_flags_are_the_evaluators(tmp_path, capsys):
-    """Catalog element flags are the entry evaluator's profiles: on an
+    """Atlas element flags are the entry evaluator's profiles: on an
     infinite ring they are taken at the per-element default cap, where a
     corpus cap of 2 would leave 8 under ``subset[2]`` undecided."""
     corpus = {"schema": 1, "rings": ["Z"], "taus": ["subset[2]"], "scopes": {"Z": [8]}, "cap": 2}
@@ -957,21 +987,22 @@ def test_catalog_leaves_no_evaluator_behind(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(theorems, "Evaluator", Context)
     cpath = tmp_path / "corpus.json"
     cpath.write_text(json.dumps(_SLOT_CORPUS))
-    assert run_cli(capsys, "catalog", "--corpus", str(cpath), "--out", str(tmp_path / "atlas.json"))[0] == 0
+    assert run_cli(capsys, "verify", "--corpus", str(cpath), "--atlas-out", str(tmp_path / "atlas.json"))[0] == 0
     assert cli._ring_slot == []
     gc.collect()
     assert made and all(ref() is None for ref in made)
 
 
 def test_verify_then_catalog_in_one_process_match_separate_runs(tmp_path, capsys):
-    """The ring slot carries nothing from a verify run into a catalog run in
-    the same process: each writes the bytes it writes in a process of its
-    own."""
+    """The ring slot carries nothing from a verify run into a later verify
+    run with the atlas in the same process: each writes the bytes it
+    writes in a process of its own, and the atlas run writes the same
+    report."""
     cpath = tmp_path / "corpus.json"
     cpath.write_text(json.dumps(_SLOT_CORPUS))
     argvs = {
-        "verify": ["verify", "--corpus", str(cpath), "--out"],
-        "catalog": ["catalog", "--corpus", str(cpath), "--out"],
+        "verify": ["verify", "--corpus", str(cpath), "--pretty", "--out"],
+        "atlas": ["verify", "--corpus", str(cpath), "--pretty", "--out", str(tmp_path / "report.json"), "--atlas-out"],
     }
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
     alone, together = {}, {}
@@ -987,12 +1018,13 @@ def test_verify_then_catalog_in_one_process_match_separate_runs(tmp_path, capsys
         assert run_cli(capsys, *argv, str(out))[0] == 0
         together[name] = out.read_bytes()
     assert together == alone
+    assert (tmp_path / "report.json").read_bytes() == alone["verify"]
 
 
 def test_one_corpus_driver():
     """``generate_corpus``, ``_pool_units`` and ``ProcessPoolExecutor`` are
-    each called from one function of ``cli``: verify and catalog share one
-    corpus driver."""
+    each called from one function of ``cli``: the report and the atlas come
+    from one corpus driver."""
     tree = ast.parse(Path(cli.__file__).read_text())
     callers: dict = {}
     for fn in tree.body:
@@ -1002,4 +1034,4 @@ def test_one_corpus_driver():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 callers.setdefault(node.func.id, set()).add(fn.name)
     for name in ("generate_corpus", "_pool_units", "ProcessPoolExecutor"):
-        assert callers.get(name) == {"_run_corpus"}, name
+        assert callers.get(name) == {"run_verification"}, name

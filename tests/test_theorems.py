@@ -1,11 +1,12 @@
 import ast
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from taufact import cli, properties, theorems
+from taufact import cli, properties, theorems, ufact
 from taufact import (
     ComaximalTau,
     FullTau,
@@ -25,6 +26,7 @@ from taufact.relations import EmptyTau, RegularTau, SubsetTau, format_tau_spec, 
 from taufact.factor import PreconditionError
 from taufact.properties import REGULAR_PROPS, Evaluator, PropertyVerdict
 from taufact.theorems import EntryChecker, context_spec
+from taufact.ufact import u_partitions
 from conftest import CLASS_SHAPES, class_shape_corpora, small_finite_rings
 
 from taufact import PolyQuotSpec
@@ -177,6 +179,38 @@ def test_split_equivalences_can_fail(monkeypatch):
     u_pool = Evaluator.u_pool
     monkeypatch.setattr(Evaluator, "u_pool", lambda self, a: u_pool(self, a)[:-1])
     assert violated()
+
+
+def test_essential_divisor_lemma_can_fail(monkeypatch):
+    """With the first essential factor of every split that has more than
+    one moved into the inessential block, the restricted splits have an
+    inessential factor, and the lemma's rows on Z say so."""
+    corpus = {
+        "schema": 1,
+        "rings": ["Z", "Zn(12)", "prod(Zn(2),Zn(4))"],
+        "taus": ["full", "comax"],
+        "scopes": {"Z": [4, 6, 12, -30, 36]},
+        "cap": 5,
+    }
+
+    def violated():
+        rows = cli.run_verification(corpus)["entries"]
+        return [(r["ring"], r["tau"], r["theorem"], r["instance"]) for r in rows if r["outcome"] == "violated"]
+
+    assert violated() == []
+
+    def moved(ring, f):
+        return tuple(
+            replace(u, inessential=u.inessential + u.essential[:1], essential=u.essential[1:])
+            if len(u.essential) > 1
+            else u
+            for u in u_partitions(ring, f)
+        )
+
+    monkeypatch.setattr(ufact, "u_partitions", moved)
+    monkeypatch.setattr(properties, "u_partitions", moved)
+    lemma = ("essential-divisor-lemma", "empty-inessential")
+    assert violated() == [("Z", "full", *lemma), ("Z", "comax", *lemma)]
 
 
 def _direct_rows(corpus, monkeypatch):
