@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 # Only what ``main`` and the element queries need is imported here; each
 # other command imports its engine when it runs (README, "Design notes").
-from .corpus import CorpusError, default_corpus_spec, generate_corpus
+from .corpus import CorpusError, _extensional_groups, default_corpus_spec, generate_corpus
 from .factor import PreconditionError, enumerate_factorizations
 from .parsing import ParseError, build_ring_from_text, build_tau_from_text, parse_element
 from .relations import RegCapTau, TauConstructionError, normal_spec
@@ -384,7 +384,8 @@ _ring_slot: list = []
 def _verify_group(payload):
     """Worker: the theorem rows of each entry of one pool unit, each paired
     with the entry's atlas entry when the payload asks for the atlas, else
-    with None.
+    with None; and on a finite ring the context key of each entry, its pair
+    table on R#, else None.
 
     The ring and its evaluator contexts stay in the slot while the next
     unit names the same ring, scope and cap.  An atlas entry depends on its
@@ -401,10 +402,10 @@ def _verify_group(payload):
     scope = None if scope_json is None else [ring.element_from_json(e) for e in scope_json]
     taus = [build_tau_from_text(t, ring) for t in tau_strs]
     rows = verify_corpus_entries(ring, taus, scope, cap, contexts)
-    if not atlas:
-        return [(r, None) for r in rows]
-
     evaluator = lambda spec: context_evaluator(contexts, ring, spec, scope, cap)
+    keys = tuple(contexts[evaluator(tau.spec)] for tau in taus) if ring.is_finite else None
+    if not atlas:
+        return [(r, None) for r in rows], keys
 
     def entry(tau):
         plain = evaluator(tau.spec)
@@ -427,7 +428,7 @@ def _verify_group(payload):
         return {"cap": cap_read, "scoped": scoped, "elements": elements, "properties": props, "elasticity": elas}
 
     bodies = per_context_spec(taus, evaluator, entry, lambda body, tau: body)
-    return [(r, {"ring": ring_str, "tau": t, **body}) for r, t, body in zip(rows, tau_strs, bodies)]
+    return [(r, {"ring": ring_str, "tau": t, **body}) for r, t, body in zip(rows, tau_strs, bodies)], keys
 
 
 def _pool_units(corpus_entries) -> list:
@@ -483,9 +484,22 @@ def run_verification(corpus_spec: dict, cap=None, jobs: int = 1, atlas: bool = F
     finally:
         _ring_slot.clear()
     per_entry: list = [None] * len(corpus_entries)
-    for unit, pairs in zip(units, results):
-        for i, pair in zip(unit, pairs):
+    tables: list = [None] * len(corpus_entries)
+    for unit, (pairs, keys) in zip(units, results):
+        for j, (i, pair) in enumerate(zip(unit, pairs)):
             per_entry[i] = pair
+            tables[i] = None if keys is None else keys[j]
+    # per finite ring, the relations whose workers' pair tables agree; the
+    # entries run ring by ring, each ring over the corpus's relations
+    groups = {}
+    width = meta["taus"]
+    for start in range(0, len(corpus_entries), width or 1):
+        ring_entries = corpus_entries[start : start + width]
+        if tables[start] is not None:
+            ring_groups = _extensional_groups((ce.tau_str, t) for ce, t in zip(ring_entries, tables[start:]))
+            if ring_groups:
+                groups[ring_entries[0].ring_str] = ring_groups
+    meta["extensionally_equal_taus"] = groups
     rows = [r for chunk, _ in per_entry for r in chunk]
     report = {
         "schema": 1,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .parsing import build_ring_from_text, build_tau_from_text
 from .rings import Ring
-from .relations import TauRelation, pair_table
+from .relations import TauRelation
 
 
 class CorpusError(ValueError):
@@ -86,10 +86,12 @@ def _is_names(value) -> bool:
 def generate_corpus(spec: dict):
     """Materialize a corpus spec into entries plus metadata.
 
-    Every (ring, relation) pair is an entry; the metadata notes, per finite
-    ring, which relation specs share a pair table on R#, and verify computes
-    the rows and atlas entries of each such group once
-    (``theorems.context_spec``).
+    Every (ring, relation) pair is an entry.  The run that verifies them
+    adds the metadata's last key, ``extensionally_equal_taus``: per finite
+    ring, which relation specs share a pair table on R#, read off the
+    tables its worker keys the ring's evaluators by (``_extensional_groups``,
+    ``theorems.context_spec``); it computes the rows and atlas entries of
+    each such group once.
     """
     if not isinstance(spec, dict):
         raise CorpusError("a corpus must be a JSON object")
@@ -137,31 +139,23 @@ def generate_corpus(spec: dict):
                 f"budget {budget} exceeded at ring {ring_str} (running total {total})"
             )
         ring_infos.append((ring_str, ring, scope))
-    dup_notes = {}
     for ring_str, ring, scope in ring_infos:
-        built = []
         for tau_str in taus:
-            tau = build_tau_from_text(tau_str, ring)
-            built.append((tau_str, tau))
-            entries.append(CorpusEntry(ring_str, tau_str, scope, ring, tau))
-        if ring.is_finite:
-            groups = _extensional_groups(built)
-            if groups:
-                dup_notes[ring_str] = groups
+            entries.append(CorpusEntry(ring_str, tau_str, scope, ring, build_tau_from_text(tau_str, ring)))
     meta = {
         "rings": len(ring_infos),
         "taus": len(taus),
         "entries": len(entries),
         "elements": total,
         "cap": cap,
-        "extensionally_equal_taus": dup_notes,
     }
     return entries, meta
 
 
-def _extensional_groups(built) -> list:
-    """Groups of relation specs with one pair table on R#."""
+def _extensional_groups(tables) -> list:
+    """Groups of relation specs with one pair table on R#, from (spec,
+    table) pairs."""
     by_table: dict = {}
-    for tau_str, tau in built:
-        by_table.setdefault(pair_table(tau), []).append(tau_str)
+    for tau_str, table in tables:
+        by_table.setdefault(table, []).append(tau_str)
     return sorted(g for g in by_table.values() if len(g) > 1)

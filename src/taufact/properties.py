@@ -25,6 +25,7 @@ from typing import Callable, Optional
 from .factor import (
     FactorizationSet,
     PreconditionError,
+    _associate_stable,
     _nontrivial_candidates,
     canonicalize,
     enumerate_factorizations,
@@ -206,6 +207,11 @@ class Evaluator:
     cap, so every reader of one relation on one ring, scope and cap (the
     corpus entries whose plain or restricted side has its context key, the
     baseline rows, the property vector) shares one evaluator.
+
+    Associates share their work: under an associate-stable relation the
+    per-element memos are keyed by the representative of the element's
+    associate orbit (``orbit``), whose results every member's readers take
+    (README, "Design notes").
     """
 
     def __init__(self, ring: Ring, tau: TauRelation, cap: int = DEFAULT_PROPERTY_CAP, scope=None):
@@ -222,6 +228,65 @@ class Evaluator:
         self._verdicts: dict = {}
         self._domains: dict = {}
         self._refinable: Optional[bool] = None
+        self._domain_orbits: dict = {}
+        self._reps = self._orbit_map()
+
+    # -- associate orbits
+
+    def orbit(self, a):
+        """The representative of a's associate orbit: the orbit's first
+        domain member in ``sort_key`` order, else on a finite ring its first
+        non-unit; a itself when the relation is not associate-stable or a is
+        in no mapped orbit (a unit, or on an infinite ring a non-member).
+        The memos read ``self._reps.get(a, a)`` inline, as it is hot."""
+        return self._reps.get(a, a)
+
+    def orbits(self, elements) -> list:
+        """The orbits met in ``elements``, as lists of their members there,
+        in order of first member.  Over the sorted domain, or a part of it
+        cut by an orbit-invariant test, the first member is the
+        representative, so what a loop over orbits names first is the
+        element a loop over elements would name first."""
+        groups: dict = {}
+        for a in elements:
+            groups.setdefault(self.orbit(a), []).append(a)
+        return list(groups.values())
+
+    def domain_orbits(self, regular: bool = False) -> list:
+        """``orbits`` of ``domain(regular)``, grouped once."""
+        got = self._domain_orbits.get(regular)
+        if got is None:
+            got = self._domain_orbits[regular] = self.orbits(self.domain(regular)[0])
+        return got
+
+    def _orbit_map(self) -> dict:
+        """Each domain element (and on a finite ring each non-unit) mapped
+        to its orbit's representative; empty unless the relation is
+        associate-stable (``_shares_orbits``)."""
+        if not self._shares_orbits():
+            return {}
+        ring = self.ring
+        try:
+            members = list(self.domain()[0])
+        except (UnsupportedOperationError, PreconditionError):
+            members = []  # no domain: the readers raise, or read no orbit
+        if ring.is_finite:
+            members += ring.nonunits()
+        first: dict = {}
+        return {a: first.setdefault(ring.associate_key(a, AssociateKind.ASSOCIATE), a) for a in members}
+
+    def _shares_orbits(self) -> bool:
+        """Whether the relation is associate-stable: by its spec
+        (``factor._associate_stable``), or on a finite ring because units
+        leave its pair table unchanged."""
+        if _associate_stable(self.tau.spec):
+            return True
+        ring = self.ring
+        if not ring.is_finite:
+            return False
+        holds, mul = self.tau.holds, ring.mul
+        sharp = ring.nonzero_nonunits()
+        return all(holds(mul(u, a), b) == holds(a, b) for u in ring.units() for a in sharp for b in sharp)
 
     def domain(self, regular: bool = False):
         """``_resolve_domain`` over the evaluator's scope, resolved once, and
@@ -257,36 +322,45 @@ class Evaluator:
         if self._refinable is None:
             ring = self.ring
             targets = ring.nonunits() if ring.is_finite else self.domain()[0]
-            self._refinable = check_tau_property(self.tau, targets, self.fs)
+            # associates have the same factor tuples, so one per orbit
+            reps = dict.fromkeys(map(self.orbit, targets))
+            self._refinable = check_tau_property(self.tau, reps, self.fs)
         return self._refinable
 
     def fs(self, a) -> FactorizationSet:
-        """The strong-associate enumeration of a, run once; one that cannot
-        run raises its error again, with the same message, on every call."""
-        got = self._fs.get(a)
+        """The strong-associate enumeration of a's orbit representative, run
+        once; one that cannot run raises its error again, with the same
+        message, on every call.  A member that is not the representative
+        raises its own error, run on itself, so that the message names it."""
+        rep = self._reps.get(a, a)
+        got = self._fs.get(rep)
         if got is None:
-            # Infinite rings: the per-element default cap; divisor norms grow,
-            # so the search bottoms out below it and verdicts stay exhaustive.
-            cap = self.cap if self.ring.is_finite else None
             try:
-                got = enumerate_factorizations(
-                    self.ring, self.tau, a, AssociateKind.STRONG, cap=cap
-                )
+                got = self._enumerate(rep)
             except UnsupportedOperationError as exc:
                 got = exc
-            self._fs[a] = got
+            self._fs[rep] = got
         if isinstance(got, UnsupportedOperationError):
+            if rep != a:
+                self._enumerate(a)
             raise type(got)(*got.args)
         return got
+
+    def _enumerate(self, a) -> FactorizationSet:
+        # Infinite rings: the per-element default cap; divisor norms grow,
+        # so the search bottoms out below it and verdicts stay exhaustive.
+        cap = self.cap if self.ring.is_finite else None
+        return enumerate_factorizations(self.ring, self.tau, a, AssociateKind.STRONG, cap=cap)
 
     def exhaustive(self, a) -> bool:
         return self.fs(a).exhaustive
 
     def profile(self, a):
-        got = self._profiles.get(a)
+        rep = self._reps.get(a, a)
+        got = self._profiles.get(rep)
         if got is None:
-            got = classify(self.ring, self.tau, a, cap=self.cap, fs=self.fs(a))
-            self._profiles[a] = got
+            fs = self.fs(a)  # a member's own error names it
+            got = self._profiles[rep] = classify(self.ring, self.tau, rep, cap=self.cap, fs=fs)
         return got
 
     def atom_flag(self, a, alpha: IrreducibleKind) -> Flag:
@@ -304,19 +378,19 @@ class Evaluator:
         return out
 
     def u_pool(self, a) -> tuple:
-        got = self._upools.get(a)
+        rep = self._reps.get(a, a)
+        got = self._upools.get(rep)
         if got is None:
             pool = []
             for f in self.fs(a).items:
                 pool.extend(u_partitions(self.ring, f))
-            got = tuple(pool)
-            self._upools[a] = got
+            got = self._upools[rep] = tuple(pool)
         return got
 
     def alpha_items(self, view: "FactorView", a, alpha: IrreducibleKind) -> tuple:
         """The pieces of a whose atoms are certainly alpha-irreducible, and
         whether some other piece might be."""
-        key = (view.name, a, alpha)
+        key = (view.name, self._reps.get(a, a), alpha)
         got = self._alpha_items.get(key)
         if got is None:
             certain = []
@@ -333,8 +407,9 @@ class Evaluator:
 
     def atom_set(self, view: "FactorView", a, nontrivial: bool) -> frozenset:
         """The factors that ``view`` requires irreducible, over the pieces of
-        a (only its nontrivial pieces with ``nontrivial``), collected once."""
-        key = (view.name, a, nontrivial)
+        a's orbit representative (only its nontrivial pieces with
+        ``nontrivial``), collected once per orbit."""
+        key = (view.name, self._reps.get(a, a), nontrivial)
         got = self._atom_sets.get(key)
         if got is None:
             got = set()
@@ -370,7 +445,7 @@ class Evaluator:
         nontrivial factorization of the current one, so successors live among
         the nontrivial factor candidates; the poset height bounds every chain.
         """
-        key = (a, regular_only)
+        key = (self._reps.get(a, a), regular_only)
         got = self._chain.get(key)
         if got is not None:
             return got
@@ -501,8 +576,16 @@ def _wffr_element(ev: Evaluator, view: FactorView, a, beta) -> _ElementOutcome:
 
 
 def _idf_element(ev: Evaluator, view: FactorView, a, alpha, beta) -> _ElementOutcome:
-    atoms = [x for x in ev.atom_set(view, a, nontrivial=False) if ev.atom_flag(x, alpha) == Flag.TRUE]
-    return _ElementOutcome("holds", bound=_beta_class_count(ev.ring, atoms, beta))
+    ring = ev.ring
+    atoms = ev.atom_set(view, a, nontrivial=False)
+    if beta == AssociateKind.VERY_STRONG:
+        # The trivial piece's one atom is u^-1 * a for the first unit u, an
+        # associate of the representative's; a very-strong key can tell
+        # the two apart, so take a's own.
+        trivial = ring.mul(ring.unit_inverse(ring.units()[0]), a)
+        atoms = ev.atom_set(view, a, nontrivial=True) | {trivial}
+    atoms = [x for x in atoms if ev.atom_flag(x, alpha) == Flag.TRUE]
+    return _ElementOutcome("holds", bound=_beta_class_count(ring, atoms, beta))
 
 
 def _hfr_element(ev: Evaluator, view: FactorView, a, alpha) -> _ElementOutcome:
@@ -560,42 +643,49 @@ def _resolve_domain(ring: Ring, scope_elements):
     return domain, not ring.is_finite or set(domain) != set(ring.nonunits())
 
 
+def _element_outcome(ev: Evaluator, prop: PropertyId, a) -> _ElementOutcome:
+    """The outcome of ``prop`` on one element of ``ev``'s scope."""
+    k = prop.kind
+    view = SPLIT_VIEW if prop.scope == PropScope.REGCAP_U else PLAIN_VIEW
+    if k == PropKind.ATOMIC:
+        return _atomic_element(ev, view, a, prop.alpha)
+    if k == PropKind.ACCP:
+        return _accp_element(ev, a, prop.scope == PropScope.REGULAR)
+    if k == PropKind.BFR:
+        return _bfr_element(ev, view, a)
+    if k == PropKind.FFR:
+        return _ffr_element(ev, view, a, prop.beta)
+    if k == PropKind.WFFR:
+        return _wffr_element(ev, view, a, prop.beta)
+    if k == PropKind.IDF:
+        return _idf_element(ev, view, a, prop.alpha, prop.beta)
+    if k == PropKind.HFR:
+        return _hfr_element(ev, view, a, prop.alpha)
+    if k == PropKind.UFR:
+        return _ufr_element(ev, view, a, prop.alpha, prop.beta)
+    raise ValueError(f"unknown property kind {k!r}")
+
+
 def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
     """Decide one ring-level property over ``ev``'s scope at its cap;
     exhaustive on finite rings, scoped (and flagged as such) on infinite
     ones.  ``ev`` is on the relation the property's scope reads.
+
+    An element outcome (status and bound) is decided once per orbit
+    (``Evaluator.orbit``) and read by every member, but for a very-strong
+    beta: a very-strong key splits an orbit, and IDF counts the element's
+    own trivial factor.  The first failing element is its orbit's first
+    member, so the witness is its own; the note of the last skipped element
+    names it, run on itself.
 
     The verdict records the largest cap of the domain enumerations it read
     (``Evaluator.fs`` picks its own on an infinite ring), or ``ev.cap`` when
     it read none (ACCP, or an empty scope).
     """
     ring = ev.ring
-    domain, scoped = ev.domain(prop.scope == PropScope.REGULAR)
-    view = SPLIT_VIEW if prop.scope == PropScope.REGCAP_U else PLAIN_VIEW
+    regular = prop.scope == PropScope.REGULAR
+    domain, scoped = ev.domain(regular)
     read = []  # the caps of the domain enumerations the verdict reads
-    # an element outcome that returns has run ``ev.fs``, so its memo holds
-    # the enumeration; ACCP reads divisor chains only
-    memo = ev._fs if prop.kind != PropKind.ACCP else None
-
-    def element_outcome(a) -> _ElementOutcome:
-        k = prop.kind
-        if k == PropKind.ATOMIC:
-            return _atomic_element(ev, view, a, prop.alpha)
-        if k == PropKind.ACCP:
-            return _accp_element(ev, a, prop.scope == PropScope.REGULAR)
-        if k == PropKind.BFR:
-            return _bfr_element(ev, view, a)
-        if k == PropKind.FFR:
-            return _ffr_element(ev, view, a, prop.beta)
-        if k == PropKind.WFFR:
-            return _wffr_element(ev, view, a, prop.beta)
-        if k == PropKind.IDF:
-            return _idf_element(ev, view, a, prop.alpha, prop.beta)
-        if k == PropKind.HFR:
-            return _hfr_element(ev, view, a, prop.alpha)
-        if k == PropKind.UFR:
-            return _ufr_element(ev, view, a, prop.alpha, prop.beta)
-        raise ValueError(f"unknown property kind {k!r}")
 
     # HFR and UFR also require atomicity of the whole scope, read from the
     # evaluator's ATOMIC verdict, which reads every element they read
@@ -607,17 +697,20 @@ def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
         atomic_unknown = atomic.outcome == "unknown"
         read.append(atomic.cap)
     bound = 0
-    unknown_note = ""
     skipped = 0
-    for a in domain:
+    undecided = []  # (last member, outcome or error) of each undecided orbit
+    shared = prop.beta != AssociateKind.VERY_STRONG
+    for orbit in ev.domain_orbits(regular) if shared else [[a] for a in domain]:
+        a = orbit[0]
         try:
-            out = element_outcome(a)
+            out = _element_outcome(ev, prop, a)
         except UnsupportedOperationError as exc:
-            skipped += 1
-            unknown_note = f"element {ring.format_element(a)} skipped: {exc}"
+            skipped += len(orbit)
+            undecided.append((orbit[-1], exc))
             continue
-        if memo is not None:
-            read.append(memo[a].cap)
+        if prop.kind != PropKind.ACCP:
+            # the outcome has run ``ev.fs``; ACCP reads divisor chains only
+            read.append(ev._fs[ev._reps.get(a, a)].cap)
         if out.status == "fails":
             return PropertyVerdict(
                 prop, "fails",
@@ -625,12 +718,24 @@ def check_property(ev: Evaluator, prop: PropertyId) -> PropertyVerdict:
                 cap=max(read, default=ev.cap), scoped=scoped,
             )
         if out.status == "unknown":
-            unknown_note = out.note or unknown_note
-            skipped += 1
+            skipped += len(orbit)
+            undecided.append((orbit[-1], out))
         elif out.bound is not None:
             bound = max(bound, out.bound)
     if skipped or atomic_unknown:
-        note = unknown_note or "atomicity unknown at cap"
+        note = "atomicity unknown at cap"
+        if undecided:
+            # the last undecided element in domain order names the note
+            a, out = max(undecided, key=lambda u: ring.sort_key(u[0]))
+            if isinstance(out, UnsupportedOperationError):
+                if ev.orbit(a) != a:
+                    try:
+                        _element_outcome(ev, prop, a)
+                    except UnsupportedOperationError as own:
+                        out = own
+                note = f"element {ring.format_element(a)} skipped: {out}"
+            else:
+                note = out.note
         if skipped:
             note += f" ({skipped} elements undecided)"
         return PropertyVerdict(prop, "unknown", cap=max(read, default=ev.cap), scoped=scoped, note=note)
@@ -692,7 +797,7 @@ def elasticity(ev: Evaluator) -> Elasticity:
         if not lengths:
             continue  # no atomic factorization: no ratio contribution
         per[a] = Fraction(max(lengths), min(lengths))
-    cap = max(ev._fs[a].cap for a in domain)  # every element ran ``ev.fs``
+    cap = max(ev.fs(a).cap for a in domain)  # every element ran ``ev.fs``
     if not per:
         return Elasticity("undefined-empty-scope", per, cap, scoped, note or "no atomic factorizations in scope")
     return Elasticity(max(per.values()), per, cap, scoped, note)

@@ -155,6 +155,11 @@ class EntryChecker:
     reads its relation's evaluator (``plain``), its restriction's to regular
     pairs (``restricted``), and for the baseline rows the ``regular`` and
     ``full`` ones.
+
+    The per-element families check one member per associate orbit of the
+    evaluator they read (``Evaluator.domain_orbits``; the plain one where
+    they read both, as the restriction shares every orbit the plain
+    relation does) and count each orbit by its size in the domain.
     """
 
     def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict):
@@ -282,11 +287,12 @@ class EntryChecker:
     def family_hierarchy(self):
         theorem = "irreducible-hierarchy"
         checked = skipped = 0
-        for a in self.domain:
+        for orbit in self.plain.domain_orbits():
+            a = orbit[0]
             try:
                 profile = self.plain.profile(a)
             except UnsupportedOperationError:
-                skipped += 1
+                skipped += len(orbit)
                 continue
             bad = hierarchy_violations(profile)
             if bad:
@@ -301,7 +307,7 @@ class EntryChecker:
                     },
                 )
                 return
-            checked += 1
+            checked += len(orbit)
         note = f"{checked} elements"
         if skipped:
             note += f", {skipped} skipped (enumeration unsupported)"
@@ -312,7 +318,7 @@ class EntryChecker:
         ring = self.ring
         units = ring.units()
         inv = {u: ring.unit_inverse(u) for u in units}
-        for a in self.domain:
+        for a, *_ in self.plain.domain_orbits():
             factors = {ring.mul(inv[u], a) for u in units}
             base = next(iter(factors))
             for x in factors:
@@ -332,7 +338,7 @@ class EntryChecker:
         if not dom:
             self.emit(theorem, "conditions", VERIFIED, note="vacuous: no regular non-units")
             return
-        for a in dom:
+        for a, *_ in self.plain.domain_orbits(regular=True):
             try:
                 res = tau_r_atom(self.ring, self.plain.tau, a, fs=self.plain.fs(a))
             except UnsupportedOperationError:
@@ -354,7 +360,7 @@ class EntryChecker:
         if not dom:
             self.emit(theorem, "conditions", VERIFIED, note="vacuous: no regular non-units")
             return
-        for a in dom:
+        for a, *_ in self.plain.domain_orbits(regular=True):
             try:
                 res = tau_r_atom(self.ring, self.plain.tau, a, fs=self.plain.fs(a))
             except UnsupportedOperationError:
@@ -392,8 +398,13 @@ class EntryChecker:
         if not dom:
             self.emit(theorem, "flags", VERIFIED, note="vacuous: no zero divisors in scope")
             return
-        for a in dom:
-            profile = self.restricted.profile(a)
+        for a, *_ in self.restricted.orbits(dom):
+            try:
+                profile = self.restricted.profile(a)
+            except UnsupportedOperationError as exc:
+                # a restriction to regular pairs enumerates every target
+                self.emit(theorem, "flags", VIOLATED, witness={"element": self._ej(a)}, note=str(exc))
+                return
             for kind in ALPHA_KINDS_NO_VERY:
                 if profile[kind] != Flag.TRUE:
                     self.emit(
@@ -425,7 +436,7 @@ class EntryChecker:
         (README, "Design notes"), so nothing here can show infinitely many."""
         ev = self.plain
         irr = IrreducibleKind.IRREDUCIBLE
-        for a in self.regular_domain:
+        for a, *_ in ev.domain_orbits(regular=True):
             try:
                 _, maybe = ev.alpha_items(PLAIN_VIEW, a, irr)
             except UnsupportedOperationError:
@@ -437,7 +448,7 @@ class EntryChecker:
     def _every_regular(self, test) -> Optional[bool]:
         """True when ``test`` holds on every regular non-unit; None at the
         first element where it fails or cannot be decided."""
-        for a in self.regular_domain:
+        for a, *_ in self.plain.domain_orbits(regular=True):
             try:
                 if not test(a):
                     return None
@@ -589,12 +600,22 @@ class EntryChecker:
     def family_essential_divisors(self):
         theorem = "essential-divisor-lemma"
         ring = self.ring
+        ev = self.restricted
         checked = 0
-        for a in self.domain:
-            if not self.restricted.exhaustive(a):
+        # a restriction to regular pairs enumerates every target, and its
+        # factorizations meet ``phi_inverse``'s precondition, so an error
+        # from either is the fault the rows report
+        for orbit in ev.domain_orbits():
+            a = orbit[0]
+            try:
+                exhaustive = ev.exhaustive(a)
+            except UnsupportedOperationError as exc:
+                self.emit(theorem, "empty-inessential", VIOLATED, witness={"element": self._ej(a)}, note=str(exc))
+                return
+            if not exhaustive:
                 self.emit(theorem, "empty-inessential", SKIPPED, note=f"element {ring.format_element(a)} incomplete")
                 return
-            for uf in self.restricted.u_pool(a):
+            for uf in ev.u_pool(a):
                 if uf.inessential:
                     self.emit(
                         theorem,
@@ -603,20 +624,24 @@ class EntryChecker:
                         witness=uf.to_json(),
                     )
                     return
-                back = phi_inverse(ring, self.restricted.tau, phi(uf))
+                try:
+                    back = phi_inverse(ring, ev.tau, phi(uf))
+                except (PreconditionError, UDomainError) as exc:
+                    self.emit(theorem, "round-trip", VIOLATED, witness=uf.to_json(), note=str(exc))
+                    return
                 if back != uf:
                     self.emit(theorem, "round-trip", VIOLATED, witness=uf.to_json())
                     return
-            for f in self.restricted.fs(a).items:
+            for f in ev.fs(a).items:
                 try:
-                    uf = phi_inverse(ring, self.restricted.tau, f)
-                except UDomainError as exc:
+                    uf = phi_inverse(ring, ev.tau, f)
+                except (PreconditionError, UDomainError) as exc:
                     self.emit(theorem, "round-trip", VIOLATED, witness=f.to_json(), note=str(exc))
                     return
                 if phi(uf).factors != f.factors or phi(uf).unit != f.unit:
                     self.emit(theorem, "round-trip", VIOLATED, witness=f.to_json())
                     return
-                checked += 1
+                checked += len(orbit)
         self.emit(theorem, "empty-inessential", VERIFIED, note=f"{checked} factorizations")
         self.emit(theorem, "round-trip", VERIFIED, note=f"{checked} factorizations")
 
@@ -626,7 +651,7 @@ class EntryChecker:
         if not dom:
             self.emit(theorem, "classes", VERIFIED, note="vacuous: no regular non-units")
             return
-        for a in dom:
+        for a, *_ in self.plain.domain_orbits(regular=True):
             try:
                 plain_fs = self.plain.fs(a)
             except UnsupportedOperationError:

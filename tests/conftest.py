@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,28 @@ from taufact import (
     ProductSpec,
     build_ring,
 )
+from taufact.cli import main
 from taufact.properties import DEFAULT_PROPERTY_CAP, Evaluator
+
+
+@pytest.fixture(scope="session")
+def default_reports(tmp_path_factory):
+    """Two full verification runs of the default corpus, at ``--jobs 1`` and
+    ``--jobs 2``, each writing the report and the atlas: the report parsed,
+    then the bytes of each report file and of each atlas file, and the time
+    both runs took (criterion 10 and the atlas digest read both runs; the
+    others, and the corpus metadata test, read the parsed report)."""
+    out = tmp_path_factory.mktemp("default")
+    reports, atlases = [], []
+    t0 = time.time()
+    for jobs in ("1", "2"):
+        report, atlas = out / f"report-{jobs}.json", out / f"atlas-{jobs}.json"
+        argv = ["verify", "--corpus", "default", "--jobs", jobs, "--pretty", "--out", str(report), "--atlas-out", str(atlas)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        reports.append(report.read_bytes())
+        atlases.append(atlas.read_bytes())
+    return json.loads(reports[0]), reports, atlases, time.time() - t0
 
 
 @pytest.fixture(scope="session")

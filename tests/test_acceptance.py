@@ -5,9 +5,7 @@ corpus scopes only.  Stated time budgets are printed with each line and
 asserted with slack for slower machines.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import time
 from fractions import Fraction
@@ -38,7 +36,7 @@ from taufact import (
     tau_r_atom,
 )
 from taufact import factor
-from taufact.cli import main, run_verification
+from taufact.cli import run_verification
 from taufact.corpus import default_corpus_spec, generate_corpus
 from taufact.parsing import build_ring_from_text
 from taufact.properties import Evaluator
@@ -61,26 +59,6 @@ def _line(capsys, name, ok, elapsed, budget=None, detail=""):
 @pytest.fixture(scope="session")
 def corpus_entries():
     return generate_corpus(default_corpus_spec())
-
-
-@pytest.fixture(scope="session")
-def default_reports(tmp_path_factory):
-    """Two full verification runs of the default corpus, at ``--jobs 1`` and
-    ``--jobs 2``, each writing the report and the atlas: the report parsed,
-    then the bytes of each report file and of each atlas file, and the time
-    both runs took (criterion 10 and the atlas digest read both runs; the
-    others read the parsed report)."""
-    out = tmp_path_factory.mktemp("default")
-    reports, atlases = [], []
-    t0 = time.time()
-    for jobs in ("1", "2"):
-        report, atlas = out / f"report-{jobs}.json", out / f"atlas-{jobs}.json"
-        argv = ["verify", "--corpus", "default", "--jobs", jobs, "--pretty", "--out", str(report), "--atlas-out", str(atlas)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
-        reports.append(report.read_bytes())
-        atlases.append(atlas.read_bytes())
-    return json.loads(reports[0]), reports, atlases, time.time() - t0
 
 
 def test_criterion_01_oracle_equivalence(corpus_entries, capsys):

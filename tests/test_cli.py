@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -801,17 +802,20 @@ def test_every_emit_site_writes_stdlib_indent2_bytes(tmp_path, capsys):
     same_as_stdlib(atlas.read_text())
 
 
-def test_default_corpus_metadata():
+def test_default_corpus_metadata(default_reports):
     entries, meta = generate_corpus(default_corpus_spec())
     # 23 modular rings + 25 products + 2 quotients + Z + ZxZ + the one field
     # square not already in the product grid (7x7)
     assert meta["rings"] == 53
     assert meta["taus"] == 7
     assert meta["entries"] == 53 * 7
+    # the run adds the groups, read off the pair tables its workers key by;
     # on finite rings the regular-pair relations collapse to the empty one
+    report_meta = default_reports[0]["corpus"]
+    assert list(report_meta) == [*meta, "extensionally_equal_taus"]
     assert any(
         set(g) >= {"empty", "regular"}
-        for groups in meta["extensionally_equal_taus"].values()
+        for groups in report_meta["extensionally_equal_taus"].values()
         for g in groups
     )
 
@@ -952,6 +956,125 @@ def test_catalog_sees_a_wrong_context_spec(corpus, monkeypatch):
 
     monkeypatch.setattr(theorems, "context_spec", wrong)
     assert _shared_atlas(corpus) != direct
+
+
+def _regcap_comax_keyed_as_comax(monkeypatch):
+    """Patch ``context_spec`` to give ``regcap(comax)`` the key of ``comax``."""
+    real = theorems.context_spec
+
+    def wrong(tau):
+        if normal_spec(tau.spec) == RegCapTau(ComaximalTau()):
+            return real(build_tau(ComaximalTau(), tau.ring))
+        return real(tau)
+
+    monkeypatch.setattr(theorems, "context_spec", wrong)
+
+
+@pytest.mark.parametrize(
+    "corpus,named",
+    [
+        (
+            {"schema": 1, "rings": ["Zn(6)"], "taus": ["comax", "regcap(comax)"], "cap": 5},
+            {(tau, "essential-divisor-lemma", "round-trip", "inverse map") for tau in ("comax", "regcap(comax)")},
+        ),
+        (
+            {**_scoped_catalog_corpus(), "rings": ["prod(Z,Z)"], "taus": ["comax"]},
+            {
+                ("comax", "zero-divisor-atoms", "flags", "infinite"),
+                ("comax", "essential-divisor-lemma", "empty-inessential", "infinite"),
+            },
+        ),
+    ],
+    ids=["finite", "scoped"],
+)
+def test_rows_name_a_wrong_restriction(corpus, named, monkeypatch):
+    """With ``regcap(comax)`` keyed as ``comax``, the restricted reads that
+    a true restriction never fails (``phi_inverse``'s precondition on
+    ``Zn(6)``, an axis element's enumeration on ``prod(Z,Z)``) raise; the
+    run completes, and the rows that read them are violated, with the error
+    in the note."""
+    assert cli.run_verification(corpus)["summary"]["violated"] == 0
+    _regcap_comax_keyed_as_comax(monkeypatch)
+    rows = cli.run_verification(corpus)["entries"]
+    for tau, theorem, instance, words in named:
+        (row,) = [r for r in rows if (r["tau"], r["theorem"], r["instance"]) == (tau, theorem, instance)]
+        assert row["outcome"] == "violated" and words in row["note"], row
+
+
+def _orbit_free(monkeypatch):
+    """Give every evaluator built from here on no orbit map."""
+    monkeypatch.setattr(Evaluator, "_orbit_map", lambda self: {})
+
+
+def _orbit_corpora():
+    """The small finite rings, and ``Z`` and ``prod(Z,Z)`` over scopes that
+    hold whole associate orbits, axis elements included."""
+    rings = [ring.spec_string() for ring in small_finite_rings()]
+    yield {"schema": 1, "rings": rings, "taus": list(DEFAULT_TAUS), "cap": 4}
+    zz = [[a, b] for a in range(-6, 7) for b in (-4, -3, -2, 2, 3, 4) if a]
+    zz += [[a, 0] for a in (-3, -2, 2, 3)] + [[0, b] for b in (-2, 2)]
+    yield {
+        "schema": 1,
+        "rings": ["Z", "prod(Z,Z)"],
+        "taus": list(DEFAULT_TAUS),
+        "scopes": {"Z": [a for a in range(-40, 41) if abs(a) > 1], "prod(Z,Z)": zz},
+        "cap": 6,
+    }
+
+
+@pytest.mark.parametrize("corpus", list(_orbit_corpora()), ids=["finite", "scoped"])
+def test_orbit_sharing_keeps_rows_and_atlas(corpus, monkeypatch):
+    """Rows and atlas entries (element flags and notes, verdicts, counts in
+    notes) are the same with orbit sharing as with every element doing its
+    own work."""
+    shared = cli.run_verification(corpus, atlas=True)
+    _orbit_free(monkeypatch)
+    assert cli.run_verification(corpus, atlas=True) == shared
+
+
+def _enumerations(corpus, monkeypatch):
+    """The (relation, target) of each strong-associate enumeration an
+    evaluator runs in a verify run of ``corpus``."""
+    from taufact import properties
+
+    calls = []
+    engine = properties.enumerate_factorizations
+
+    def counted(ring, tau, target, beta, cap=None):
+        if beta == AssociateKind.STRONG:
+            calls.append((tau.spec_string(), target))
+        return engine(ring, tau, target, beta, cap=cap)
+
+    with monkeypatch.context() as m:
+        m.setattr(properties, "enumerate_factorizations", counted)
+        cli.run_verification(corpus)
+    return calls
+
+
+def test_each_orbit_is_enumerated_once(monkeypatch):
+    """On a finite ring every orbit an evaluator reads is enumerated once,
+    on its representative, where per-element work enumerates each member;
+    over scopes with no two associates the counts are the same."""
+    ring = build_ring_from_text("prod(Zn(3),Zn(4))")
+    corpus = {"schema": 1, "rings": [ring.spec_string()], "taus": list(DEFAULT_TAUS), "cap": 4}
+    orbit = lambda call: (call[0], ring.associate_key(call[1], AssociateKind.ASSOCIATE))
+    shared = _enumerations(corpus, monkeypatch)
+    with monkeypatch.context() as m:
+        _orbit_free(m)
+        fresh = _enumerations(corpus, monkeypatch)
+    assert len(shared) == len(set(map(orbit, shared))) == len(set(map(orbit, fresh))) < len(fresh)
+    assert set(map(orbit, shared)) == set(map(orbit, fresh))
+    positive = {
+        "schema": 1,
+        "rings": ["Z", "prod(Z,Z)"],
+        "taus": list(DEFAULT_TAUS),
+        "scopes": {"Z": list(range(2, 41)), "prod(Z,Z)": [[a, b] for a in range(1, 7) for b in range(1, 7) if a * b > 1]},
+        "cap": 6,
+    }
+    shared = _enumerations(positive, monkeypatch)
+    with monkeypatch.context() as m:
+        _orbit_free(m)
+        assert Counter(_enumerations(positive, monkeypatch)) == Counter(shared)
 
 
 def test_catalog_flags_are_the_evaluators(tmp_path, capsys):

@@ -467,6 +467,45 @@ def test_default_cap_counts_the_oracle_classes():
         assert default_cap(zz, build_tau(FullTau(), zz), a) == 8
 
 
+def _prime_factor_count(n: int) -> int:
+    """The number of prime factors of |n| with multiplicity, by trial division."""
+    n, count, p = abs(n), 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count + (n > 1)
+
+
+def _integer_length_mismatches():
+    """The integers whose enumeration under ``full`` at the default cap is
+    not exhaustive or whose longest factorization is not their number of
+    prime factors: a factorization into non-units has at most that many
+    factors, the product of the primes has that many, and the cap exceeds
+    the number of divisor classes, which a chain p1 | p1*p2 | ... bounds
+    below by that number, so no search reaches the cap."""
+    zint = build_ring(IntegersSpec())
+    tau = build_tau(FullTau(), zint)
+    for a in [a for a in range(-64, 65) if abs(a) > 1] + [128, -256, 512, 3**7, 2**4 * 3**4]:
+        fs = enumerate_factorizations(zint, tau, a, S)
+        if not fs.exhaustive or fs.max_length != _prime_factor_count(a):
+            yield a
+
+
+def test_integer_enumerations_stop_below_the_default_cap():
+    assert list(_integer_length_mismatches()) == []
+
+
+def test_integer_lengths_see_a_cap_off_by_one(monkeypatch):
+    """A default cap one lower stops the search of 2^7 at its cap, so its
+    enumeration is no longer exhaustive.  Verify reports no row violated
+    for it: the verdicts that read such an element turn unknown, and their
+    rows skipped."""
+    engine = default_cap
+    monkeypatch.setattr(factor, "default_cap", lambda ring, tau, a: engine(ring, tau, a) - 1)
+    assert 128 in list(_integer_length_mismatches())
+
+
 def _old_candidates(ring, tau, a, reduce_assoc):
     """``_nontrivial_candidates`` as built from the whole divisor set:
     the sorted divisors in R#, then the regular filter, then the first

@@ -373,3 +373,119 @@ def test_a_failed_enumeration_is_raised_again_without_rerunning(monkeypatch):
     assert len(calls) == 1
     assert len({str(e) for e in errors}) == 1 and "infinite" in str(errors[0])
     assert len({id(e) for e in errors}) == 3
+
+
+# ---------------------------------------------------------------------------
+# Associate orbits
+
+
+class _PerElement(Evaluator):
+    """An evaluator with no orbit map: every element does its own work."""
+
+    def _orbit_map(self):
+        return {}
+
+
+def _attempt(read):
+    """``read()``, or the message of the error it raised."""
+    try:
+        return read()
+    except UnsupportedOperationError as exc:
+        return ("raises", str(exc))
+
+
+def _orbit_cases():
+    """Every small finite ring, and ``Z`` and ``prod(Z,Z)`` over scopes that
+    hold whole associate orbits (axis elements included)."""
+    z, zz = build_ring_from_text("Z"), build_ring_from_text("prod(Z,Z)")
+    cases = [(ring, None, 4) for ring in small_finite_rings()]
+    cases.append((z, [a for a in range(-24, 25) if abs(a) > 1], 6))
+    zz_scope = [(a, b) for a in (-2, 2, 3, 4, -4, 6) for b in (2, -2, -3, 5)]
+    cases.append((zz, zz_scope + [(2, 0), (-2, 0), (0, 3), (0, -3)], 6))
+    return cases
+
+
+def _orbit_mismatches(cases, taus=DEFAULT_TAUS, shared_class=Evaluator):
+    """What an evaluator with orbit sharing reads differently from one with
+    no orbit map, under each relation and its restriction: a profile (of
+    every domain element, and on a finite ring of every non-unit), an
+    element outcome's status and bound (every cell, every element of its
+    domain), a verdict, or refinability."""
+    cells = list(_all_cells())
+    for ring, scope, cap in cases:
+        for text in taus:
+            tau = build_tau_from_text(text, ring)
+            for side in (tau, tau.regcap()):
+                shared, fresh = shared_class(ring, side, cap, scope), _PerElement(ring, side, cap, scope)
+                where = (ring.spec_string(), side.spec_string())
+                domain = shared.domain()[0]
+                for a in dict.fromkeys(domain + (ring.nonunits() if ring.is_finite else [])):
+                    if _attempt(lambda: shared.profile(a).flags) != _attempt(lambda: fresh.profile(a).flags):
+                        yield *where, "profile", a
+                for prop in cells:
+                    for a in shared.domain(prop.scope == PropScope.REGULAR)[0]:
+                        outcomes = [
+                            _attempt(lambda: (lambda o: (o.status, o.bound))(properties._element_outcome(ev, prop, a)))
+                            for ev in (shared, fresh)
+                        ]
+                        if outcomes[0] != outcomes[1]:
+                            yield *where, prop.label(), a
+                    if _attempt(lambda: shared.verdict(prop)) != _attempt(lambda: fresh.verdict(prop)):
+                        yield *where, prop.label(), "verdict"
+                if shared.refinable() != fresh.refinable():
+                    yield *where, "refinable"
+
+
+def test_orbit_sharing_matches_per_element_work():
+    """Every profile, element outcome, verdict (witness and notes included)
+    and refinability answer of an evaluator that shares work across
+    associate orbits equals that of one with no orbit map, under the
+    default relations and their restrictions; the scopes hold associates,
+    so sharing happens."""
+    sharing = set()
+    for ring, scope, cap in _orbit_cases():
+        ev = Evaluator(ring, build_tau(FullTau(), ring), cap, scope)
+        domain = ev.domain()[0]
+        if len({ev.orbit(a) for a in domain}) < len(domain):
+            sharing.add(ring.spec_string())
+    assert {"Z", "prod(Z,Z)", "Zn(6)", "prod(Zn(3),Zn(3))", "GFq(3,[0,0,1])"} <= sharing
+    assert list(_orbit_mismatches(_orbit_cases())) == []
+
+
+def test_orbit_comparison_sees_a_representative_trivial_factor(monkeypatch):
+    """IDF counts the element's own trivial factor, the one atom that is no
+    orbit invariant under a very-strong key: reading the representative's
+    makes some outcome differ from per-element work.  On ``Z/6`` under
+    ``full`` the orbit {2, 4} has the factorizations 2*2 and 2*2*2 (and
+    2 = 2*4, so neither is very strongly associate to itself): 4's atoms 4
+    and 2 make two very-strong classes, its representative 2's one."""
+    engine = properties._idf_element
+    monkeypatch.setattr(
+        properties, "_idf_element", lambda ev, view, a, alpha, beta: engine(ev, view, ev.orbit(a), alpha, beta)
+    )
+    cases = [(ring, None, 4) for ring in small_finite_rings()]
+    assert next(_orbit_mismatches(cases, taus=["full"]), None) is not None
+
+
+class _Forced(Evaluator):
+    """An evaluator that shares orbits whatever its relation."""
+
+    def _shares_orbits(self):
+        return True
+
+
+def test_subset_relations_keep_per_element_work():
+    """A ``subset`` relation is not associate-stable by its spec, so it gets
+    no orbit map on ``Z``; on a finite ring it gets one exactly when units
+    leave its pair table unchanged.  Forcing the map on anyway changes
+    nothing: the orbit argument reads the relation only on factors, which
+    associates share (README, "Design notes"), so the gate is conservative."""
+    z = build_ring_from_text("Z")
+    scope = [a for a in range(-24, 25) if abs(a) > 1]
+    ev = Evaluator(z, build_tau_from_text("subset[2,4]", z), 6, scope)
+    assert ev.orbit(-2) == -2 and ev.orbit(-4) == -4
+    z6 = build_ring_from_text("Zn(6)")
+    assert Evaluator(z6, build_tau_from_text("subset[2]", z6), 4).orbit(4) == 4
+    assert Evaluator(z6, build_tau_from_text("subset[2,4]", z6), 4).orbit(4) == 2
+    taus = ["subset[2,4]", "subset[-2,4,8]", "subset[2,3,6]"]
+    assert list(_orbit_mismatches([(z, scope, 6)], taus, shared_class=_Forced)) == []

@@ -285,10 +285,11 @@ def test_reversed_relations_give_each_entry_the_same_rows(corpus):
     reverse order, so that another member builds a class's evaluator,
     every (ring, tau) gets the same rows."""
     ring_str = corpus["rings"][0]
-    groups = [set(g) for g in generate_corpus(corpus)[1]["extensionally_equal_taus"][ring_str]]
+    report = cli.run_verification(corpus)
+    groups = [set(g) for g in report["corpus"]["extensionally_equal_taus"][ring_str]]
     assert any(set(CLASS_SHAPES[ring_str]) <= g for g in groups)
     assert all(any({"full", t} <= g for g in groups) for t in corpus["taus"] if t.startswith("subset"))
-    forwards = cli.run_verification(corpus)["entries"]
+    forwards = report["entries"]
     backwards = cli.run_verification({**corpus, "taus": corpus["taus"][::-1]})["entries"]
     assert _rows_by_entry(backwards) == _rows_by_entry(forwards)
 
@@ -536,16 +537,21 @@ def test_one_way_to_a_verdict():
     """Evaluators are built by the two drivers, and property verdicts,
     refinability, domains and element profiles are each reached through one
     ``Evaluator`` method (``cmd_classify`` answers a query at its own
-    ``--cap``); atomic outcomes are read only by ``check_property``, so HFR
-    and UFR reach them through the ATOMIC verdict."""
-    names = ["Evaluator", "check_property", "check_tau_property", "_resolve_domain", "classify", "_atomic_element"]
+    ``--cap``); atomic outcomes are read only by ``check_property``
+    (through its element dispatch, ``_element_outcome``), so HFR and UFR
+    reach them through the ATOMIC verdict."""
+    names = [
+        "Evaluator", "check_property", "check_tau_property", "_resolve_domain", "classify",
+        "_element_outcome", "_atomic_element",
+    ]
     assert _callers(names) == {
         "Evaluator": {"theorems.context_evaluator", "cli.cmd_properties"},
         "check_property": {"properties.Evaluator.verdict"},
         "check_tau_property": {"properties.Evaluator.refinable"},
         "_resolve_domain": {"properties.Evaluator.domain"},
         "classify": {"properties.Evaluator.profile", "cli.cmd_classify"},
-        "_atomic_element": {"properties.check_property.element_outcome"},
+        "_element_outcome": {"properties.check_property"},
+        "_atomic_element": {"properties._element_outcome"},
     }
     tree = ast.parse(Path(properties.__file__).read_text())
     named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_atomic_element"]
