@@ -484,21 +484,14 @@ def run_verification(corpus_spec: dict, cap=None, jobs: int = 1, atlas: bool = F
     finally:
         _ring_slot.clear()
     per_entry: list = [None] * len(corpus_entries)
-    tables: list = [None] * len(corpus_entries)
-    for unit, (pairs, keys) in zip(units, results):
-        for j, (i, pair) in enumerate(zip(unit, pairs)):
-            per_entry[i] = pair
-            tables[i] = None if keys is None else keys[j]
-    # per finite ring, the relations whose workers' pair tables agree; the
-    # entries run ring by ring, each ring over the corpus's relations
     groups = {}
-    width = meta["taus"]
-    for start in range(0, len(corpus_entries), width or 1):
-        ring_entries = corpus_entries[start : start + width]
-        if tables[start] is not None:
-            ring_groups = _extensional_groups((ce.tau_str, t) for ce, t in zip(ring_entries, tables[start:]))
-            if ring_groups:
-                groups[ring_entries[0].ring_str] = ring_groups
+    for unit, payload, (pairs, keys) in zip(units, payloads, results):
+        for i, pair in zip(unit, pairs):
+            per_entry[i] = pair
+        # a finite ring's unit runs the corpus's relations once per listing
+        # of the ring; the relations whose workers' pair tables agree
+        if keys is not None and (ring_groups := _extensional_groups(zip(payload[1][: meta["taus"]], keys))):
+            groups[payload[0]] = ring_groups
     meta["extensionally_equal_taus"] = groups
     rows = [r for chunk, _ in per_entry for r in chunk]
     report = {

@@ -25,7 +25,6 @@ from typing import Callable, Optional
 from .factor import (
     FactorizationSet,
     PreconditionError,
-    _associate_stable,
     _nontrivial_candidates,
     canonicalize,
     enumerate_factorizations,
@@ -208,10 +207,9 @@ class Evaluator:
     corpus entries whose plain or restricted side has its context key, the
     baseline rows, the property vector) shares one evaluator.
 
-    Associates share their work: under an associate-stable relation the
-    per-element memos are keyed by the representative of the element's
-    associate orbit (``orbit``), whose results every member's readers take
-    (README, "Design notes").
+    Associates share their work: the per-element memos are keyed by the
+    representative of the element's associate orbit (``orbit``), whose
+    results every member's readers take (README, "Design notes").
     """
 
     def __init__(self, ring: Ring, tau: TauRelation, cap: int = DEFAULT_PROPERTY_CAP, scope=None):
@@ -236,8 +234,8 @@ class Evaluator:
     def orbit(self, a):
         """The representative of a's associate orbit: the orbit's first
         domain member in ``sort_key`` order, else on a finite ring its first
-        non-unit; a itself when the relation is not associate-stable or a is
-        in no mapped orbit (a unit, or on an infinite ring a non-member).
+        non-unit; a itself when a is in no mapped orbit (a unit, or on an
+        infinite ring a non-member).
         The memos read ``self._reps.get(a, a)`` inline, as it is hot."""
         return self._reps.get(a, a)
 
@@ -261,10 +259,7 @@ class Evaluator:
 
     def _orbit_map(self) -> dict:
         """Each domain element (and on a finite ring each non-unit) mapped
-        to its orbit's representative; empty unless the relation is
-        associate-stable (``_shares_orbits``)."""
-        if not self._shares_orbits():
-            return {}
+        to its orbit's representative."""
         ring = self.ring
         try:
             members = list(self.domain()[0])
@@ -274,19 +269,6 @@ class Evaluator:
             members += ring.nonunits()
         first: dict = {}
         return {a: first.setdefault(ring.associate_key(a, AssociateKind.ASSOCIATE), a) for a in members}
-
-    def _shares_orbits(self) -> bool:
-        """Whether the relation is associate-stable: by its spec
-        (``factor._associate_stable``), or on a finite ring because units
-        leave its pair table unchanged."""
-        if _associate_stable(self.tau.spec):
-            return True
-        ring = self.ring
-        if not ring.is_finite:
-            return False
-        holds, mul = self.tau.holds, ring.mul
-        sharp = ring.nonzero_nonunits()
-        return all(holds(mul(u, a), b) == holds(a, b) for u in ring.units() for a in sharp for b in sharp)
 
     def domain(self, regular: bool = False):
         """``_resolve_domain`` over the evaluator's scope, resolved once, and

@@ -820,6 +820,20 @@ def test_default_corpus_metadata(default_reports):
     )
 
 
+def test_repeated_listings_keep_the_extensional_groups():
+    """A ring listed twice, with an infinite ring between, and a relation
+    listed twice give the groups of one listing of the ring, in the
+    position of its first listing."""
+    taus = ["full", "comax", "zero", "full", "empty"]
+    once = cli.run_verification({"schema": 1, "rings": ["Zn(4)", "Zn(6)"], "taus": taus})
+    twice = cli.run_verification(
+        {"schema": 1, "rings": ["Zn(4)", "Z", "Zn(6)", "Zn(4)"], "taus": taus, "scopes": {"Z": [2, -2]}}
+    )
+    groups = once["corpus"]["extensionally_equal_taus"]
+    assert groups["Zn(4)"] == [["comax", "empty"], ["full", "zero", "full"]]
+    assert list(twice["corpus"]["extensionally_equal_taus"].items()) == list(groups.items())
+
+
 def test_strict_exit_code_on_skips(tmp_path, capsys):
     # axis samples under the full relation cannot be enumerated, so some
     # checks are skipped; --strict turns that into exit code 3

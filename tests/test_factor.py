@@ -26,6 +26,7 @@ from taufact import (
     enumerate_factorizations,
     tau_divides,
 )
+from taufact.cli import run_verification
 from taufact.corpus import DEFAULT_TAUS, default_corpus_spec
 from taufact.parsing import build_tau_from_text
 from taufact.factor import _associate_stable, _nontrivial_candidates, default_cap
@@ -501,9 +502,13 @@ def test_integer_lengths_see_a_cap_off_by_one(monkeypatch):
     enumeration is no longer exhaustive.  Verify reports no row violated
     for it: the verdicts that read such an element turn unknown, and their
     rows skipped."""
+    spec = {"schema": 1, "rings": ["Z"], "taus": ["full"], "scopes": {"Z": [128, 6]}}
+    assert run_verification(spec)["summary"]["skipped"] == 0
     engine = default_cap
     monkeypatch.setattr(factor, "default_cap", lambda ring, tau, a: engine(ring, tau, a) - 1)
     assert 128 in list(_integer_length_mismatches())
+    summary = run_verification(spec)["summary"]
+    assert summary["violated"] == 0 and summary["skipped"] > 0
 
 
 def _old_candidates(ring, tau, a, reduce_assoc):
