@@ -28,6 +28,9 @@ from .relations import TauRelation
 
 
 class IrreducibleKind(enum.Enum):
+    # identity hash, as ``properties.PropKind`` explains
+    __hash__ = object.__hash__
+
     IRREDUCIBLE = "irreducible"
     STRONG = "strongly-irreducible"
     M = "m-irreducible"
@@ -36,6 +39,8 @@ class IrreducibleKind(enum.Enum):
 
 
 class Flag(enum.Enum):
+    __hash__ = object.__hash__
+
     TRUE = "true"
     FALSE = "false"
     UNKNOWN = "unknown-at-cap"

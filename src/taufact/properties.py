@@ -46,6 +46,10 @@ from .ufact import UFactorization, u_partitions
 
 
 class PropKind(enum.Enum):
+    # members are singletons compared by identity, so they hash by it too
+    # (README, "Design notes"), which is C-level and reads no name
+    __hash__ = object.__hash__
+
     ATOMIC = "atomic"
     ACCP = "accp"
     BFR = "bfr"
@@ -57,6 +61,8 @@ class PropKind(enum.Enum):
 
 
 class PropScope(enum.Enum):
+    __hash__ = object.__hash__
+
     PLAIN = "plain"
     REGULAR = "regular-elements"
     REGCAP = "regcap-all"
@@ -82,6 +88,10 @@ _TAKES_BETA = {PropKind.FFR, PropKind.WFFR, PropKind.IDF, PropKind.UFR}
 
 @dataclass(frozen=True)
 class PropertyId:
+    """One property cell.  A cell is a memo key read thousands of times per
+    run, so it keeps its hash, taken once from its fields as the generated
+    one would be, and its ``reading()`` once computed."""
+
     kind: PropKind
     alpha: Optional[IrreducibleKind] = None
     beta: Optional[AssociateKind] = None
@@ -92,14 +102,28 @@ class PropertyId:
             raise ValueError(f"{self.kind.value} takes alpha iff it is parameterized by it")
         if (self.beta is not None) != (self.kind in _TAKES_BETA):
             raise ValueError(f"{self.kind.value} takes beta iff it is parameterized by it")
+        object.__setattr__(self, "_hash", hash((self.kind, self.alpha, self.beta, self.scope)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields: an identity hash is per process
+        return PropertyId, (self.kind, self.alpha, self.beta, self.scope)
 
     def reading(self) -> "PropertyId":
         """The cell whose verdict this one reuses: the scope's reading, and
         ``associate`` for a strong beta (every constructible ring is strongly
         associate, README "Design notes", so beta reaches every predicate
         through one orbit key; very-strong keys split orbits)."""
-        beta = AssociateKind.ASSOCIATE if self.beta == AssociateKind.STRONG else self.beta
-        return replace(self, beta=beta, scope=self.scope.reading)
+        got = self.__dict__.get("_reading")
+        if got is None:
+            beta = AssociateKind.ASSOCIATE if self.beta == AssociateKind.STRONG else self.beta
+            got = replace(self, beta=beta, scope=self.scope.reading)
+            if got == self:
+                got = self
+            object.__setattr__(self, "_reading", got)
+        return got
 
     def label(self) -> str:
         bits = [self.kind.value]

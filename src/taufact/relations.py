@@ -209,10 +209,13 @@ def check_tau_property(tau: TauRelation, targets, fs) -> bool:
         except UnsupportedOperationError:
             continue
     pairs = sorted(pairs)
+    # A pair holds factors of a nontrivial factorization, drawn from the
+    # target's divisor set, which is then finite (else the enumeration
+    # raised); each divides the target, so its own divisor set is finite
+    # too and ``fs`` enumerates it.
     unions = {v: _refinement_blocks(tau, v, fs) for v in dict.fromkeys(v for pair in pairs for v in pair)}
     for x, y in pairs:
-        ux, uy = unions[x], unions[y]
-        if ux is not None and uy is not None and not all(tau.holds(u, v) for u in ux for v in uy):
+        if not all(tau.holds(u, v) for u in unions[x] for v in unions[y]):
             return False
     return True
 
@@ -237,12 +240,8 @@ def _position_pairs(items):
 def _refinement_blocks(tau, x, fs):
     """The factors of every multiset that can replace one position holding
     x: those of x's nontrivial factorizations and its unit variants
-    ``u^-1 x``; None when x cannot be enumerated."""
+    ``u^-1 x``."""
     ring = tau.ring
-    try:
-        items = fs(x).items
-    except UnsupportedOperationError:
-        return None
-    out = {v for f in items if not f.trivial for v in f.factors}
+    out = {v for f in fs(x).items if not f.trivial for v in f.factors}
     out.update(ring.mul(ring.unit_inverse(u), x) for u in ring.units())
     return frozenset(out)

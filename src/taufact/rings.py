@@ -619,8 +619,14 @@ class PolyQuotRing(Ring):
         self.zero = (0,) * self.deg
         self.one = tuple([1] + [0] * (self.deg - 1)) if self.deg > 1 else (1,)
         self._comax_cache: dict = {}
+        self._mul_cache: dict = {}
 
     def mul(self, a, b):
+        # memoized, as ``comaximal`` is: the scans reach each of the (at most
+        # order**2) products many times
+        got = self._mul_cache.get((a, b))
+        if got is not None:
+            return got
         d = self.deg
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
@@ -634,7 +640,8 @@ class PolyQuotRing(Ring):
                 conv[k] = 0
                 for i in range(len(self.f) - 1):
                     conv[k - self.deg + i] = (conv[k - self.deg + i] - c * self.f[i]) % self.p
-        return tuple(conv[:d])
+        got = self._mul_cache[(a, b)] = tuple(conv[:d])
+        return got
 
     def contains(self, a):
         return (

@@ -42,7 +42,6 @@ from .relations import (
 from .rings import (
     AssociateKind,
     ElementClass,
-    InfiniteSetError,
     IntegerRing,
     Ring,
     UnsupportedOperationError,
@@ -147,6 +146,27 @@ def per_context_spec(taus, evaluator, compute, relabel) -> list:
     return out
 
 
+def _cell_table() -> dict:
+    """Every cell ``EntryChecker.prop`` can return, keyed by its arguments
+    (the property's name, the scope, and the alpha and beta given, None for
+    the property's own), built once from ``REGULAR_PROPS``; equal cells are
+    one object."""
+    cells: dict = {}
+    table = {}
+    for name, base in REGULAR_PROPS.items():
+        alphas = (None, *IrreducibleKind) if base.alpha is not None else (None,)
+        betas = (None, *AssociateKind) if base.beta is not None else (None,)
+        for scope in PropScope:
+            for alpha in alphas:
+                for beta in betas:
+                    cell = PropertyId(base.kind, alpha or base.alpha, beta or base.beta, scope)
+                    table[name, scope, alpha, beta] = cells.setdefault(cell, cell)
+    return table
+
+
+_CELLS = _cell_table()
+
+
 class EntryChecker:
     """Runs every theorem family for one corpus entry.
 
@@ -186,8 +206,7 @@ class EntryChecker:
         """The verdict of ``REGULAR_PROPS[name]`` at ``scope``, with its alpha
         and beta unless given, read from ``ev`` or else from the entry's
         relation or its restriction, as the scope says."""
-        base = REGULAR_PROPS[name]
-        cell = PropertyId(base.kind, alpha or base.alpha, beta or base.beta, scope)
+        cell = _CELLS[name, scope, alpha, beta]
         if ev is None:
             ev = self.restricted if scope.restricted else self.plain
         return ev.verdict(cell)
@@ -437,24 +456,14 @@ class EntryChecker:
         ev = self.plain
         irr = IrreducibleKind.IRREDUCIBLE
         for a, *_ in ev.domain_orbits(regular=True):
-            try:
-                _, maybe = ev.alpha_items(PLAIN_VIEW, a, irr)
-            except UnsupportedOperationError:
-                return None
+            _, maybe = ev.alpha_items(PLAIN_VIEW, a, irr)
             if not ev.exhaustive(a) or maybe:
                 return None
         return True
 
     def _every_regular(self, test) -> Optional[bool]:
-        """True when ``test`` holds on every regular non-unit; None at the
-        first element where it fails or cannot be decided."""
-        for a, *_ in self.plain.domain_orbits(regular=True):
-            try:
-                if not test(a):
-                    return None
-            except (UnsupportedOperationError, InfiniteSetError):
-                return None
-        return True
+        """True when ``test`` holds on every regular non-unit, else None."""
+        return all(test(a) for a, *_ in self.plain.domain_orbits(regular=True)) or None
 
     def family_eight_way(self):
         theorem = "refinable-finiteness-eight-way"
@@ -466,8 +475,9 @@ class EntryChecker:
         fin = self._atomic_class_finiteness()
         c4 = None if atomic is None or fin is None else (atomic and fin)
         # finitely many regular factor classes per element, by an exhaustive
-        # enumeration or by a finite divisor set (every factor is a divisor;
-        # ``divisors`` raises InfiniteSetError on an infinite one)
+        # enumeration or by a finite divisor set (every factor is a divisor,
+        # and a regular element has a zero coordinate nowhere, so ``divisors``
+        # and the enumeration it bounds never raise on one)
         c5 = self._every_regular(self.plain.exhaustive)
         c7 = self._every_regular(self.ring.divisors)
         c6, c8 = c5, c7  # ideal-containment restatements share the class counts
@@ -679,9 +689,8 @@ class EntryChecker:
         bfr, accp, atomic0 = (self.prop(name, plain) for name in ("bfr", "accp", "atomic"))
         self.implication(theorem, "bfr=>accp", bfr, accp, gated=True)
         self.implication(theorem, "accp=>atomic", accp, atomic0, gated=True)
-        full_accp = self._full_relation_accp()
-        if full_accp is not None:
-            self.implication(theorem, "plain-accp=>relation-accp", full_accp, accp)
+        full_accp = self.prop("accp", plain, ev=self._context(FullTau()))
+        self.implication(theorem, "plain-accp=>relation-accp", full_accp, accp)
         for beta in BETAS2:
             ffr, wffr = (self.prop(name, plain, beta=beta) for name in ("ffr", "wffr"))
             bl = beta.name.lower()
@@ -702,12 +711,6 @@ class EntryChecker:
                 self.implication(theorem, f"wffr=>idf-{al}-{bl}", wffr, idf)
                 # alternative transcription, flagged but never asserted
                 self.implication(theorem, f"flag-hfr=>ffr-{al}-{bl}", hfr, ffr, gated=True, informational=True)
-
-    def _full_relation_accp(self) -> Optional[PropertyVerdict]:
-        try:
-            return self.prop("accp", PropScope.PLAIN, ev=self._context(FullTau()))
-        except (UnsupportedOperationError, PreconditionError):
-            return None
 
     def family_regular_arrow_diagram(self):
         theorem = "regular-factorization-arrows"

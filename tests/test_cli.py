@@ -734,10 +734,60 @@ _json_values = st.recursive(
 )
 
 
+class _Text(str):
+    pass
+
+
+# Lists long enough for the batched row path: rows (non-empty, str keys,
+# str/int/bool/None values) with strings that look like a row boundary, and
+# near-rows that must break a run: nested values, non-str keys, scalar
+# subclasses, floats, the empty dict.
+_row_strings = _json_strings | st.sampled_from(["},", '"', "\n", "},\n    {", '"},\n  {"', "}, {"])
+_rows = st.dictionaries(_row_strings, st.none() | st.booleans() | st.integers() | _row_strings, min_size=1, max_size=5)
+_odd_values = st.sampled_from([AssociateKind.STRONG, _Text("},\n  {"), 1.5, [1, "}"], {"n": {"m": 1}}, (), {}]) | _json_values
+_near_rows = (
+    st.builds(lambda row, key, value: {**row, key: value}, _rows, _row_strings, _odd_values)
+    | st.dictionaries(_json_keys, st.integers(), min_size=1, max_size=3)
+    | st.builds(lambda row: {_Text(k): v for k, v in row.items()}, _rows)
+    | st.just({})
+)
+_row_lists = st.lists(
+    st.lists(_rows, min_size=1, max_size=2 * cli._MIN_ROWS) | st.lists(_near_rows | _json_scalars, min_size=1, max_size=2),
+    max_size=5,
+).map(lambda runs: [x for run in runs for x in run])
+
+
+def _spoil(rows, i, key, value):
+    """``rows`` with one odd value put into one row (at ``i`` mod length)."""
+    rows[i % len(rows)] = {**rows[i % len(rows)], key: value}
+    return rows
+
+
+_row_lists |= st.builds(
+    _spoil, st.lists(_rows, min_size=cli._MIN_ROWS, max_size=3 * cli._MIN_ROWS), st.integers(0), _row_strings, _odd_values
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_json_values)
+@given(_json_values | _row_lists | st.dictionaries(_json_strings, _row_lists | st.lists(_row_lists, max_size=2), max_size=2))
 def test_writer_matches_json_dumps_indent2(obj):
     assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+
+def test_writer_batches_runs_of_rows(monkeypatch):
+    """A run of ``_MIN_ROWS`` rows takes one C encoder call, a shorter run
+    none; without the C encoder every value takes the per-value path."""
+    batches = []
+    batched = cli._rows_text
+    monkeypatch.setattr(cli, "_rows_text", lambda rows, newline: batches.append(len(rows)) or batched(rows, newline))
+    row = {"ring": "Zn(6)", "note": "},\n    {", "cap": 6, "scoped": False, "witness": None}
+    obj = {"entries": [row] * cli._MIN_ROWS + [{"witness": [1]}] + [row] * (cli._MIN_ROWS - 1) + [[row] * 9]}
+    assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
+    assert batches == [cli._MIN_ROWS, 9]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    batches.clear()
+    assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
+    assert batches == []
 
 
 def test_writer_matches_json_dumps_on_subclasses():
@@ -1172,3 +1222,38 @@ def test_one_corpus_driver():
                 callers.setdefault(node.func.id, set()).add(fn.name)
     for name in ("generate_corpus", "_pool_units", "ProcessPoolExecutor"):
         assert callers.get(name) == {"run_verification"}, name
+
+
+_HASH_SEED_CORPUS = {
+    "schema": 1,
+    "rings": ["prod(GFq(2,[1,1,1]),Zn(2))", "prod(prod(Zn(2),Zn(2)),Zn(3))", "Z", "prod(Z,Z)"],
+    "taus": list(DEFAULT_TAUS),
+    "scopes": {"Z": [2, -3, 4, 6, 12, -30], "prod(Z,Z)": [[2, 3], [-4, 6], [6, -6], [12, 5], [0, 3], [2, 0]]},
+    "cap": 5,
+}
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """The report, the atlas and a property vector are the same bytes at
+    two ``PYTHONHASHSEED`` values, on a corpus with a GF(q) product, a
+    nested product and scoped ``Z`` and ``prod(Z,Z)``, one run through the
+    process pool: no output reads a hash order, whether of str keys (seeded)
+    or of identity-hashed enum keys (per process)."""
+    cpath = tmp_path / "corpus.json"
+    cpath.write_text(json.dumps(_HASH_SEED_CORPUS))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+
+    def run(seed, *argv):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-m", "taufact.cli", *argv], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    outs = {}
+    for seed, jobs in (("0", "1"), ("777", "2")):
+        report, atlas = tmp_path / f"report-{seed}.json", tmp_path / f"atlas-{seed}.json"
+        run(seed, "verify", "--corpus", str(cpath), "--jobs", jobs, "--out", str(report), "--atlas-out", str(atlas), "--pretty")
+        vector = run(seed, "properties", "--ring", "Zn(12)", "--tau", "full")
+        outs[seed] = (report.read_bytes(), atlas.read_bytes(), vector)
+    assert outs["0"] == outs["777"]
+    assert json.loads(outs["0"][0])["summary"]["violated"] == 0

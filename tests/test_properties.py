@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from taufact import (
     AssociateKind,
     ComaximalTau,
+    Flag,
     FullTau,
     IrreducibleKind,
     PropKind,
@@ -21,6 +23,7 @@ from taufact import properties
 from taufact.corpus import DEFAULT_TAUS
 from taufact.parsing import build_ring_from_text, build_tau_from_text
 from taufact.properties import CATALOG_PROPS, Evaluator
+from taufact.theorems import _CELLS
 from conftest import evaluator, small_finite_rings
 from oracles import oracle_atomic
 
@@ -342,6 +345,33 @@ def test_fresh_decisions_see_a_wider_reading_rule(monkeypatch, also):
     monkeypatch.setattr(PropertyId, "reading", wider)
     cases = [(ring, None, 4) for ring in small_finite_rings()]
     assert next(_reading_mismatches(cases), None) is not None
+
+
+def test_every_checker_cell_reads_hashes_and_memoizes_as_a_fresh_one():
+    """Every cell ``EntryChecker.prop`` can return (one object per equal
+    cell) reads as the cell ``replace`` builds by the reading rule, hashes
+    as a freshly built equal cell, and that fresh cell finds the same
+    ``Evaluator.verdict`` memo entry."""
+    cells = set(_CELLS.values())
+    assert len(cells) == len(list(_all_cells())) and len({id(c) for c in _CELLS.values()}) == len(cells)
+    ring = build_ring_from_text("Zn(6)")
+    ev = Evaluator(ring, build_tau_from_text("full", ring), 4)
+    for cell in cells:
+        beta = A if cell.beta == AssociateKind.STRONG else cell.beta
+        assert cell.reading() == replace(cell, beta=beta, scope=cell.scope.reading), cell
+        fresh = PropertyId(cell.kind, cell.alpha, cell.beta, cell.scope)
+        assert fresh == cell and hash(fresh) == hash(cell) == hash(pickle.loads(pickle.dumps(cell)))
+        got = ev.verdict(cell)
+        size = len(ev._verdicts)
+        assert ev.verdict(fresh) is got and len(ev._verdicts) == size
+
+
+def test_enum_keys_hash_by_identity():
+    """The enums that key the hot memos hash by identity, which is sound as
+    members are singletons compared by identity; that no output depends on
+    the hash is pinned by ``tests/test_cli.py::test_output_does_not_depend_on_the_hash_seed``."""
+    for cls in (PropKind, PropScope, IrreducibleKind, Flag):
+        assert cls.__hash__ is object.__hash__, cls
 
 
 def test_a_failed_chain_is_raised_again():

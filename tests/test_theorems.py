@@ -559,7 +559,8 @@ def test_one_way_to_a_verdict():
 
 
 def test_harness_rules_stated_once():
-    """``theorems`` builds property cells only in ``EntryChecker.prop``, and
+    """``theorems`` builds property cells only in ``_cell_table``, the table
+    that ``EntryChecker.prop`` reads its cells from, and
     only ``EntryChecker._law`` emits ``VIOLATED`` for a law row: no function
     that compares verdicts through ``implication``, ``equivalence`` or
     ``_law`` emits it itself."""
@@ -585,8 +586,10 @@ def test_harness_rules_stated_once():
                 violates.add(name)
             if node.func.attr in ("implication", "equivalence", "_law"):
                 laws.add(name)
-    assert builders == ["EntryChecker.prop"]
+    assert builders == ["_cell_table"]
     assert sum(map(builds_cell, ast.walk(tree))) == 1
+    prop = dict(functions)["EntryChecker.prop"]
+    assert any(isinstance(n, ast.Name) and n.id == "_CELLS" for n in ast.walk(prop))
     assert "EntryChecker._law" in violates
     assert not violates & laws
     assert all(name.startswith("EntryChecker.family_") for name in violates - {"EntryChecker._law"})
