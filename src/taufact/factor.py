@@ -67,11 +67,6 @@ class Factorization:
             "trivial": self.trivial,
         }
 
-    def __repr__(self):
-        r = self.ring
-        facs = "*".join(r.format_element(x) for x in self.factors)
-        return f"{r.format_element(self.target)}={r.format_element(self.unit)}*{facs}"
-
 
 @dataclass(frozen=True)
 class PumpWitness:
@@ -183,6 +178,15 @@ def _associate_stable(spec) -> bool:
     return False
 
 
+def _first_trivial_decides(tau: TauRelation, beta: AssociateKind) -> bool:
+    """The trivial factorizations ``(x,)`` of a target, x over its associate
+    orbit, share one class key and pump alike: the key is the orbit's below
+    ``VERY_STRONG``, and on an associate-stable relation ``x = 0``,
+    ``holds(x, x)`` and ``x*x`` strongly associate to x all hold for every x
+    in the orbit or for none (README, "Design notes")."""
+    return beta != AssociateKind.VERY_STRONG and _associate_stable(tau.spec)
+
+
 def _nontrivial_candidates(
     ring: Ring, tau: TauRelation, target, reduce_assoc: bool = False
 ) -> list:
@@ -280,10 +284,15 @@ def enumerate_factorizations(
                 pump = PumpWitness(x=x, base=base)
 
     # trivial factorizations, one per distinct factor value, smallest unit
-    # first (``units()`` is in ``sort_key`` order)
+    # first (``units()`` is in ``sort_key`` order); they are the target's
+    # associate orbit, so where the first decides the class and the pump for
+    # all, the others are only counted
+    first_decides = _first_trivial_decides(tau, beta)
     for u in ring.units():
         x = mul(ring.unit_inverse(u), target)
-        if (x,) not in raw_seen:
+        if first_decides and raw_seen:
+            raw_seen.add((x,))
+        elif (x,) not in raw_seen:
             consider((x,), x, u)
 
     candidates = _nontrivial_candidates(

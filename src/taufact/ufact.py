@@ -51,13 +51,6 @@ class UFactorization:
             "target": r.element_to_json(self.target),
         }
 
-    def __repr__(self):
-        r = self.ring
-        ines = "*".join(r.format_element(x) for x in self.inessential)
-        ess = "*".join(r.format_element(x) for x in self.essential)
-        lead = f"{r.format_element(self.unit)}" + (f"*{ines}" if ines else "")
-        return f"{r.format_element(self.target)}={lead}*<{ess}>"
-
 
 def _ideal_fixed(ring: Ring, x, p) -> bool:
     """(x*p) = (p); the inclusion into (p) always holds."""

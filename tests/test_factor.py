@@ -561,3 +561,52 @@ def test_candidates_match_the_full_divisor_construction():
                     except UnsupportedOperationError:
                         got = None
                     assert got == expected, (ring, tau, a, reduce_assoc)
+
+
+def _enumeration_outcome(ring, tau, a, beta):
+    """What an enumeration reports, or the error it raises."""
+    try:
+        fs = enumerate_factorizations(ring, tau, a, beta)
+    except (PreconditionError, UnsupportedOperationError) as exc:
+        return type(exc), str(exc)
+    pump = None if fs.pump is None else (fs.pump.x, fs.pump.base)
+    return fs.items, fs.raw_total, fs.max_length, fs.unbounded, pump
+
+
+def _trivial_orbit_cases():
+    """(ring, relation, targets): the finite capped cases, and the integers
+    and prod(Z,Z) under the default relations over their default scopes
+    (the prod(Z,Z) one cut to its box [-6, 6], axes included)."""
+    for ring, tau, targets in _capped_cases():
+        if ring.is_finite:
+            yield ring, tau, targets
+    scopes = default_corpus_spec()["scopes"]
+    zint = build_ring(IntegersSpec())
+    zz = build_ring(ProductSpec(IntegersSpec(), IntegersSpec()))
+    box = [tuple(a) for a in scopes["prod(Z,Z)"] if max(map(abs, a)) <= 6]
+    for ring, targets in ((zint, scopes["Z"]), (zz, box)):
+        for text in DEFAULT_TAUS:
+            yield ring, build_tau_from_text(text, ring), targets
+
+
+def test_first_trivial_factorization_decides_as_every_member_would(monkeypatch):
+    """Settling the trivial factorizations by the first of the target's
+    orbit gives what considering each member gives: the same classes and
+    representatives, raw count, longest length, unboundedness and pump
+    witness, under every beta.  Subset relations and ``VERY_STRONG`` keep
+    per-member work, where a later member can pump when the first does not
+    (``subset[4]`` on Zn(6): 2 = 5*4, and only (4,) pumps)."""
+    cases = []
+    for ring, tau, targets in _trivial_orbit_cases():
+        for a in targets:
+            if ring.is_unit(a):
+                continue
+            for beta in (A, S, V):
+                cases.append((ring, tau, a, beta, _enumeration_outcome(ring, tau, a, beta)))
+    z6 = build_ring(ModIntSpec(6))
+    pumped = _enumeration_outcome(z6, build_tau(SubsetTau((4,)), z6), 2, S)[-1]
+    assert pumped == (4, Factorization(ring=z6, unit=5, factors=(4,), target=2))
+    monkeypatch.setattr(factor, "_first_trivial_decides", lambda tau, beta: False)
+    for ring, tau, a, beta, got in cases:
+        expected = _enumeration_outcome(ring, tau, a, beta)
+        assert got == expected, (ring.spec_string(), tau.spec_string(), a, beta)

@@ -1,5 +1,10 @@
+import gc
+import random
+import weakref
+
 import pytest
 
+from conftest import small_finite_rings
 from taufact import (
     IntegersSpec,
     ModIntSpec,
@@ -7,11 +12,15 @@ from taufact import (
     PolyQuotSpec,
     ProductSpec,
     build_ring_from_text,
+    build_tau,
+    build_tau_from_text,
     parse_element,
     parse_ring_spec,
     parse_tau_spec,
 )
-from taufact.relations import ComaximalTau, FullTau, RegCapTau, SubsetTau
+from taufact import parsing
+from taufact.corpus import DEFAULT_TAUS
+from taufact.relations import ComaximalTau, FullTau, RegCapTau, SubsetTau, ZeroProductTau
 
 
 @pytest.mark.parametrize(
@@ -63,3 +72,119 @@ def test_spec_string_roundtrip():
     for text in ["Z", "Zn(24)", "GFq(2,[0,0,1])", "prod(Zn(3),prod(Z,Zn(2)))"]:
         ring = build_ring_from_text(text)
         assert parse_ring_spec(ring.spec_string()) == parse_ring_spec(text)
+
+
+def _memo_rings():
+    """The small finite rings with every element, and Z, prod(Z,Z) and
+    nested products with elements of a small box."""
+    for ring in small_finite_rings():
+        yield ring, ring.elements()
+    box = range(-7, 8)
+    yield build_ring_from_text("Z"), list(box)
+    yield build_ring_from_text("prod(Z,Z)"), [(i, j) for i in box for j in box]
+    nested = build_ring_from_text("prod(prod(Zn(2),Z),Zn(4))")
+    yield nested, [((i, j), k) for i in range(2) for j in box for k in range(4)]
+    nested = build_ring_from_text("prod(Zn(3),prod(Z,GFq(2,[1,1,1])))")
+    yield nested, [(i, (j, f)) for i in range(3) for j in box for f in build_ring_from_text("GFq(2,[1,1,1])").elements()]
+
+
+def _memo_taus(ring, elements, rng):
+    """The default relations of ``ring`` and three seeded subset relations
+    on ``elements``."""
+    taus = [build_tau_from_text(text, ring) for text in DEFAULT_TAUS]
+    sharp = [a for a in elements if a != ring.zero and not ring.is_unit(a)]
+    for _ in range(3 if sharp else 0):
+        subset = rng.sample(sharp, rng.randint(1, min(len(sharp), 12)))
+        taus.append(build_tau(SubsetTau(tuple(sorted(subset, key=ring.sort_key))), ring))
+    return taus
+
+
+def test_memoized_parses_match_a_fresh_parse():
+    """Every element text and relation text parses, on its first and on a
+    repeated call, to what the unmemoized parser gives, which is the value
+    it was formatted from."""
+    rng = random.Random(27)
+    for memo in (parsing._parse_element, parsing._parse_tau_spec, parse_ring_spec):
+        memo.cache_clear()
+    for ring, elements in _memo_rings():
+        text = ring.spec_string()
+        assert parse_ring_spec(text) == parse_ring_spec(text) == parse_ring_spec.__wrapped__(text) == ring.spec
+        for a in elements:
+            text = ring.format_element(a)
+            fresh = parsing._parse_element.__wrapped__(text, ring.spec)
+            assert parse_element(text, ring) == parse_element(text, ring) == fresh == a, (ring.spec_string(), text)
+        for tau in _memo_taus(ring, elements, rng):
+            text = tau.spec_string()
+            fresh = parsing._parse_tau_spec.__wrapped__(text, ring.spec)
+            assert parse_tau_spec(text, ring) == parse_tau_spec(text, ring) == fresh == tau.spec, text
+    assert parsing._parse_element.cache_info().hits > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_ring_spec("prod(Zn(2),Q)"),
+        lambda: parse_element("(1,2", build_ring_from_text("prod(Z,Z)")),
+        lambda: parse_element("9", build_ring_from_text("Zn(6)")),
+        lambda: parse_element("[1,2]", build_ring_from_text("GFq(2,[1,1,1])")),
+        lambda: parse_tau_spec("subset[[1,1]]", build_ring_from_text("GFq(2,[0,0,1,1])")),
+        lambda: parse_tau_spec("regcap(weird)", None),
+        lambda: parse_tau_spec("subset[2]", None),
+    ],
+)
+def test_parse_errors_are_not_memoized(call):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "position" in messages[0]
+
+
+def test_relation_texts_parse_without_a_ring():
+    for text in DEFAULT_TAUS:
+        assert parse_tau_spec(text, None) == parse_tau_spec(text, None) == parsing._parse_tau_spec.__wrapped__(text, None)
+    assert parse_tau_spec("regcap(regcap(zero))", None) == RegCapTau(RegCapTau(ZeroProductTau()))
+
+
+def test_parse_memos_are_bounded():
+    zint = build_ring_from_text("Z")
+    count = parsing.PARSE_MEMO_SIZE + 5
+    for i in range(count):
+        parse_ring_spec(f"Zn({i + 2})")
+        parse_element(str(i), zint)
+        parse_tau_spec(f"subset[{i + 2}]", zint)
+    for memo in (parse_ring_spec, parsing._parse_element, parsing._parse_tau_spec):
+        info = memo.cache_info()
+        assert info.maxsize == parsing.PARSE_MEMO_SIZE and info.currsize <= info.maxsize
+        memo.cache_clear()
+
+
+def test_parse_memos_keep_no_ring():
+    """A ring read by a parse is freed with its last reference: the memo
+    keys by the ring's spec, not by the ring, whose caches it would keep."""
+    ring = build_ring_from_text("prod(Zn(2),Zn(6))")
+    ring.divisors((0, 2))  # fill a cache the memo must not keep
+    assert parse_element("[0,5]", ring) == (0, 5)
+    assert parse_tau_spec("subset[(1,2),(0,3)]", ring) == SubsetTau(((1, 2), (0, 3)))
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
+
+
+def test_parse_memos_key_by_the_ring():
+    """A text that is an element of one ring and not of another of the same
+    shape is read against each: a memo keyed by text alone would accept it
+    on both."""
+    wide = build_ring_from_text("prod(Zn(2),Zn(6))")
+    narrow = build_ring_from_text("prod(Zn(2),Zn(3))")
+    for _ in range(2):
+        assert parse_element("[0,5]", wide) == (0, 5)
+        with pytest.raises(ParseError):
+            parse_element("[0,5]", narrow)
+    zz, zint = build_ring_from_text("prod(Z,Z)"), build_ring_from_text("Z")
+    for _ in range(2):
+        assert parse_tau_spec("subset[(1,2)]", zz) == SubsetTau(((1, 2),))
+        with pytest.raises(ParseError):
+            parse_tau_spec("subset[(1,2)]", zint)
