@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import sys
+from collections import OrderedDict
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
@@ -22,7 +23,14 @@ from typing import TYPE_CHECKING
 # other command imports its engine when it runs (README, "Design notes").
 from .corpus import CorpusError, _extensional_groups, default_corpus_spec, generate_corpus
 from .factor import PreconditionError, enumerate_factorizations
-from .parsing import ParseError, build_ring_from_text, build_tau_from_text, parse_element
+from .parsing import (
+    ParseError,
+    build_ring_from_text,
+    build_tau_from_text,
+    parse_element,
+    parse_ring_spec,
+    parse_tau_spec,
+)
 from .relations import RegCapTau, TauConstructionError, normal_spec
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
 
@@ -292,10 +300,36 @@ def _emit(payload, pretty: bool, pretty_render=None):
         print(dumps_indent2(payload))
 
 
+# The query commands' finite rings, kept across the requests of a process:
+# ring spec -> (ring, its relations by relation spec), each least recently
+# used first (README, "Design notes").  Verify keeps its own ``_ring_slot``.
+RING_REGISTRY_SIZE = 64
+RELATIONS_PER_RING = 16
+_registry: OrderedDict = OrderedDict()
+
+
+def _remember(lru: OrderedDict, key, value, size: int) -> None:
+    """Store ``value`` at ``key`` as the most recently used entry, dropping
+    the least recently used one past ``size``."""
+    lru[key] = value
+    lru.move_to_end(key)
+    if len(lru) > size:
+        lru.popitem(last=False)
+
+
 def _load_inputs(args, element=True):
-    ring = build_ring_from_text(args.ring)
-    tau = build_tau_from_text(args.tau, ring)
+    """The ring, relation and element of a request.  A finite ring and its
+    relation come from the registry when there, and go into it only once
+    all three have been read, so a request whose input fails to parse or
+    build leaves the registry as it was."""
+    spec = parse_ring_spec(args.ring)
+    ring, relations = _registry.get(spec) or (build_ring_from_text(args.ring), OrderedDict())
+    tau_spec = parse_tau_spec(args.tau, ring)
+    tau = relations.get(tau_spec) or build_tau_from_text(args.tau, ring)
     el = parse_element(args.element, ring) if element else None
+    if ring.is_finite:
+        _remember(relations, tau_spec, tau, RELATIONS_PER_RING)
+        _remember(_registry, spec, (ring, relations), RING_REGISTRY_SIZE)
     return ring, tau, el
 
 

@@ -10,7 +10,8 @@ Parse errors carry the offending position.
 
 Each parse is memoized by its text and, for relations and elements, the
 spec of the ring it reads against (README, "Design notes"): a ring holds
-its caches, so the memo keys by no ring object and keeps none alive.
+its caches, so the memo keys by no ring object and keeps none alive; the
+rings that outlive a request live in the query registry of ``cli``.
 """
 
 from __future__ import annotations
@@ -145,7 +146,10 @@ def _element(sc: _Scanner, ring: Ring):
     from .rings import IntegerRing, ModRing, PolyQuotRing, ProductRing
 
     if isinstance(ring, (ModRing, IntegerRing)):
-        return sc.integer()
+        value = sc.integer()
+        if not ring.contains(value):
+            raise ParseError(sc.text, sc.pos, f"not an element of {ring.spec_string()}")
+        return value
     if isinstance(ring, PolyQuotRing):
         sc.expect("[")
         coeffs = [sc.integer()]
@@ -181,8 +185,6 @@ def _parse_element(text: str, spec: RingSpec):
     sc = _Scanner(text)
     value = _element(sc, ring)
     sc.done()
-    if not ring.contains(value):
-        raise ParseError(text, 0, f"not an element of {ring.spec_string()}")
     return value
 
 

@@ -16,8 +16,17 @@ from taufact import (
     ProductSpec,
     build_ring,
 )
+from taufact import cli
 from taufact.cli import main
 from taufact.properties import DEFAULT_PROPERTY_CAP, Evaluator
+
+
+@pytest.fixture(autouse=True)
+def cold_registry():
+    """Every test starts with an empty query registry, so that no request in
+    it is answered from a ring whose memos an earlier test warmed, perhaps
+    with engine code that test had patched."""
+    cli._registry.clear()
 
 
 @pytest.fixture(scope="session")

@@ -68,8 +68,10 @@ def test_ufact_command(capsys):
 
 
 def test_requests_grow_no_module_container(capsys):
-    """A stream of requests keeps no memory in the taufact modules: no dict,
-    list or set bound at module level grows while mixed requests run."""
+    """A stream of requests keeps no memory in the taufact modules but the
+    query registry: no other dict, list or set bound at module level grows
+    while mixed requests run, and the registry holds exactly the stream's
+    finite rings, each with the relations it was asked under."""
     mods = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "taufact"]
 
     def sizes():
@@ -94,7 +96,12 @@ def test_requests_grow_no_module_container(capsys):
     for cmd, ring, tau, element in requests:
         code, _, err = run_cli(capsys, cmd, "--ring", ring, "--tau", tau, "--element", element)
         assert code == 0, err
-    assert before and sizes() == before
+    after = sizes()
+    registry = ("taufact.cli", "_registry")
+    assert before.pop(registry) == 0 and after.pop(registry) == 2
+    assert before and after == before
+    held = {ring.spec_string(): [tau.spec_string() for tau in taus.values()] for ring, taus in cli._registry.values()}
+    assert held == {"Zn(12)": ["full"], "GFq(2,[0,0,1])": ["zero", "full"]}
 
 
 def test_properties_command(capsys):
@@ -234,6 +241,20 @@ def test_usage_error_exit_code(capsys):
         capsys, "classify", "--ring", "Zn(", "--tau", "full", "--element", "2"
     )
     assert code == 1 and "position" in err
+
+
+@pytest.mark.parametrize(
+    "ring,tau,element,message",
+    [
+        ("Zn(6)", "subset[9]", "2", "not an element of Zn(6) at position 8: subset[9>><<]"),
+        ("prod(Zn(2),Zn(6))", "full", "[0,9]", "not an element of Zn(6) at position 4: [0,9>><<]"),
+    ],
+)
+def test_bad_coordinate_is_a_positioned_parse_error(capsys, ring, tau, element, message):
+    """A residue out of range is reported at its coordinate, in a relation
+    text as in an element text, as a GF(q) coefficient is."""
+    code, out, err = run_cli(capsys, "factorizations", "--ring", ring, "--tau", tau, "--element", element)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_parser_reused_across_calls(capsys):
