@@ -310,6 +310,16 @@ def enumerate_factorizations(
             return got
 
         divisor_set = ring.divisors(target)
+        index = dict(zip(candidates, range(len(candidates))))
+        rows: dict = {}
+
+        def row(x) -> set:
+            # the candidates from x on that relate to x, read once per
+            # enumeration: a pool holds only candidates >= its chosen x
+            got = rows.get(x)
+            if got is None:
+                got = rows[x] = {y for y in candidates[index[x] :] if tau.holds(x, y)}
+            return got
 
         # depth-first over nondecreasing candidate index sequences
         def extend(pool: list, chosen: list, product) -> None:
@@ -333,11 +343,12 @@ def enumerate_factorizations(
                 if len(chosen) < cap:
                     if grows:
                         # keep candidates >= x that relate to x (x itself only if x rel x)
-                        pool2 = [y for y in pool[idx:] if tau.holds(x, y)]
+                        related = row(x)
+                        pool2 = [y for y in pool[idx:] if y in related]
                         if pool2:
                             extend(pool2, chosen, prod2)
                 elif not truncated:
-                    truncated = any(tau.holds(x, y) for y in pool[idx:])
+                    truncated = not row(x).isdisjoint(pool[idx:])
                 chosen.pop()
 
         extend(candidates, [], ring.one)

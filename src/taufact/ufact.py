@@ -68,30 +68,55 @@ def _inessential_index(ring: Ring, essential: tuple) -> Optional[int]:
 
 
 def u_partitions(ring: Ring, f: Factorization) -> tuple:
-    """All valid (inessential, essential) splits of a factorization's factors."""
+    """All valid (inessential, essential) splits of a factorization's factors.
+
+    A split is an essential count vector ``e``, one entry per distinct
+    factor.  The essential products form one table: ``P[e]`` is one ``mul``
+    from ``P[e - 1_j]``, which the lexicographic order of the vectors has
+    already visited.  Factor ``j`` fixing the ideal of ``P[e]`` is condition
+    (1) at ``e`` and, negated, condition (2) at ``e + 1_j``, so each such
+    test is made once and read by both (README, "Design notes").  A
+    trivial factorization asks the table's one question directly.
+    """
+    if f.trivial:
+        # its one split: condition (1) asks nothing, (2) asks P[0] = 1
+        if _ideal_fixed(ring, f.factors[0], ring.one):
+            return ()
+        return (UFactorization(ring=ring, unit=f.unit, inessential=(), essential=f.factors, target=f.target),)
     values = sorted(set(f.factors), key=ring.sort_key)
     counts = [f.factors.count(v) for v in values]
+    vectors = itertools.product(*[range(c + 1) for c in counts])
+    products = {next(vectors): ring.one}  # essential count vector -> its block's product
+    fixed: dict = {}  # (e, j) -> values[j] fixes the ideal of P[e]
+
+    def fixes(e: tuple, j: int) -> bool:
+        got = fixed.get((e, j))
+        if got is None:
+            got = fixed[e, j] = _ideal_fixed(ring, values[j], products[e])
+        return got
+
     out = []
-    for ess_counts in itertools.product(*(range(c + 1) for c in counts)):
-        if sum(ess_counts) == 0:
-            continue
-        essential = []
-        inessential = []
-        for v, c, e in zip(values, counts, ess_counts):
-            essential.extend([v] * e)
-            inessential.extend([v] * (c - e))
-        u = UFactorization(
-            ring=ring,
-            unit=f.unit,
-            inessential=tuple(inessential),
-            essential=tuple(essential),
-            target=f.target,
-        )
-        ep = ring.product(u.essential)
-        if not all(_ideal_fixed(ring, x, ep) for x in u.inessential):
-            continue
-        if _inessential_index(ring, u.essential) is None:
-            out.append(u)
+    for e in vectors:
+        # (j, e - 1_j) for each factor j in the essential block
+        below = [(j, e[:j] + (k - 1,) + e[j + 1 :]) for j, k in enumerate(e) if k]
+        j, prev = below[-1]
+        products[e] = ring.mul(products[prev], values[j])
+        if all(fixes(e, j) for j, k in enumerate(e) if k < counts[j]) and not any(
+            fixes(prev, j) for j, prev in below
+        ):
+            essential, inessential = [], []
+            for v, c, k in zip(values, counts, e):
+                essential += [v] * k
+                inessential += [v] * (c - k)
+            out.append(
+                UFactorization(
+                    ring=ring,
+                    unit=f.unit,
+                    inessential=tuple(inessential),
+                    essential=tuple(essential),
+                    target=f.target,
+                )
+            )
     return tuple(out)
 
 

@@ -276,7 +276,8 @@ def oracle_unbounded(ring, tau, cap):
 
 
 # ---------------------------------------------------------------------------
-# Validators and ring predicates from the definitions (finite rings only)
+# Validators and ring predicates from the definitions (finite rings only,
+# but for splits also Z and prod(Z,Z))
 
 
 def _is_unit(ring, x):
@@ -292,6 +293,21 @@ def _ideal_fixed(ring, x, p):
     has r*x*p = p."""
     xp = ring.mul(x, p)
     return any(ring.mul(r, xp) == p for r in ring.elements())
+
+
+def _coords(a):
+    """An element of Z or prod(Z,Z) as a tuple of integers."""
+    return a if isinstance(a, tuple) else (a,)
+
+
+def _integer_unit(ring, x):
+    """The units of Z are +-1, and those of prod(Z,Z) coordinatewise so."""
+    return all(abs(c) == 1 for c in _coords(x))
+
+
+def _integer_ideal_fixed(ring, x, p):
+    """(x*p) = (p) in Z iff p = 0 or x = +-1, coordinatewise in prod(Z,Z)."""
+    return all(pc == 0 or abs(xc) == 1 for xc, pc in zip(_coords(x), _coords(p)))
 
 
 def oracle_validate_factorization(tau, f):
@@ -321,9 +337,12 @@ def oracle_validate_u_factorization(u):
     """None when u is a valid split, else the violation: a unit slot, a
     nonempty essential block, blocks that multiply to the target, each
     inessential factor fixing the ideal of the essential product, and each
-    essential factor moving the ideal of the others' product."""
+    essential factor moving the ideal of the others' product.  Over Z and
+    prod(Z,Z), which cannot be scanned, units and ideals are read from the
+    coordinates."""
     ring = u.ring
-    if not _is_unit(ring, u.unit):
+    is_unit, ideal_fixed = (_is_unit, _ideal_fixed) if ring.is_finite else (_integer_unit, _integer_ideal_fixed)
+    if not is_unit(ring, u.unit):
         return "unit slot holds a non-unit"
     if not u.essential:
         return "essential block is empty"
@@ -331,10 +350,10 @@ def oracle_validate_u_factorization(u):
     if ring.mul(u.unit, ring.mul(_product(ring, u.inessential), ep)) != u.target:
         return "blocks do not multiply to the target"
     for x in u.inessential:
-        if not _ideal_fixed(ring, x, ep):
+        if not ideal_fixed(ring, x, ep):
             return f"inessential factor {ring.format_element(x)} moves the ideal"
     for i, x in enumerate(u.essential):
-        if _ideal_fixed(ring, x, _product(ring, u.essential[:i] + u.essential[i + 1 :])):
+        if ideal_fixed(ring, x, _product(ring, u.essential[:i] + u.essential[i + 1 :])):
             return f"essential factor {ring.format_element(x)} does not move the ideal"
     return None
 

@@ -805,10 +805,26 @@ def test_writer_batches_runs_of_rows(monkeypatch):
     obj = {"entries": [row] * cli._MIN_ROWS + [{"witness": [1]}] + [row] * (cli._MIN_ROWS - 1) + [[row] * 9]}
     assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
     assert batches == [cli._MIN_ROWS, 9]
+    # a list of dicts only is tested for rows in one pass over its keys
+    dicts = [row] * cli._MIN_ROWS + [{"witness": [1]}, {}, {1: 2}] + [row] * cli._MIN_ROWS
+    assert cli.dumps_indent2(dicts) == json.dumps(dicts, indent=2)
+    assert batches == [cli._MIN_ROWS, 9, cli._MIN_ROWS, cli._MIN_ROWS]
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     batches.clear()
     assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
     assert batches == []
+
+
+def test_writer_memo_keeps_depths_and_types_apart():
+    """An int list written once per call is reused only at the same depth
+    and for exact ints: ``True`` and ``1.0`` hash like ``1``."""
+    cases = [
+        {"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2]]}},
+        [[1, 1], [True, 1], [1.0, 1], [1, 1], [1, True], [1, 1.0]],
+        {"x": [[], [[]], [[], [1]], []], "y": [[[]]], "z": {}},
+    ]
+    for obj in cases:
+        assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
 
 
 def test_writer_matches_json_dumps_on_subclasses():

@@ -14,6 +14,7 @@ from taufact import (
     u_partitions,
 )
 from taufact import ufact
+from taufact.parsing import build_ring_from_text
 from conftest import small_finite_rings
 from oracles import oracle_u_partitions, oracle_validate_u_factorization
 
@@ -105,14 +106,31 @@ def test_phi_inverse_flags_nonessential_factor(z6):
         phi_inverse(z6, rc, f)
 
 
-def _split_mismatches(spec):
+def _small_cases(spec):
+    """The small rings' non-units under one relation at cap 4."""
+    return [(ring, spec, ring.nonunits(), 4) for ring in small_finite_rings()[:6]]
+
+
+def _repeated_factor_cases():
+    """Targets whose factorizations repeat factors, up to six times, under
+    full at cap 6: the nonzero non-units of prod(Zn(6),Zn(4)) and of
+    prod(Zn(8),Zn(2)), where (2,1), (4,1) and (0,1) are three ideals, so a
+    product off by one copy of (2,1) shows, and a box of regular elements
+    of prod(Z,Z)."""
+    finite = [build_ring_from_text(text) for text in ("prod(Zn(6),Zn(4))", "prod(Zn(8),Zn(2))")]
+    zz = build_ring_from_text("prod(Z,Z)")
+    box = [(a, b) for a in (4, 6, 8, 12) for b in (4, 6, 8, 12)]
+    return [(ring, FullTau(), ring.nonzero_nonunits(), 6) for ring in finite] + [(zz, FullTau(), box, 6)]
+
+
+def _split_mismatches(cases):
     """(ring, factorization) wherever ``u_partitions`` and the oracle's
-    splits differ as sets, over the small rings' enumerations at cap 4."""
+    splits differ as sets, over the cases' enumerations."""
     out = []
-    for ring in small_finite_rings()[:6]:
+    for ring, spec, targets, cap in cases:
         tau = build_tau(spec, ring)
-        for a in ring.nonunits():
-            fs = enumerate_factorizations(ring, tau, a, AssociateKind.STRONG, cap=4)
+        for a in targets:
+            fs = enumerate_factorizations(ring, tau, a, AssociateKind.STRONG, cap=cap)
             for f in fs.items:
                 got = {(u.inessential, u.essential) for u in u_partitions(ring, f)}
                 if got != oracle_u_partitions(ring, f):
@@ -122,7 +140,20 @@ def _split_mismatches(spec):
 
 def test_splits_match_oracle():
     for spec in (FullTau(), RegCapTau(FullTau())):
-        assert _split_mismatches(spec) == [], spec
+        assert _split_mismatches(_small_cases(spec)) == [], spec
+
+
+def test_splits_match_oracle_on_repeated_factors():
+    cases = _repeated_factor_cases()
+    for ring, spec, targets, cap in cases:
+        tau = build_tau(spec, ring)
+        # the cases reach the split table's deeper entries
+        assert any(
+            max(f.factors.count(x) for x in f.factors) >= 3
+            for a in targets
+            for f in enumerate_factorizations(ring, tau, a, AssociateKind.STRONG, cap=cap).items
+        ), ring.spec_string()
+    assert _split_mismatches(cases) == []
 
 
 @pytest.mark.parametrize(
@@ -139,4 +170,4 @@ def test_split_oracle_sees_a_wrong_ideal_test(monkeypatch, fault):
     """A wrong essentiality test, whether it drops valid splits or admits
     bad ones, makes the split comparison fail."""
     monkeypatch.setattr(ufact, "_ideal_fixed", fault)
-    assert _split_mismatches(FullTau())
+    assert _split_mismatches(_small_cases(FullTau()))
