@@ -28,8 +28,6 @@ from .parsing import (
     build_ring_from_text,
     build_tau_from_text,
     parse_element,
-    parse_ring_spec,
-    parse_tau_spec,
 )
 from .relations import RegCapTau, TauConstructionError, normal_spec
 from .rings import AssociateKind, RingConstructionError, UnsupportedOperationError
@@ -330,35 +328,42 @@ def _emit(payload, pretty: bool, pretty_render=None):
 
 
 # The query commands' finite rings, kept across the requests of a process:
-# ring spec -> (ring, its relations by relation spec), each least recently
-# used first (README, "Design notes").  Verify keeps its own ``_ring_slot``.
-RING_REGISTRY_SIZE = 64
-RELATIONS_PER_RING = 16
+# ring text -> (ring, its relations by text, its elements by text), each
+# least recently used first and each of at most ``REGISTRY_SIZE`` entries
+# (README, "Design notes").  Verify keeps its own ``_ring_slot``.
+REGISTRY_SIZE = 64
 _registry: OrderedDict = OrderedDict()
 
 
-def _remember(lru: OrderedDict, key, value, size: int) -> None:
+def _remember(lru: OrderedDict, key, value) -> None:
     """Store ``value`` at ``key`` as the most recently used entry, dropping
-    the least recently used one past ``size``."""
+    the least recently used one past ``REGISTRY_SIZE``."""
     lru[key] = value
     lru.move_to_end(key)
-    if len(lru) > size:
+    if len(lru) > REGISTRY_SIZE:
         lru.popitem(last=False)
 
 
 def _load_inputs(args, element=True):
-    """The ring, relation and element of a request.  A finite ring and its
-    relation come from the registry when there, and go into it only once
-    all three have been read, so a request whose input fails to parse or
-    build leaves the registry as it was."""
-    spec = parse_ring_spec(args.ring)
-    ring, relations = _registry.get(spec) or (build_ring_from_text(args.ring), OrderedDict())
-    tau_spec = parse_tau_spec(args.tau, ring)
-    tau = relations.get(tau_spec) or build_tau_from_text(args.tau, ring)
-    el = parse_element(args.element, ring) if element else None
+    """The ring, relation and element of a request.  On a finite ring each
+    comes from the registry when there, and goes into it only once all
+    three have been read, so a request whose input fails to parse or build
+    leaves the registry as it was."""
+    entry = _registry.get(args.ring) or (build_ring_from_text(args.ring), OrderedDict(), OrderedDict())
+    ring, relations, elements = entry
+    tau = relations.get(args.tau)
+    if tau is None:
+        tau = build_tau_from_text(args.tau, ring)
+    el = None
+    if element:
+        el = elements.get(args.element)
+        if el is None:
+            el = parse_element(args.element, ring)
     if ring.is_finite:
-        _remember(relations, tau_spec, tau, RELATIONS_PER_RING)
-        _remember(_registry, spec, (ring, relations), RING_REGISTRY_SIZE)
+        _remember(relations, args.tau, tau)
+        if element:
+            _remember(elements, args.element, el)
+        _remember(_registry, args.ring, entry)
     return ring, tau, el
 
 

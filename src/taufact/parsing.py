@@ -7,16 +7,9 @@ Elements:       integers, [c0,c1,...] coefficient arrays, (x,y) pairs,
                 mirroring the ring shape.
 
 Parse errors carry the offending position.
-
-Each parse is memoized by its text and, for relations and elements, the
-spec of the ring it reads against (README, "Design notes"): a ring holds
-its caches, so the memo keys by no ring object and keeps none alive; the
-rings that outlive a request live in the query registry of ``cli``.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .rings import (
     IntegersSpec,
@@ -24,7 +17,6 @@ from .rings import (
     PolyQuotSpec,
     ProductSpec,
     Ring,
-    RingSpec,
     build_ring,
 )
 from .relations import (
@@ -93,12 +85,6 @@ class _Scanner:
             raise ParseError(self.text, self.pos, "trailing input")
 
 
-# distinct texts each parse memo holds; perfbench's 2,400-request
-# query-stream reads 43 ring texts and 301 relation and 434 element keys
-PARSE_MEMO_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_ring_spec(text: str):
     sc = _Scanner(text)
     spec = _ring(sc)
@@ -176,12 +162,6 @@ def _element(sc: _Scanner, ring: Ring):
 
 
 def parse_element(text: str, ring: Ring):
-    return _parse_element(text, ring.spec)
-
-
-@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
-def _parse_element(text: str, spec: RingSpec):
-    ring = build_ring(spec)
     sc = _Scanner(text)
     value = _element(sc, ring)
     sc.done()
@@ -191,13 +171,8 @@ def _parse_element(text: str, spec: RingSpec):
 def parse_tau_spec(text: str, ring: Ring | None):
     """The relation spec of ``text``; ``ring`` reads subset elements and may
     be None for a text that names none."""
-    return _parse_tau_spec(text, None if ring is None else ring.spec)
-
-
-@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
-def _parse_tau_spec(text: str, ring_spec: RingSpec | None):
     sc = _Scanner(text)
-    spec = _tau(sc, None if ring_spec is None else build_ring(ring_spec))
+    spec = _tau(sc, ring)
     sc.done()
     return spec
 

@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taufact import cli, theorems
 from taufact.cli import main
@@ -70,8 +70,10 @@ def test_ufact_command(capsys):
 def test_requests_grow_no_module_container(capsys):
     """A stream of requests keeps no memory in the taufact modules but the
     query registry: no other dict, list or set bound at module level grows
-    while mixed requests run, and the registry holds exactly the stream's
-    finite rings, each with the relations it was asked under."""
+    while mixed requests run, no module-level ``functools`` cache but the
+    argument parser's one entry holds anything, and the registry holds
+    exactly the stream's finite rings, each with the relation and element
+    texts it was asked with."""
     mods = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "taufact"]
 
     def sizes():
@@ -80,6 +82,14 @@ def test_requests_grow_no_module_container(capsys):
             for m in mods
             for attr, val in vars(m).items()
             if not attr.startswith("__") and isinstance(val, (dict, list, set))
+        }
+
+    def cached():
+        return {
+            (m.__name__, attr): val.cache_info().currsize
+            for m in mods
+            for attr, val in vars(m).items()
+            if callable(getattr(val, "cache_info", None)) and val.cache_info().currsize
         }
 
     before = sizes()
@@ -100,8 +110,9 @@ def test_requests_grow_no_module_container(capsys):
     registry = ("taufact.cli", "_registry")
     assert before.pop(registry) == 0 and after.pop(registry) == 2
     assert before and after == before
-    held = {ring.spec_string(): [tau.spec_string() for tau in taus.values()] for ring, taus in cli._registry.values()}
-    assert held == {"Zn(12)": ["full"], "GFq(2,[0,0,1])": ["zero", "full"]}
+    assert cached() == {("taufact.cli", "_build_parser"): 1}
+    held = {key: (list(relations), list(elements)) for key, (ring, relations, elements) in cli._registry.items()}
+    assert held == {"Zn(12)": (["full"], ["4", "6"]), "GFq(2,[0,0,1])": (["zero", "full"], ["[0,1]"])}
 
 
 def test_properties_command(capsys):
@@ -415,6 +426,9 @@ def test_module_entry_point():
         ({"schema": 1, "rings": ["Z"], "scopes": {"Z": [2, [3]]}}, "scope for Z"),
         ({"schema": 1, "rings": ["Z"], "scopes": {"Z": [2, True]}}, "scope for Z"),
         ({"schema": 1, "rings": ["Zn(6)"], "scopes": {"Zn(6)": [True]}}, "scope for Zn(6)"),
+        ({"schema": 2, "rings": ["Zn(6)"]}, "corpus schema must be 1"),
+        ({"schema": 1, "rings": ["Z"]}, "needs an explicit scope"),
+        ({"schema": 1, "rings": ["prod(Z,Z)"], "scopes": {"prod(Z,Z)": [3]}}, "expected a pair"),
     ],
 )
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, corpus, message):
@@ -789,8 +803,13 @@ _row_lists |= st.builds(
 )
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
 @settings(max_examples=300, deadline=None)
 @given(_json_values | _row_lists | st.dictionaries(_json_strings, _row_lists | st.lists(_row_lists, max_size=2), max_size=2))
+# every arm of ``cli._float_text``, as values and as keys, on every run
+@example([_NAN, _INF, -_INF, 1.5, {_NAN: _INF, _INF: -_INF, -_INF: _NAN, 0.5: [_NAN]}])
 def test_writer_matches_json_dumps_indent2(obj):
     assert cli.dumps_indent2(obj) == json.dumps(obj, indent=2)
 

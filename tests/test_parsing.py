@@ -18,9 +18,8 @@ from taufact import (
     parse_ring_spec,
     parse_tau_spec,
 )
-from taufact import parsing
 from taufact.corpus import DEFAULT_TAUS
-from taufact.relations import ComaximalTau, FullTau, RegCapTau, SubsetTau, ZeroProductTau
+from taufact.relations import ComaximalTau, EmptyTau, FullTau, RegCapTau, RegularTau, SubsetTau, ZeroProductTau
 
 
 @pytest.mark.parametrize(
@@ -100,24 +99,18 @@ def _memo_taus(ring, elements, rng):
 
 
 def test_memoized_parses_match_a_fresh_parse():
-    """Every element text and relation text parses, on its first and on a
-    repeated call, to what the unmemoized parser gives, which is the value
-    it was formatted from."""
+    """Every ring, element and relation text parses, on its first and on a
+    repeated call, to the value it was formatted from."""
     rng = random.Random(27)
-    for memo in (parsing._parse_element, parsing._parse_tau_spec, parse_ring_spec):
-        memo.cache_clear()
     for ring, elements in _memo_rings():
         text = ring.spec_string()
-        assert parse_ring_spec(text) == parse_ring_spec(text) == parse_ring_spec.__wrapped__(text) == ring.spec
+        assert parse_ring_spec(text) == parse_ring_spec(text) == ring.spec
         for a in elements:
             text = ring.format_element(a)
-            fresh = parsing._parse_element.__wrapped__(text, ring.spec)
-            assert parse_element(text, ring) == parse_element(text, ring) == fresh == a, (ring.spec_string(), text)
+            assert parse_element(text, ring) == parse_element(text, ring) == a, (ring.spec_string(), text)
         for tau in _memo_taus(ring, elements, rng):
             text = tau.spec_string()
-            fresh = parsing._parse_tau_spec.__wrapped__(text, ring.spec)
-            assert parse_tau_spec(text, ring) == parse_tau_spec(text, ring) == fresh == tau.spec, text
-    assert parsing._parse_element.cache_info().hits > 0
+            assert parse_tau_spec(text, ring) == parse_tau_spec(text, ring) == tau.spec, text
 
 
 @pytest.mark.parametrize(
@@ -142,29 +135,17 @@ def test_parse_errors_are_not_memoized(call):
 
 
 def test_relation_texts_parse_without_a_ring():
-    for text in DEFAULT_TAUS:
-        assert parse_tau_spec(text, None) == parse_tau_spec(text, None) == parsing._parse_tau_spec.__wrapped__(text, None)
+    expected = [FullTau(), EmptyTau(), ZeroProductTau(), ComaximalTau(), RegularTau()]
+    expected += [RegCapTau(FullTau()), RegCapTau(ComaximalTau())]
+    assert [parse_tau_spec(text, None) for text in DEFAULT_TAUS] == expected
     assert parse_tau_spec("regcap(regcap(zero))", None) == RegCapTau(RegCapTau(ZeroProductTau()))
 
 
-def test_parse_memos_are_bounded():
-    zint = build_ring_from_text("Z")
-    count = parsing.PARSE_MEMO_SIZE + 5
-    for i in range(count):
-        parse_ring_spec(f"Zn({i + 2})")
-        parse_element(str(i), zint)
-        parse_tau_spec(f"subset[{i + 2}]", zint)
-    for memo in (parse_ring_spec, parsing._parse_element, parsing._parse_tau_spec):
-        info = memo.cache_info()
-        assert info.maxsize == parsing.PARSE_MEMO_SIZE and info.currsize <= info.maxsize
-        memo.cache_clear()
-
-
 def test_parse_memos_keep_no_ring():
-    """A ring read by a parse is freed with its last reference: the memo
-    keys by the ring's spec, not by the ring, whose caches it would keep."""
+    """A ring read by a parse is freed with its last reference: no parse
+    keeps the ring, whose caches it would keep alive."""
     ring = build_ring_from_text("prod(Zn(2),Zn(6))")
-    ring.divisors((0, 2))  # fill a cache the memo must not keep
+    ring.divisors((0, 2))  # fill a cache a parse must not keep
     assert parse_element("[0,5]", ring) == (0, 5)
     assert parse_tau_spec("subset[(1,2),(0,3)]", ring) == SubsetTau(((1, 2), (0, 3)))
     ref = weakref.ref(ring)
@@ -175,8 +156,8 @@ def test_parse_memos_keep_no_ring():
 
 def test_parse_memos_key_by_the_ring():
     """A text that is an element of one ring and not of another of the same
-    shape is read against each: a memo keyed by text alone would accept it
-    on both."""
+    shape is read against each: a cache keyed by text alone would accept
+    it on both."""
     wide = build_ring_from_text("prod(Zn(2),Zn(6))")
     narrow = build_ring_from_text("prod(Zn(2),Zn(3))")
     for _ in range(2):
