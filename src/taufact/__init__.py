@@ -26,7 +26,7 @@ _EXPORTS = {
     "ufact": "UDomainError UFactorization phi phi_inverse u_partitions",
     "properties": """Elasticity Evaluator PropKind PropScope PropertyId
         PropertyVerdict check_property elasticity""",
-    "theorems": "TheoremEntry summarize verify_corpus_entry",
+    "theorems": "summarize verify_corpus_entry",
     "corpus": "CorpusError default_corpus_spec generate_corpus",
     "parsing": """ParseError build_ring_from_text build_tau_from_text parse_element
         parse_ring_spec parse_tau_spec""",

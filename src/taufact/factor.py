@@ -18,27 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .rings import (
-    AssociateKind,
-    ElementClass,
-    InfiniteSetError,
-    Ring,
-    UnsupportedOperationError,
-)
-from .relations import (
-    ComaximalTau,
-    EmptyTau,
-    FullTau,
-    RegCapTau,
-    RegularTau,
-    TauRelation,
-    ZeroProductTau,
-    _in_sharp,
-    normal_spec,
-)
-
-# the normal forms of the relations that relate no pair
-_RELATES_NO_PAIR = (EmptyTau(), RegCapTau(EmptyTau()))
+from .rings import AssociateKind, ElementClass, InfiniteSetError, Ring
+from .relations import TauRelation
 
 
 class PreconditionError(ValueError):
@@ -169,74 +150,13 @@ def default_cap(ring: Ring, tau: TauRelation, target) -> int:
         return 8
 
 
-def _associate_stable(spec) -> bool:
-    """Relations invariant under replacing arguments by associates."""
-    if isinstance(spec, (FullTau, EmptyTau, ComaximalTau, ZeroProductTau, RegularTau)):
-        return True
-    if isinstance(spec, RegCapTau):
-        return _associate_stable(spec.inner)
-    return False
-
-
 def _first_trivial_decides(tau: TauRelation, beta: AssociateKind) -> bool:
     """The trivial factorizations ``(x,)`` of a target, x over its associate
     orbit, share one class key and pump alike: the key is the orbit's below
     ``VERY_STRONG``, and on an associate-stable relation ``x = 0``,
     ``holds(x, x)`` and ``x*x`` strongly associate to x all hold for every x
     in the orbit or for none (README, "Design notes")."""
-    return beta != AssociateKind.VERY_STRONG and _associate_stable(tau.spec)
-
-
-def _nontrivial_candidates(
-    ring: Ring, tau: TauRelation, target, reduce_assoc: bool = False
-) -> list:
-    """Elements that can appear in a factorization of length >= 2.
-
-    With ``reduce_assoc`` (sound for associate-stable relations and views no
-    finer than the strong-associate one, as every constructible ring is
-    strongly associate: README, "Design notes"), candidates shrink to one
-    per associate class: any factorization normalizes factor-wise onto
-    class representatives with the unit slot absorbing the difference.
-    They are the target's ``Ring.divisor_classes`` without zero, the first
-    member of each class in ``sort_key`` order, which is the one a scan of
-    the sorted divisors keeps.
-    """
-    got = tau._cand_cache.get((target, reduce_assoc), False)
-    if got is not False:
-        if got is None:
-            raise UnsupportedOperationError(
-                f"divisor set of {ring.format_element(target)} is infinite; "
-                "nontrivial factorizations cannot be enumerated"
-            )
-        return got
-    if normal_spec(tau.spec) in _RELATES_NO_PAIR:
-        # no candidate has a partner
-        return []
-    if tau.regular_only and not ring.is_regular(target):
-        # a product of two or more pairwise-regular factors is regular
-        return []
-    if isinstance(tau.spec, ZeroProductTau) and target != ring.zero:
-        # pairwise zero products force the whole product to zero
-        return []
-    try:
-        if reduce_assoc and _associate_stable(tau.spec):
-            cands = [d for d in ring.divisor_classes(target) if d != ring.zero]
-        else:
-            cands = sorted(
-                (d for d in ring.divisors(target) if _in_sharp(ring, d)), key=ring.sort_key
-            )
-    except InfiniteSetError:
-        tau._cand_cache[(target, reduce_assoc)] = None
-        raise UnsupportedOperationError(
-            f"divisor set of {ring.format_element(target)} is infinite; "
-            "nontrivial factorizations cannot be enumerated"
-        )
-    if tau.regular_only:
-        cands = [d for d in cands if ring.is_regular(d)]
-    # a factor needs at least one partner (possibly itself)
-    cands = [x for x in cands if any(tau.holds(x, y) for y in cands)]
-    tau._cand_cache[(target, reduce_assoc)] = cands
-    return cands
+    return beta != AssociateKind.VERY_STRONG and tau.associate_stable
 
 
 def enumerate_factorizations(
@@ -295,9 +215,7 @@ def enumerate_factorizations(
         elif (x,) not in raw_seen:
             consider((x,), x, u)
 
-    candidates = _nontrivial_candidates(
-        ring, tau, target, reduce_assoc=beta != AssociateKind.VERY_STRONG
-    )
+    candidates = tau.candidates(target, reduce_assoc=beta != AssociateKind.VERY_STRONG)
 
     if candidates:
         unit_cof: dict = {}
@@ -385,7 +303,7 @@ def tau_divides(ring: Ring, tau: TauRelation, b, a, cap: Optional[int] = None) -
     # trivial factorization: b = (some unit)^-1 * a
     if ring.associated(b, a, AssociateKind.STRONG):
         return True
-    candidates = _nontrivial_candidates(ring, tau, a)
+    candidates = tau.candidates(a)
     if b not in candidates:
         return False
     if cap is None:

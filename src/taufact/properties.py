@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .factor import (
+    Factorization,
     FactorizationSet,
     PreconditionError,
-    _nontrivial_candidates,
+    PumpWitness,
     canonicalize,
     enumerate_factorizations,
     pump_factor,
@@ -191,23 +192,16 @@ class PropertyVerdict:
 
 
 def _witness_json(ring: Ring, w):
-    from .factor import Factorization, PumpWitness
-
-    if isinstance(w, Factorization):
+    """A property witness as JSON.  The checks build each witness from
+    elements, factorizations, splits and pump witnesses, alone or in a
+    dict, so anything else is an element."""
+    if isinstance(w, (Factorization, UFactorization)):
         return w.to_json()
     if isinstance(w, PumpWitness):
         return {"pump": ring.element_to_json(w.x), "base": w.base.to_json()}
-    if isinstance(w, UFactorization):
-        return w.to_json()
     if isinstance(w, dict):
         return {k: _witness_json(ring, v) for k, v in w.items()}
-    if isinstance(w, (list, tuple)):
-        if ring.contains(w):
-            return ring.element_to_json(w)
-        return [_witness_json(ring, v) for v in w]
-    if ring.contains(w):
-        return ring.element_to_json(w)
-    return repr(w)
+    return ring.element_to_json(w)
 
 
 DEFAULT_PROPERTY_CAP = 6
@@ -366,7 +360,7 @@ class Evaluator:
         got = self._profiles.get(rep)
         if got is None:
             fs = self.fs(a)  # a member's own error names it
-            got = self._profiles[rep] = classify(self.ring, self.tau, rep, cap=self.cap, fs=fs)
+            got = self._profiles[rep] = classify(self.ring, self.tau, rep, fs=fs)
         return got
 
     def atom_flag(self, a, alpha: IrreducibleKind) -> Flag:
@@ -459,7 +453,7 @@ class Evaluator:
         ring = self.ring
         best = 1
         try:
-            for b in _nontrivial_candidates(ring, self.tau, a, reduce_assoc=True):
+            for b in self.tau.candidates(a, reduce_assoc=True):
                 if regular_only and not ring.is_regular(b):
                     continue
                 if not ring.cofactors(b, a).is_empty():

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .rings import Ring, UnsupportedOperationError
+from .rings import InfiniteSetError, Ring, UnsupportedOperationError
 
 
 class TauConstructionError(ValueError):
@@ -59,15 +59,40 @@ class RegCapTau:
 
 TauSpec = object
 
+# the normal forms of the relations that relate no pair
+_RELATES_NO_PAIR = (EmptyTau(), RegCapTau(EmptyTau()))
+
+
+def _associate_stable(spec) -> bool:
+    """Relations invariant under replacing arguments by associates."""
+    if isinstance(spec, (FullTau, EmptyTau, ComaximalTau, ZeroProductTau, RegularTau)):
+        return True
+    if isinstance(spec, RegCapTau):
+        return _associate_stable(spec.inner)
+    return False
+
 
 class TauRelation:
-    """A symmetric relation on R#, bound to a concrete ring."""
+    """A symmetric relation on R#, bound to a concrete ring.
+
+    Everything the engine reads of the spec, other than the pairs it
+    relates, is decided here, once, when the relation is built: the flags
+    ``regular_only`` (the relation can only hold between regular elements)
+    and ``associate_stable`` (it is invariant under replacing arguments by
+    associates), and the shortcuts of ``candidates``.  Relations with one
+    pair table on a finite ring answer each alike (README, "Design
+    notes"), and a test keeps every other module to these flags.
+    """
 
     def __init__(self, spec: TauSpec, ring: Ring):
         self.spec = spec
         self.ring = ring
         self._cache: dict = {}
         self._cand_cache: dict = {}
+        self.regular_only = isinstance(spec, (RegCapTau, RegularTau))
+        self.associate_stable = _associate_stable(spec)
+        self._relates_no_pair = normal_spec(spec) in _RELATES_NO_PAIR
+        self._zero_product = isinstance(spec, ZeroProductTau)
         self._inner_rel = (
             TauRelation(spec.inner, ring) if isinstance(spec, RegCapTau) else None
         )
@@ -82,11 +107,6 @@ class TauRelation:
                         f"subset element {ring.format_element(e)} is not a nonzero non-unit"
                     )
             self._subset = frozenset(spec.elements)
-
-    @property
-    def regular_only(self) -> bool:
-        """True when the relation can only hold between regular elements."""
-        return isinstance(self.spec, (RegCapTau, RegularTau))
 
     def holds(self, a, b) -> bool:
         """Whether the relation holds; arguments are expected in R#."""
@@ -118,6 +138,52 @@ class TauRelation:
                 return False
             return self._inner_rel.holds(a, b)
         raise TauConstructionError(f"unknown tau spec: {spec!r}")
+
+    def candidates(self, target, reduce_assoc: bool = False) -> list:
+        """Elements that can appear in a factorization of ``target`` of
+        length >= 2, in ``sort_key`` order, memoized per target.
+
+        With ``reduce_assoc`` (sound for associate-stable relations and views
+        no finer than the strong-associate one, as every constructible ring
+        is strongly associate: README, "Design notes"), candidates shrink to
+        one per associate class: any factorization normalizes factor-wise
+        onto class representatives with the unit slot absorbing the
+        difference.  They are the target's ``Ring.divisor_classes`` without
+        zero, the first member of each class in ``sort_key`` order, which is
+        the one a scan of the sorted divisors keeps.
+        """
+        key = (target, reduce_assoc)
+        got = self._cand_cache.get(key, False)
+        if got is False:
+            ring = self.ring
+            if self._relates_no_pair:
+                # no candidate has a partner
+                return []
+            if self.regular_only and not ring.is_regular(target):
+                # a product of two or more pairwise-regular factors is regular
+                return []
+            if self._zero_product and target != ring.zero:
+                # pairwise zero products force the whole product to zero
+                return []
+            try:
+                if reduce_assoc and self.associate_stable:
+                    got = [d for d in ring.divisor_classes(target) if d != ring.zero]
+                else:
+                    got = sorted((d for d in ring.divisors(target) if _in_sharp(ring, d)), key=ring.sort_key)
+            except InfiniteSetError:
+                got = None  # remembered, so that each read raises
+            else:
+                if self.regular_only:
+                    got = [d for d in got if ring.is_regular(d)]
+                # a factor needs at least one partner (possibly itself)
+                got = [x for x in got if any(self.holds(x, y) for y in got)]
+            self._cand_cache[key] = got
+        if got is None:
+            raise UnsupportedOperationError(
+                f"divisor set of {self.ring.format_element(target)} is infinite; "
+                "nontrivial factorizations cannot be enumerated"
+            )
+        return got
 
     def regcap(self) -> "TauRelation":
         """The restriction of this relation to pairs of regular elements."""
@@ -171,7 +237,7 @@ def normal_spec(spec: TauSpec) -> TauSpec:
     becomes ``regcap(empty)``: each pair holds on the same pairs (a product
     of regular elements is regular, so nonzero), is ``regular_only`` and is
     associate-stable alike, and neither side is ``zero`` at the top level,
-    where ``_nontrivial_candidates`` branches; its test for a relation that
+    where ``TauRelation.candidates`` branches; its test for a relation that
     relates no pair reads this normal form.  Nothing else is rewritten.
     ``regcap(empty)`` holds nowhere, as ``empty`` does, but it is
     ``regular_only`` and ``empty`` is not, and the engine and the harness

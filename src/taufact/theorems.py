@@ -9,7 +9,6 @@ asserted).  Verdicts never promote unknown inputs to universal claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .factor import PreconditionError
@@ -57,35 +56,6 @@ SKIPPED = "skipped"
 INFORMATIONAL = "informational"
 
 
-@dataclass
-class TheoremEntry:
-    ring: str
-    tau: str
-    theorem: str
-    instance: str
-    outcome: str
-    witness: Optional[object] = None
-    cap: int = 0
-    scoped: bool = False
-    note: str = ""
-
-    def to_json(self):
-        out = {
-            "ring": self.ring,
-            "tau": self.tau,
-            "theorem": self.theorem,
-            "instance": self.instance,
-            "outcome": self.outcome,
-            "cap": self.cap,
-            "scoped": self.scoped,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
 def _tristate(v: PropertyVerdict):
     if v.outcome == "holds":
         return True
@@ -99,18 +69,9 @@ def context_spec(tau: TauRelation):
     normal spec (``relations.normal_spec``) on an infinite ring, and the
     pair table on R# (``relations.pair_table``) on a finite one, where R#
     has no regular element (``Ring._classify``), so no target is regular.
-    The engine reads pairs but for six spec tests, each alike within a
-    table (full proof in README, "Design notes"): ``_RELATES_NO_PAIR`` and
-    the regular-only shortcut leave no candidate, as the partner filter
-    does under a table that relates no pair; under ``zero``'s table a
-    nonzero target has only trivial factorizations and no pump, and the
-    ``candidates`` the ``ZeroProductTau`` shortcut drops change no closure
-    and give ``chain_bound`` no proper step; a ``subset`` with a stable
-    relation's table relates all of R# or no pair, and the reduction behind
-    ``_associate_stable`` keeps each class, first member, pump and cut;
-    ``phi_inverse`` and ``_tau_subset_of_regular`` give a regular-only
-    relation its table's answer.  Computed tables carry this, not the
-    paper's claim about regular targets."""
+    The engine reads a spec only through the flags ``TauRelation`` sets when
+    it is built, and each is alike within a table (README, "Design notes"),
+    so relations with one table can share an evaluator."""
     if tau.ring.is_finite:
         return pair_table(tau)
     return normal_spec(tau.spec)
@@ -212,19 +173,21 @@ class EntryChecker:
         return ev.verdict(cell)
 
     def emit(self, theorem, instance, outcome, witness=None, note=""):
-        self.entries.append(
-            TheoremEntry(
-                ring=self.ring_label,
-                tau=self.label,
-                theorem=theorem,
-                instance=instance,
-                outcome=outcome,
-                witness=witness,
-                cap=self.cap,
-                scoped=self.scoped,
-                note=note,
-            )
-        )
+        """Appends one JSON report row."""
+        row = {
+            "ring": self.ring_label,
+            "tau": self.label,
+            "theorem": theorem,
+            "instance": instance,
+            "outcome": outcome,
+            "cap": self.cap,
+            "scoped": self.scoped,
+        }
+        if witness is not None:
+            row["witness"] = witness
+        if note:
+            row["note"] = note
+        self.entries.append(row)
 
     def _ej(self, x):
         return self.ring.element_to_json(x)
@@ -744,6 +707,7 @@ def _combine_and(a: PropertyVerdict, b: PropertyVerdict) -> PropertyVerdict:
 
 
 def verify_corpus_entry(ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict) -> list:
+    """The JSON report rows of one corpus entry."""
     checker = EntryChecker(ring, tau, scope, cap, contexts)
     return checker.run()
 
@@ -756,7 +720,7 @@ def verify_corpus_entries(ring: Ring, taus, scope, cap: int, contexts: dict) -> 
     return per_context_spec(
         taus,
         lambda spec: context_evaluator(contexts, ring, spec, scope, cap),
-        lambda tau: [e.to_json() for e in verify_corpus_entry(ring, tau, scope, cap, contexts)],
+        lambda tau: verify_corpus_entry(ring, tau, scope, cap, contexts),
         _relabel,
     )
 

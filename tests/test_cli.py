@@ -125,6 +125,31 @@ def test_properties_command(capsys):
     assert payload["elasticity"]["value"] == "undefined-empty-scope"
 
 
+def test_properties_witnesses(capsys):
+    """A failing property's witness is written as JSON: a pump witness, and
+    a dict of the element and two factorizations, on a ring whose elements
+    are ints and on one whose elements are pairs."""
+    def witnesses(ring):
+        code, out, _ = run_cli(capsys, "properties", "--ring", ring, "--tau", "full")
+        assert code == 0
+        return {v["property"]: v.get("witness") for v in json.loads(out)["properties"]}
+
+    def fact(unit, factors, target):
+        return {"unit": unit, "factors": factors, "target": target, "trivial": False}
+
+    z8 = witnesses("Zn(8)")
+    assert z8["bfr/plain"] == {"pump": 2, "base": fact(1, [2, 2, 2], 0)}
+    assert z8["hfr/irreducible/plain"] == {
+        "element": 0, "short": fact(1, [2, 2, 2], 0), "long": fact(1, [2] * 6, 0),
+    }
+    pairs = witnesses("prod(Zn(2),Zn(4))")
+    assert pairs["hfr/irreducible/plain"] == {
+        "element": [0, 0],
+        "short": fact([1, 1], [[0, 1], [1, 2], [1, 2]], [0, 0]),
+        "long": fact([1, 1], [[0, 1]] + [[1, 2]] * 5, [0, 0]),
+    }
+
+
 def test_properties_scope(capsys):
     code, out, _ = run_cli(
         capsys,

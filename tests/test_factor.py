@@ -29,7 +29,7 @@ from taufact import (
 from taufact.cli import run_verification
 from taufact.corpus import DEFAULT_TAUS, default_corpus_spec
 from taufact.parsing import build_tau_from_text
-from taufact.factor import _associate_stable, _nontrivial_candidates, default_cap
+from taufact.factor import default_cap
 from conftest import divisor_class_cases, small_finite_rings
 from oracles import (
     matching_equivalent,
@@ -39,7 +39,7 @@ from oracles import (
     oracle_unbounded,
     oracle_validate_factorization,
 )
-from taufact import factor
+from taufact import factor, relations
 
 A, S, V = AssociateKind.ASSOCIATE, AssociateKind.STRONG, AssociateKind.VERY_STRONG
 
@@ -511,14 +511,34 @@ def test_integer_lengths_see_a_cap_off_by_one(monkeypatch):
     assert summary["violated"] == 0 and summary["skipped"] > 0
 
 
+# the oracle's own reading of each spec class, apart from the engine's:
+# (regular only, associate stable)
+_SPEC_FLAGS = {
+    FullTau: (False, True),
+    EmptyTau: (False, True),
+    ZeroProductTau: (False, True),
+    ComaximalTau: (False, True),
+    RegularTau: (True, True),
+    SubsetTau: (False, False),
+}
+
+
+def _spec_flags(spec):
+    """A ``regcap`` is regular-only and as stable as what it restricts."""
+    if isinstance(spec, RegCapTau):
+        return True, _spec_flags(spec.inner)[1]
+    return _SPEC_FLAGS[type(spec)]
+
+
 def _old_candidates(ring, tau, a, reduce_assoc):
-    """``_nontrivial_candidates`` as built from the whole divisor set:
+    """``TauRelation.candidates`` as built from the whole divisor set:
     the sorted divisors in R#, then the regular filter, then the first
     element of each associate class, then the partner filter.  None when
     the divisor set is infinite."""
+    regular_only, stable = _spec_flags(tau.spec)
     if isinstance(tau.spec, EmptyTau):
         return []
-    if tau.regular_only and not ring.is_regular(a):
+    if regular_only and not ring.is_regular(a):
         return []
     if isinstance(tau.spec, ZeroProductTau) and a != ring.zero:
         return []
@@ -527,9 +547,9 @@ def _old_candidates(ring, tau, a, reduce_assoc):
     except UnsupportedOperationError:
         return None
     cands = sorted((d for d in divs if d != ring.zero and not ring.is_unit(d)), key=ring.sort_key)
-    if tau.regular_only:
+    if regular_only:
         cands = [d for d in cands if ring.is_regular(d)]
-    if reduce_assoc and _associate_stable(tau.spec):
+    if reduce_assoc and stable:
         reps = {}
         for d in cands:
             reps.setdefault(ring.associate_key(d, A), d)
@@ -537,13 +557,14 @@ def _old_candidates(ring, tau, a, reduce_assoc):
     return [x for x in cands if any(tau.holds(x, y) for y in cands)]
 
 
-def test_candidates_match_the_full_divisor_construction():
-    """The candidates read off the class table equal the old construction,
-    under the default relations, spellings of the one that relates no pair,
-    and seeded subset relations; on prod(Z,Z) over a smaller box, with axis
-    elements."""
+def _candidate_mismatches() -> list:
+    """The (ring, relation, target, reduce_assoc) cases where the candidates
+    differ from the old construction, under the default relations,
+    spellings of the one that relates no pair, and seeded subset relations;
+    on prod(Z,Z) over a smaller box, with axis elements."""
     rng = random.Random(16)
     texts = DEFAULT_TAUS + ("regcap(zero)", "regcap(empty)", "regcap(regcap(zero))")
+    out = []
     for ring, targets, _ in divisor_class_cases():
         if ring.spec_string() == "prod(Z,Z)":
             targets = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
@@ -557,10 +578,26 @@ def test_candidates_match_the_full_divisor_construction():
                 for reduce_assoc in (False, True):
                     expected = _old_candidates(ring, tau, a, reduce_assoc)
                     try:
-                        got = _nontrivial_candidates(ring, tau, a, reduce_assoc)
+                        got = tau.candidates(a, reduce_assoc)
                     except UnsupportedOperationError:
                         got = None
-                    assert got == expected, (ring, tau, a, reduce_assoc)
+                    if got != expected:
+                        out.append((ring.spec_string(), tau.spec_string(), a, reduce_assoc))
+    return out
+
+
+def test_candidates_match_the_full_divisor_construction():
+    """The candidates read off the class table equal the old construction."""
+    assert _candidate_mismatches() == []
+
+
+def test_candidate_comparison_sees_a_subset_read_as_stable(monkeypatch):
+    """With ``subset`` relations marked associate-stable, their reduced
+    candidates keep one member per class, and the comparison fails."""
+    stable = relations._associate_stable
+    monkeypatch.setattr(relations, "_associate_stable", lambda spec: isinstance(spec, SubsetTau) or stable(spec))
+    mismatches = _candidate_mismatches()
+    assert mismatches and all(tau.startswith("subset") and reduce for _, tau, _, reduce in mismatches)
 
 
 def _enumeration_outcome(ring, tau, a, beta):
@@ -618,7 +655,7 @@ def test_enumeration_reads_one_relation_row_per_candidate(monkeypatch, zz):
     once per search node: on the regular target (18,16) of prod(Z,Z) under
     ``regular``, which never pumps, its 29 candidates cost at most 435."""
     tau = build_tau_from_text("regular", zz)
-    n = len(_nontrivial_candidates(zz, tau, (18, 16), reduce_assoc=True))
+    n = len(tau.candidates((18, 16), reduce_assoc=True))
     calls = []
     holds = tau.holds
     monkeypatch.setattr(tau, "holds", lambda x, y: calls.append((x, y)) or holds(x, y))

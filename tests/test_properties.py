@@ -19,7 +19,7 @@ from taufact import (
     check_property,
     elasticity,
 )
-from taufact import properties
+from taufact import factor, properties
 from taufact.corpus import DEFAULT_TAUS
 from taufact.parsing import build_ring_from_text, build_tau_from_text
 from taufact.properties import CATALOG_PROPS, Evaluator
@@ -147,6 +147,28 @@ def test_elasticity_product(zz):
     tau = build_tau(FullTau(), zz)
     el = elasticity(evaluator(zz, tau, [(a, b) for a in range(2, 21) for b in range(2, 21)]))
     assert el.value == Fraction(1)
+
+
+def test_elasticity_notes_a_capped_enumeration(monkeypatch, zint):
+    """An element whose search stopped at its cap gives no ratio, and the
+    note says so: 2^7 under a default cap one lower."""
+    engine = factor.default_cap
+    monkeypatch.setattr(factor, "default_cap", lambda ring, tau, a: engine(ring, tau, a) - 1)
+    el = elasticity(evaluator(zint, build_tau(FullTau(), zint), [128, 6]))
+    assert (el.value, el.per_element, el.note) == (Fraction(1), {6: Fraction(1)}, "some elements undecided at cap")
+
+
+def test_elasticity_notes_an_unknown_atomic_flag(monkeypatch, zint):
+    """An element whose own search is complete gives no ratio when a factor
+    of it has an atomic flag unknown at its cap, and the note says so: under
+    ``subset[2,8]`` the search of 8 = 2*2*2 stops at cap 2, so 8 is not
+    known to be irreducible, and 16 = 2*8 = 2*2*2*2 is undecided."""
+    engine = factor.default_cap
+    monkeypatch.setattr(factor, "default_cap", lambda ring, tau, a: 2 if abs(a) == 8 else engine(ring, tau, a))
+    ev = evaluator(zint, build_tau_from_text("subset[2,8]", zint), [16, 6])
+    assert ev.exhaustive(16) and ev.atom_flag(8, IRR) == Flag.UNKNOWN
+    el = elasticity(ev)
+    assert (el.value, el.per_element, el.note) == (Fraction(1), {6: Fraction(1)}, "some atomic flags unknown at cap")
 
 
 def test_hfr_iff_atomic_and_elasticity_one(zint):

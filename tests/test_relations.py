@@ -17,7 +17,6 @@ from taufact import (
 )
 from taufact import relations
 from taufact.corpus import default_corpus_spec
-from taufact.factor import _associate_stable
 from taufact.properties import Evaluator
 from taufact.relations import normal_spec
 from conftest import small_finite_rings
@@ -114,9 +113,13 @@ def test_subset_not_refinable(z8):
     assert Evaluator(z8, t, 4).refinable() is False
 
 
+def _engine_flags(tau):
+    return tau.regular_only, tau.associate_stable, tau._relates_no_pair, tau._zero_product
+
+
 def test_normal_spec_keeps_what_the_engine_branches_on():
     """The normal form merges only specs that hold on the same pairs and
-    agree on ``regular_only`` and associate stability."""
+    agree on every flag the relation sets for the engine."""
     rc = RegCapTau
     assert normal_spec(rc(FullTau())) == RegularTau()
     assert normal_spec(rc(RegularTau())) == RegularTau()
@@ -129,8 +132,7 @@ def test_normal_spec_keeps_what_the_engine_branches_on():
         sharp = ring.nonzero_nonunits()
         for spec in ALL_SPECS + (rc(EmptyTau()), rc(ZeroProductTau()), rc(rc(ComaximalTau()))):
             tau, norm = build_tau(spec, ring), build_tau(normal_spec(spec), ring)
-            assert norm.regular_only == tau.regular_only
-            assert _associate_stable(norm.spec) == _associate_stable(tau.spec)
+            assert _engine_flags(norm) == _engine_flags(tau), spec
             assert all(tau.holds(a, b) == norm.holds(a, b) for a in sharp for b in sharp)
 
 

@@ -46,22 +46,21 @@ def run_entry(ring_spec, tau_spec, scope=None, cap=5):
     ring = build_ring(ring_spec)
     tau = build_tau(tau_spec, ring)
     entries = verify_corpus_entry(ring, tau, scope, cap, {})
-    return entries, summarize(e.outcome for e in entries)
+    return entries, summarize(e["outcome"] for e in entries)
 
 
 @pytest.mark.parametrize("ring_spec,tau_spec", SMALL_SPECS)
 def test_no_violations_on_small_entries(ring_spec, tau_spec):
     entries, summary = run_entry(ring_spec, tau_spec)
     assert summary["violated"] == 0, [
-        (e.theorem, e.instance, e.witness) for e in entries if e.outcome == "violated"
+        (e["theorem"], e["instance"], e.get("witness")) for e in entries if e["outcome"] == "violated"
     ]
 
 
 def test_entries_are_json_serializable():
     entries, _ = run_entry(ModIntSpec(6), FullTau())
-    payload = [e.to_json() for e in entries]
-    json.dumps(payload)  # witnesses must already be plain data
-    theorems = {e.theorem for e in entries}
+    json.dumps(entries)  # witnesses must already be plain data
+    theorems = {e["theorem"] for e in entries}
     assert {
         "irreducible-hierarchy",
         "regular-atom-five-way",
@@ -85,8 +84,8 @@ def test_informational_rows_never_counted_as_violations():
     entries, summary = run_entry(ModIntSpec(6), FullTau())
     assert summary["informational"] >= 1
     for e in entries:
-        if e.outcome == "informational":
-            assert e.theorem in ("relation-predicates",) or e.instance.startswith(
+        if e["outcome"] == "informational":
+            assert e["theorem"] in ("relation-predicates",) or e["instance"].startswith(
                 ("informational", "flag-")
             )
 
@@ -95,7 +94,7 @@ def test_integers_scoped_entry_verifies():
     scope = [a for a in range(-30, 31) if abs(a) > 1]
     entries, summary = run_entry(IntegersSpec(), FullTau(), scope=scope, cap=6)
     assert summary["violated"] == 0
-    assert all(e.scoped for e in entries)
+    assert all(e["scoped"] for e in entries)
 
 
 def test_zero_divisor_family_on_product():
@@ -104,9 +103,9 @@ def test_zero_divisor_family_on_product():
     scope += [(a, 0) for a in range(1, 5)] + [(0, b) for b in range(1, 5)]
     entries, summary = run_entry(ring_spec, RegCapTau(FullTau()), scope=scope, cap=6)
     assert summary["violated"] == 0
-    by_theorem = {e.theorem: e for e in entries}
-    assert by_theorem["zero-divisor-atoms"].outcome == "verified"
-    assert by_theorem["essential-divisor-lemma"].outcome == "verified"
+    by_theorem = {e["theorem"]: e for e in entries}
+    assert by_theorem["zero-divisor-atoms"]["outcome"] == "verified"
+    assert by_theorem["essential-divisor-lemma"]["outcome"] == "verified"
 
 
 def test_eight_way_gated_on_refinability(z8):
@@ -115,8 +114,8 @@ def test_eight_way_gated_on_refinability(z8):
     from taufact import SubsetTau
 
     entries, _ = run_entry(ModIntSpec(8), SubsetTau((2, 4)))
-    row = next(e for e in entries if e.theorem == "refinable-finiteness-eight-way")
-    assert row.outcome == "inapplicable"
+    row = next(e for e in entries if e["theorem"] == "refinable-finiteness-eight-way")
+    assert row["outcome"] == "inapplicable"
 
 
 def test_mixed_infinite_finite_product_entry():
@@ -127,7 +126,7 @@ def test_mixed_infinite_finite_product_entry():
     for tau_spec in (FullTau(), RegCapTau(FullTau())):
         entries, summary = run_entry(ring_spec, tau_spec, scope=scope, cap=6)
         assert summary["violated"] == 0, [
-            (e.theorem, e.instance) for e in entries if e.outcome == "violated"
+            (e["theorem"], e["instance"]) for e in entries if e["outcome"] == "violated"
         ]
 
 
@@ -172,7 +171,7 @@ def test_split_equivalences_can_fail(monkeypatch):
         entries, _ = run_entry(IntegersSpec(), FullTau(), scope=scope, cap=6)
         return [
             e for e in entries
-            if e.theorem == "split-equivalences" and e.outcome == "violated"
+            if e["theorem"] == "split-equivalences" and e["outcome"] == "violated"
         ]
 
     assert violated() == []
@@ -235,7 +234,7 @@ def _direct_rows(corpus, monkeypatch):
         for ce in entries:
             ring = build_ring_from_text(ce.ring_str)
             tau = build_tau_from_text(ce.tau_str, ring)
-            rows += [e.to_json() for e in verify_corpus_entry(ring, tau, ce.scope, meta["cap"], {})]
+            rows += verify_corpus_entry(ring, tau, ce.scope, meta["cap"], {})
     return rows
 
 
@@ -483,7 +482,7 @@ def _law_rows(law, mode):
                 informational=mode == "informational",
             )
     return {
-        tuple(e.instance.split("-")): (e.outcome, list(e.witness or ()), e.note)
+        tuple(e["instance"].split("-")): (e["outcome"], list(e.get("witness") or ()), e.get("note", ""))
         for e in checker.entries
     }
 
@@ -504,9 +503,10 @@ def test_law_table_sees_an_implication_read_both_ways(monkeypatch):
     assert rows != _expected_law_rows("implication", "asserted")
 
 
-def _callers(names) -> dict:
+def _callers(names, reads=False) -> dict:
     """The scopes of ``src/taufact`` that call each of ``names``, by a bare
-    name or as an attribute of a ``taufact`` module: ``module``, or
+    name or as an attribute of a ``taufact`` module, or with ``reads`` that
+    read an attribute of that name off any object: ``module``, or
     ``module.function``, ``module.Class.method`` and so on inwards."""
     package = Path(properties.__file__).parent
     modules = {path.stem for path in package.glob("*.py")}
@@ -517,6 +517,9 @@ def _callers(names) -> dict:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
+            elif reads:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load) and child.attr in out:
+                    out[child.attr].add(scope)
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = None
@@ -556,6 +559,57 @@ def test_one_way_to_a_verdict():
     tree = ast.parse(Path(properties.__file__).read_text())
     named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_atomic_element"]
     assert len(named) == 1  # one call, and no second path such as a memo
+
+
+def test_one_module_reads_relation_specs():
+    """Only ``relations`` decides anything from a relation's spec class, so
+    the argument that relations with one pair table share an evaluator
+    (README, "Design notes") has one module to audit.  No other module tests
+    a spec class with ``isinstance`` or keeps one in a module-level
+    constant; outside ``relations`` and ``parsing`` a spec class is only
+    called, to build the regular and full relations and a restriction; and
+    the flags ``TauRelation`` sets for the engine have a fixed set of
+    readers."""
+    package = Path(properties.__file__).parent
+    relations = package / "relations.py"
+    specs = {
+        node.name for node in ast.parse(relations.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Tau")
+    }
+    assert len(specs) == 7
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def named(node) -> bool:
+        return any(name(n) in specs for n in ast.walk(node))
+
+    tested, constants, uses = set(), set(), set()
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name(node.func) == "isinstance" and named(node.args[1]):
+                tested.add(module)
+            if name(node) in specs and module not in ("relations", "parsing"):
+                uses.add((module, name(node), id(node) in calls))
+        constants |= {module for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and named(stmt)}
+    assert tested | constants <= {"relations"}
+    assert uses == {
+        ("theorems", "FullTau", True),
+        ("theorems", "RegCapTau", True),
+        ("theorems", "RegularTau", True),
+        ("cli", "RegCapTau", True),
+    }
+    assert _callers(["regular_only", "associate_stable"], reads=True) == {
+        "regular_only": {
+            "relations.TauRelation.candidates",
+            "ufact.phi_inverse",
+            "theorems.EntryChecker._tau_subset_of_regular",
+        },
+        "associate_stable": {"relations.TauRelation.candidates", "factor._first_trivial_decides"},
+    }
 
 
 def test_harness_rules_stated_once():
