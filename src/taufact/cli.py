@@ -493,8 +493,8 @@ def _load_corpus(name: str) -> dict:
         return json.load(fh)
 
 
-# The ring a process built last, with the evaluators of its entries keyed by
-# context key: [(ring_str, scope_json, cap), ring, contexts], or empty.
+# The evaluators of the ring a process built last, at the scope and cap
+# of its unit: [(ring_str, scope_json, cap), RingContexts], or empty.
 _ring_slot: list = []
 
 
@@ -504,28 +504,29 @@ def _verify_group(payload):
     with None; and on a finite ring the context key of each entry, its pair
     table on R#, else None.
 
-    The ring and its evaluator contexts stay in the slot while the next
+    The ring's ``theorems.RingContexts`` stays in the slot while the next
     unit names the same ring, scope and cap.  An atlas entry depends on its
     relation only through its evaluator and the ``tau`` label, as the rows
-    do, so it is computed once per context key, from the evaluators the
-    rows have just read.
+    do, so it is computed once per evaluator, from the evaluators the rows
+    have just read.
     """
-    from .theorems import context_evaluator, per_context_spec, verify_corpus_entries
+    from .theorems import RingContexts, verify_corpus_entries
 
     ring_str, tau_strs, scope_json, cap, atlas = payload
     if not _ring_slot or _ring_slot[0] != (ring_str, scope_json, cap):
-        _ring_slot[:] = [(ring_str, scope_json, cap), build_ring_from_text(ring_str), {}]
-    _, ring, contexts = _ring_slot
-    scope = None if scope_json is None else [ring.element_from_json(e) for e in scope_json]
+        ring = build_ring_from_text(ring_str)
+        scope = None if scope_json is None else [ring.element_from_json(e) for e in scope_json]
+        _ring_slot[:] = [(ring_str, scope_json, cap), RingContexts(ring, scope, cap)]
+    contexts = _ring_slot[1]
+    ring = contexts.ring
     taus = [build_tau_from_text(t, ring) for t in tau_strs]
-    rows = verify_corpus_entries(ring, taus, scope, cap, contexts)
-    evaluator = lambda spec: context_evaluator(contexts, ring, spec, scope, cap)
-    keys = tuple(contexts[evaluator(tau.spec)] for tau in taus) if ring.is_finite else None
+    rows = verify_corpus_entries(contexts, taus)
+    keys = tuple(contexts.key(contexts.evaluator(tau.spec)) for tau in taus) if ring.is_finite else None
     if not atlas:
         return [(r, None) for r in rows], keys
 
     def entry(tau):
-        plain = evaluator(tau.spec)
+        plain = contexts.evaluator(tau.spec)
         domain, scoped = plain.domain()
         elements = []
         read = []  # the caps of the enumerations the entry reads
@@ -539,12 +540,12 @@ def _verify_group(payload):
                 row["flags"] = {k.value: v.value for k, v in profile.flags.items()}
                 read.append(profile.cap)
             elements.append(row)
-        props, elas = _property_vector(plain, evaluator(RegCapTau(tau.spec)))
+        props, elas = _property_vector(plain, contexts.evaluator(RegCapTau(tau.spec)))
         read.extend(v["cap"] for v in props if "cap" in v)
         cap_read = max(read, default=cap)
         return {"cap": cap_read, "scoped": scoped, "elements": elements, "properties": props, "elasticity": elas}
 
-    bodies = per_context_spec(taus, evaluator, entry, lambda body, tau: body)
+    bodies = contexts.per_evaluator(taus, entry, lambda body, tau: body)
     return [(r, {"ring": ring_str, "tau": t, **body}) for r, t, body in zip(rows, tau_strs, bodies)], keys
 
 
@@ -561,10 +562,10 @@ def _pool_units(corpus_entries) -> list:
     own restriction: two entries overlap iff their restricted specs match.
 
     The units are not independent: every entry's baseline rows also read
-    the ring's ``regular`` and ``full`` evaluators, which ``_ring_slot``
-    keeps per process, so every worker that runs a unit of a ring builds
-    those two evaluators for itself, even where another worker has built
-    them already.
+    the ring's ``regular`` and ``full`` evaluators, and each process keeps
+    its own ``RingContexts`` in ``_ring_slot``, so every worker that runs a
+    unit of a ring builds those two for itself, even where another worker
+    has built them already.
     """
     units: dict = {}
     for i, ce in enumerate(corpus_entries):

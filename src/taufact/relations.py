@@ -192,9 +192,6 @@ class TauRelation:
     def spec_string(self) -> str:
         return format_tau_spec(self.spec, self.ring)
 
-    def __repr__(self):
-        return f"<Tau {self.spec_string()} on {self.ring.spec_string()}>"
-
 
 def format_tau_spec(spec: TauSpec, ring: Optional[Ring] = None) -> str:
     if isinstance(spec, FullTau):

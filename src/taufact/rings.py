@@ -384,9 +384,6 @@ class Ring:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    def __repr__(self):
-        return f"<Ring {self.spec_string()}>"
-
     def __eq__(self, other):
         return isinstance(other, Ring) and self.spec == other.spec
 

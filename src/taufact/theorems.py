@@ -77,34 +77,47 @@ def context_spec(tau: TauRelation):
     return normal_spec(tau.spec)
 
 
-def context_evaluator(contexts: dict, ring: Ring, spec, scope, cap: int) -> Evaluator:
-    """The evaluator of a relation spec in ``contexts``, which maps the
-    context keys (``context_spec``) of ``ring`` at one scope and cap, and
-    the normal specs that reached them, to evaluators, and each evaluator
-    back to its key; each is built on the relation its key was first read
-    from, over ``scope``, at ``cap``."""
-    spec = normal_spec(spec)
-    got = contexts.get(spec)
-    if got is None:
-        tau = build_tau(spec, ring)
-        key = context_spec(tau)
-        if key not in contexts:
-            ev = contexts[key] = Evaluator(ring, tau, cap, scope)
-            contexts[ev] = key
-        got = contexts[spec] = contexts[key]
-    return got
+class RingContexts:
+    """The evaluators of one ring at one scope and cap, one per context key
+    (``context_spec``), each built on the relation its key was first read
+    from; the only code that reads or writes its maps."""
 
+    def __init__(self, ring: Ring, scope, cap: int):
+        self.ring = ring
+        self.scope = scope
+        self.cap = cap
+        self._by_spec: dict = {}  # normal spec -> evaluator
+        self._by_key: dict = {}  # context key -> evaluator
+        self._keys: dict = {}  # evaluator -> context key
 
-def per_context_spec(taus, evaluator, compute, relabel) -> list:
-    """``compute(tau)`` for each relation, computed once per evaluator
-    (``evaluator(spec)``): a relation whose evaluator an earlier one had
-    gets ``relabel(result, tau)`` of that one's result instead."""
-    by_ev: dict = {}
-    out = []
-    for tau in taus:
-        ev = evaluator(tau.spec)
-        out.append(relabel(by_ev[ev], tau) if ev in by_ev else by_ev.setdefault(ev, compute(tau)))
-    return out
+    def evaluator(self, spec) -> Evaluator:
+        """The evaluator of a relation spec."""
+        spec = normal_spec(spec)
+        got = self._by_spec.get(spec)
+        if got is None:
+            tau = build_tau(spec, self.ring)
+            key = context_spec(tau)
+            got = self._by_key.get(key)
+            if got is None:
+                got = self._by_key[key] = Evaluator(self.ring, tau, self.cap, self.scope)
+                self._keys[got] = key
+            self._by_spec[spec] = got
+        return got
+
+    def key(self, ev: Evaluator):
+        """The context key ``ev`` was built for."""
+        return self._keys[ev]
+
+    def per_evaluator(self, taus, compute, relabel) -> list:
+        """``compute(tau)`` for each relation, computed once per evaluator: a
+        relation whose evaluator an earlier one had gets ``relabel(result,
+        tau)`` of that one's result instead."""
+        by_ev: dict = {}
+        out = []
+        for tau in taus:
+            ev = self.evaluator(tau.spec)
+            out.append(relabel(by_ev[ev], tau) if ev in by_ev else by_ev.setdefault(ev, compute(tau)))
+        return out
 
 
 def _cell_table() -> dict:
@@ -131,11 +144,10 @@ _CELLS = _cell_table()
 class EntryChecker:
     """Runs every theorem family for one corpus entry.
 
-    ``contexts`` holds the evaluators of one ring, scope and cap
-    (``context_evaluator``); the checker adds the ones it needs.  An entry
-    reads its relation's evaluator (``plain``), its restriction's to regular
-    pairs (``restricted``), and for the baseline rows the ``regular`` and
-    ``full`` ones.
+    It takes every evaluator from ``contexts``, the ``RingContexts`` of the
+    entry's ring, scope and cap: its relation's (``plain``), its
+    restriction's to regular pairs (``restricted``), and for the baseline
+    rows the ``regular`` and ``full`` ones.
 
     The per-element families check one member per associate orbit of the
     evaluator they read (``Evaluator.domain_orbits``; the plain one where
@@ -143,25 +155,20 @@ class EntryChecker:
     relation does) and count each orbit by its size in the domain.
     """
 
-    def __init__(self, ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict):
-        self.ring = ring
+    def __init__(self, contexts: RingContexts, tau: TauRelation):
+        self.ring = ring = contexts.ring
         self.ring_label = ring.spec_string()
         self.label = tau.spec_string()
-        self.scope = scope
-        self.cap = cap
+        self.cap = contexts.cap
         self.contexts = contexts
-        self.plain = self._context(tau.spec)
-        self.restricted = self._context(RegCapTau(tau.spec))
+        self.plain = contexts.evaluator(tau.spec)
+        self.restricted = contexts.evaluator(RegCapTau(tau.spec))
         self.domain, self.scoped = self.plain.domain()
         self.regular_domain, _ = self.plain.domain(regular=True)
         self.entries: list = []
         self.refinable = self.plain.refinable()
 
     # -- plumbing
-
-    def _context(self, spec) -> Evaluator:
-        """The evaluator of a relation spec."""
-        return context_evaluator(self.contexts, self.ring, spec, self.scope, self.cap)
 
     def prop(self, name, scope=PropScope.REGULAR, alpha=None, beta=None, ev=None) -> PropertyVerdict:
         """The verdict of ``REGULAR_PROPS[name]`` at ``scope``, with its alpha
@@ -519,7 +526,7 @@ class EntryChecker:
             # ``context_spec``), so the relation stays within regular pairs
             # exactly when it relates no pair of R#: when no pair of its
             # context key, the pair table, holds
-            return not any(self.contexts[self.plain])
+            return not any(self.contexts.key(self.plain))
         # Z is a domain, so its nonzero elements are regular; the other
         # infinite rings are products, where two nonzero components
         # annihilate each other
@@ -537,7 +544,7 @@ class EntryChecker:
             self.emit(theorem, "hypothesis", INAPPLICABLE, note="relation relates zero divisors")
             return
         # the properties of the ``regular`` relation
-        ev = self._context(RegularTau())
+        ev = self.contexts.evaluator(RegularTau())
         base = {name: self.prop(name, ev=ev) for name in ("bfr", "ffr", "wffr", "accp", "hfr", "ufr")}
         for name in ("bfr", "ffr", "wffr", "accp"):
             self.implication(theorem, name, base[name], self.prop(name))
@@ -652,7 +659,7 @@ class EntryChecker:
         bfr, accp, atomic0 = (self.prop(name, plain) for name in ("bfr", "accp", "atomic"))
         self.implication(theorem, "bfr=>accp", bfr, accp, gated=True)
         self.implication(theorem, "accp=>atomic", accp, atomic0, gated=True)
-        full_accp = self.prop("accp", plain, ev=self._context(FullTau()))
+        full_accp = self.prop("accp", plain, ev=self.contexts.evaluator(FullTau()))
         self.implication(theorem, "plain-accp=>relation-accp", full_accp, accp)
         for beta in BETAS2:
             ffr, wffr = (self.prop(name, plain, beta=beta) for name in ("ffr", "wffr"))
@@ -706,23 +713,12 @@ def _combine_and(a: PropertyVerdict, b: PropertyVerdict) -> PropertyVerdict:
     return PropertyVerdict(prop=a.prop, outcome=outcome, witness=witness, cap=a.cap, scoped=a.scoped)
 
 
-def verify_corpus_entry(ring: Ring, tau: TauRelation, scope, cap: int, contexts: dict) -> list:
-    """The JSON report rows of one corpus entry."""
-    checker = EntryChecker(ring, tau, scope, cap, contexts)
-    return checker.run()
-
-
-def verify_corpus_entries(ring: Ring, taus, scope, cap: int, contexts: dict) -> list:
+def verify_corpus_entries(contexts: RingContexts, taus) -> list:
     """The JSON rows of each entry of one ring.  Rows depend on the relation
     only through its evaluator (which fixes its restriction's) and the
     ``tau`` label, so an entry whose evaluator an earlier one had gets its
     rows, relabelled."""
-    return per_context_spec(
-        taus,
-        lambda spec: context_evaluator(contexts, ring, spec, scope, cap),
-        lambda tau: verify_corpus_entry(ring, tau, scope, cap, contexts),
-        _relabel,
-    )
+    return contexts.per_evaluator(taus, lambda tau: EntryChecker(contexts, tau).run(), _relabel)
 
 
 def _relabel(rows, tau) -> list:

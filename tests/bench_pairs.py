@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two checkouts.
 
-    python3 tests/bench_pairs.py PARENT CHANGE --workload finite-sweep --seed 1 --seed 7 --pairs 10 --seconds 8
+    python3 tests/bench_pairs.py PARENT CHANGE --workload finite-sweep --seed 1 --seed 7 --pairs 10
 
 Runs ``perfbench/run.py --workload W --seed S --seconds X --trace 0`` from
-the root of the PARENT checkout and of the CHANGE checkout in turn, PAIRS
+the root of the PARENT checkout and of the CHANGE checkout in turn, where X
+is ``--seconds`` or else the ``run_seconds`` of the CHANGE checkout's
+``BENCHMARK.json``, the run length the benchmark is judged at, PAIRS
 times per (workload, seed), with the parent first in even pairs and the
 change first in odd ones, so that drift on a shared host falls on both
 sides alike.  Prints, as JSON on stdout, the per-metric runs, medians and
@@ -99,15 +101,17 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--seed", type=int, action="append", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=8)
+    p.add_argument("--seconds", type=float, help="run length (default: run_seconds of the CHANGE BENCHMARK.json)")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2 (quartiles need two runs)")
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
-        metrics = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+        contract = json.load(fh)
+    metrics = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in contract["end_to_end"]}
+    seconds = args.seconds if args.seconds is not None else contract["run_seconds"]
     out = {
-        workload: {f"seed-{seed}": pairs_block(roots, workload, seed, args.pairs, args.seconds, metrics) for seed in args.seed}
+        workload: {f"seed-{seed}": pairs_block(roots, workload, seed, args.pairs, seconds, metrics) for seed in args.seed}
         for workload in args.workload
     }
     print(json.dumps(out, indent=1))

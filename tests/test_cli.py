@@ -1090,7 +1090,7 @@ def test_catalog_sees_a_wrong_context_spec(corpus, monkeypatch):
     raises on it first); without them the atlas is the same."""
     direct = _direct_atlas(corpus)
     assert _shared_atlas(corpus) == direct
-    monkeypatch.setattr(theorems, "verify_corpus_entries", lambda ring, taus, *args: [[] for _ in taus])
+    monkeypatch.setattr(theorems, "verify_corpus_entries", lambda contexts, taus: [[] for _ in taus])
     assert _shared_atlas(corpus) == direct
     real = theorems.context_spec
 

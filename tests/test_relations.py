@@ -64,6 +64,18 @@ def test_subset_validation(z6):
         build_tau(SubsetTau((0,)), z6)
 
 
+def test_subset_outside_the_ring_rejected(z6):
+    """A ``subset`` spec built directly, past the parser, still has its
+    elements checked against the ring."""
+    with pytest.raises(TauConstructionError, match="subset element 9 is not a ring element"):
+        build_tau(SubsetTau((9,)), z6)
+
+
+def test_foreign_tau_spec_has_no_text():
+    with pytest.raises(TauConstructionError, match="unknown tau spec"):
+        relations.format_tau_spec(object())
+
+
 def test_symmetry_exhaustive():
     for ring in small_finite_rings():
         sharp = ring.nonzero_nonunits()

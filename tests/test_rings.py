@@ -29,6 +29,11 @@ def test_build_validates_modulus():
         build_ring(ModIntSpec(1))
 
 
+def test_build_rejects_a_foreign_spec():
+    with pytest.raises(RingConstructionError, match="unknown ring spec"):
+        build_ring(object())
+
+
 def test_build_validates_polyquot():
     with pytest.raises(RingConstructionError, match="prime"):
         build_ring(PolyQuotSpec(4, (1, 1)))
@@ -389,14 +394,14 @@ def test_nonunits_built_once_and_left_intact():
     ring leaves it equal to a fresh scan."""
     from taufact import build_tau_from_text
     from taufact.corpus import DEFAULT_TAUS
-    from taufact.theorems import verify_corpus_entries
+    from taufact.theorems import RingContexts, verify_corpus_entries
 
     for text in ("Zn(12)", "prod(Zn(2),Zn(4))", "GFq(2,[0,0,1])"):
         ring = build_ring_from_text(text)
         got = ring.nonunits()
         assert ring.nonunits() is got
         taus = [build_tau_from_text(t, ring) for t in DEFAULT_TAUS]
-        verify_corpus_entries(ring, taus, None, 4, {})
+        verify_corpus_entries(RingContexts(ring, None, 4), taus)
         assert ring.nonunits() is got
         assert got == sorted(
             (a for a in ring.elements() if _scan_class(ring, a) != ElementClass.UNIT),

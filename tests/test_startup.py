@@ -38,7 +38,7 @@ EXPORTS = {
         "Elasticity", "Evaluator", "PropKind", "PropScope", "PropertyId",
         "PropertyVerdict", "check_property", "elasticity",
     ],
-    "theorems": ["summarize", "verify_corpus_entry"],
+    "theorems": ["summarize"],
     "corpus": ["CorpusError", "default_corpus_spec", "generate_corpus"],
     "parsing": [
         "ParseError", "build_ring_from_text", "build_tau_from_text", "parse_element",

@@ -18,14 +18,13 @@ from taufact import (
     build_ring,
     build_tau,
     summarize,
-    verify_corpus_entry,
 )
 from taufact.corpus import DEFAULT_TAUS, default_corpus_spec, generate_corpus
 from taufact.parsing import build_ring_from_text, build_tau_from_text, parse_tau_spec
 from taufact.relations import EmptyTau, RegularTau, SubsetTau, format_tau_spec, normal_spec, pair_table
 from taufact.factor import PreconditionError
 from taufact.properties import REGULAR_PROPS, Evaluator, PropertyVerdict
-from taufact.theorems import EntryChecker, context_spec
+from taufact.theorems import EntryChecker, RingContexts, context_spec
 from taufact.ufact import u_partitions
 from conftest import CLASS_SHAPES, class_shape_corpora, small_finite_rings
 
@@ -42,10 +41,15 @@ SMALL_SPECS = [
 ]
 
 
+def entry_rows(ring, tau, scope, cap):
+    """The report rows of one corpus entry, on evaluators of its own."""
+    return EntryChecker(RingContexts(ring, scope, cap), tau).run()
+
+
 def run_entry(ring_spec, tau_spec, scope=None, cap=5):
     ring = build_ring(ring_spec)
     tau = build_tau(tau_spec, ring)
-    entries = verify_corpus_entry(ring, tau, scope, cap, {})
+    entries = entry_rows(ring, tau, scope, cap)
     return entries, summarize(e["outcome"] for e in entries)
 
 
@@ -234,7 +238,7 @@ def _direct_rows(corpus, monkeypatch):
         for ce in entries:
             ring = build_ring_from_text(ce.ring_str)
             tau = build_tau_from_text(ce.tau_str, ring)
-            rows += verify_corpus_entry(ring, tau, ce.scope, meta["cap"], {})
+            rows += entry_rows(ring, tau, ce.scope, meta["cap"])
     return rows
 
 
@@ -322,9 +326,9 @@ def test_regular_pairs_hypothesis_reads_the_context_key(monkeypatch):
     specs = [parse_tau_spec(t, None) for t in DEFAULT_TAUS]
     for text, subset in (("Zn(6)", (2, 3)), ("Zn(9)", (3,)), ("prod(Zn(2),Zn(3))", ((0, 1),))):
         ring = build_ring_from_text(text)
-        contexts: dict = {}
+        contexts = RingContexts(ring, None, 4)
         for spec in specs + [SubsetTau(subset)]:
-            checker = EntryChecker(ring, build_tau(spec, ring), None, 4, contexts)
+            checker = EntryChecker(contexts, build_tau(spec, ring))
             asked = []
             with monkeypatch.context() as m:
                 m.setattr(type(checker.plain.tau), "holds", lambda tau, a, b: asked.append((a, b)))
@@ -424,7 +428,7 @@ def test_zero_in_infinite_scope_rejected():
     refuses it, not dropped."""
     ring = build_ring(IntegersSpec())
     with pytest.raises(PreconditionError):
-        verify_corpus_entry(ring, build_tau(FullTau(), ring), [0, 2, 3], 5, {})
+        entry_rows(ring, build_tau(FullTau(), ring), [0, 2, 3], 5)
 
 
 # Outcome of a law row by (lhs, rhs) outcome; rows: lhs holds / fails /
@@ -469,7 +473,7 @@ def _law_rows(law, mode):
     """The rows ``law`` gives each pair of synthetic verdicts, on a relation
     that is not refinable (the one of ``test_eight_way_gated_on_refinability``)."""
     ring = build_ring(ModIntSpec(8))
-    checker = EntryChecker(ring, build_tau(SubsetTau((2, 4)), ring), None, 5, {})
+    checker = EntryChecker(RingContexts(ring, None, 5), build_tau(SubsetTau((2, 4)), ring))
     assert checker.refinable is False
     for lhs in _SIDES:
         for rhs in _SIDES:
@@ -501,6 +505,51 @@ def test_law_table_sees_an_implication_read_both_ways(monkeypatch):
     rows = _law_rows("implication", "asserted")
     assert rows["fails", "holds"][0] == "violated"
     assert rows != _expected_law_rows("implication", "asserted")
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,outcome,witness",
+    [
+        ("fails", "holds", "fails", 2),
+        ("holds", "fails", "fails", 4),
+        ("unknown", "fails", "fails", 4),
+        ("unknown", "holds", "unknown", None),
+        ("holds", "holds", "holds", None),
+    ],
+)
+def test_combine_and_fails_with_the_failing_side(lhs, rhs, outcome, witness):
+    """The conjunction of two verdicts fails when either side fails, with
+    that side's witness, even against an undecided side; it is undecided
+    when a side is and none fails."""
+    a = PropertyVerdict(REGULAR_PROPS["atomic"], lhs, witness=2 if lhs == "fails" else None, cap=3, scoped=True)
+    b = PropertyVerdict(REGULAR_PROPS["idf"], rhs, witness=4 if rhs == "fails" else None)
+    got = theorems._combine_and(a, b)
+    assert (got.prop, got.outcome, got.witness, got.cap, got.scoped) == (a.prop, outcome, witness, 3, True)
+
+
+def test_regular_arrows_see_a_failing_idf(monkeypatch):
+    """With the regular-scope IDF verdict forced to ``fails`` under a
+    refinable relation, atomic-and-IDF fails with IDF's witness, so
+    ``wffr<=>atomic-idf`` reads violated while ``atomic-idf=>idf`` holds."""
+    ring = build_ring(ModIntSpec(6))
+    idf = REGULAR_PROPS["idf"]
+    assert idf == theorems._CELLS["idf", properties.PropScope.REGULAR, None, None]
+    real = Evaluator.verdict
+
+    def verdict(ev, prop):
+        return PropertyVerdict(prop, "fails", witness=2) if prop == idf else real(ev, prop)
+
+    monkeypatch.setattr(Evaluator, "verdict", verdict)
+    rows = entry_rows(ring, build_tau(FullTau(), ring), None, 5)
+    arrows = {r["instance"]: r for r in rows if r["theorem"] == "regular-factorization-arrows"}
+    assert arrows["wffr<=>atomic-idf"]["outcome"] == "violated"
+    assert arrows["wffr<=>atomic-idf"]["witness"] == {
+        "lhs": REGULAR_PROPS["wffr"].label(),
+        "lhs_outcome": "holds",
+        "rhs": REGULAR_PROPS["atomic"].label(),
+        "rhs_outcome": "fails",
+    }
+    assert arrows["atomic-idf=>idf"]["outcome"] == "verified"
 
 
 def _callers(names, reads=False) -> dict:
@@ -542,13 +591,14 @@ def test_one_way_to_a_verdict():
     ``Evaluator`` method (``cmd_classify`` answers a query at its own
     ``--cap``); atomic outcomes are read only by ``check_property``
     (through its element dispatch, ``_element_outcome``), so HFR and UFR
-    reach them through the ATOMIC verdict."""
+    reach them through the ATOMIC verdict.  Only ``RingContexts`` reads
+    the maps that take a relation spec to its evaluator."""
     names = [
         "Evaluator", "check_property", "check_tau_property", "_resolve_domain", "classify",
         "_element_outcome", "_atomic_element",
     ]
     assert _callers(names) == {
-        "Evaluator": {"theorems.context_evaluator", "cli.cmd_properties"},
+        "Evaluator": {"theorems.RingContexts.evaluator", "cli.cmd_properties"},
         "check_property": {"properties.Evaluator.verdict"},
         "check_tau_property": {"properties.Evaluator.refinable"},
         "_resolve_domain": {"properties.Evaluator.domain"},
@@ -559,6 +609,9 @@ def test_one_way_to_a_verdict():
     tree = ast.parse(Path(properties.__file__).read_text())
     named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_atomic_element"]
     assert len(named) == 1  # one call, and no second path such as a memo
+    # the maps from specs and context keys to evaluators have one owner
+    readers = _callers(["_by_spec", "_by_key", "_keys"], reads=True)
+    assert set().union(*readers.values()) == {"theorems.RingContexts.evaluator", "theorems.RingContexts.key"}
 
 
 def test_one_module_reads_relation_specs():
